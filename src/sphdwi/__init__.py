@@ -49,6 +49,7 @@ from .lsc import (
     build_lsc_geometry,
     load_kernel_json,
     lsc_forward,
+    lsc_operator,
     make_identity_kernel,
     make_moving_average_kernel,
     save_kernel_json,

@@ -1,17 +1,17 @@
-"""Voxel-loop kernels, numba-compiled with a pure-numpy fallback.
+"""Per-voxel reference kernels, numba-compiled with a pure-numpy fallback.
 
-The backend is chosen by the SPHDWI_BACKEND environment variable:
+These are the deliberately naive solver and evaluator that serve as the
+correctness oracle and the baseline of :mod:`sphdwi.bench`. The backend is
+chosen by the SPHDWI_BACKEND environment variable:
 
-* ``auto`` (default) - the faster measured path per kernel: jit for the
-  per-voxel reference kernels, the BLAS-shaped numpy path for the ring
-  reduction (dense products dominate it, and vendor BLAS beats scalar jit
-  loops there at every size)
-* ``numba``          - require numba everywhere, error if missing
-* ``numpy``          - force the fallback path everywhere
+* ``auto`` (default) - numba when it is importable, numpy otherwise
+* ``numba``          - require numba, error if missing
+* ``numpy``          - force the fallback path
 
 Every public function also takes an explicit ``backend=`` override so the
-two paths can be compared in one process. The large batched transforms are
-not here on purpose: those are plain BLAS matrix products under any backend.
+two paths can be compared in one process. The batched transforms and the
+local spherical convolution are not here on purpose: each is one
+precomputed matrix applied by a plain BLAS product under any backend.
 """
 
 from __future__ import annotations
@@ -44,20 +44,9 @@ def default_backend() -> str:
     return choice
 
 
-def resolve_backend(backend: str | None, prefer: str = "numba") -> str:
-    """Resolve an explicit override, the env flag, or the per-kernel default.
-
-    ``prefer`` is the measured-faster backend for the calling kernel and only
-    applies when the environment is left on ``auto``: the ring reduction runs
-    faster through the BLAS-shaped numpy path, while the jit path is the
-    default for the per-voxel reference kernels.
-    """
+def resolve_backend(backend: str | None) -> str:
+    """Resolve an explicit override, falling back to the env flag."""
     if backend is None:
-        choice = os.environ.get(_ENV_VAR, "auto").strip().lower()
-        if choice == "auto":
-            if prefer == "numpy" or not HAVE_NUMBA:
-                return "numpy"
-            return "numba"
         return default_backend()
     if backend not in ("numba", "numpy"):
         raise ValueError(f"backend must be numba or numpy, got {backend!r}")
@@ -90,22 +79,6 @@ def _naive_eval_numpy(basis, coeffs):
     return out
 
 
-def _lsc_combine_numpy(resample, weights, bias, coeffs):
-    s_out, s_in, klen = weights.shape
-    m = resample.shape[0] // klen
-    nvox = coeffs.shape[2]
-    out = np.empty((s_out, m, nvox))
-    # chunked so the (s_in, m*klen, chunk) intermediate stays small
-    chunk = max(1, int(4_000_000 // max(1, m * klen * s_in)))
-    for lo in range(0, nvox, chunk):
-        hi = min(nvox, lo + chunk)
-        sampled = np.matmul(resample, coeffs[:, :, lo:hi])  # (s_in, m*klen, c)
-        sampled = sampled.reshape(s_in, m, klen, hi - lo)
-        out[:, :, lo:hi] = np.einsum("osk,smkv->omv", weights, sampled)
-    out += bias[:, None, None]
-    return out
-
-
 if HAVE_NUMBA:
 
     @njit(cache=True, nogil=True)
@@ -130,32 +103,6 @@ if HAVE_NUMBA:
                 for j in range(r):
                     acc += basis[i, j] * coeffs[j, v]
                 out[i, v] = acc
-
-    @njit(cache=True, nogil=True)
-    def _lsc_combine_numba(resample, weights, bias, coeffs, out):  # pragma: no cover
-        # resample products run on BLAS (numba lowers 2-D @ to dgemm); only
-        # the ring reduction is scalar. Chunked over voxels so the sampled
-        # intermediate stays cache-sized.
-        s_out, s_in, klen = weights.shape
-        mk = resample.shape[0]
-        m = mk // klen
-        nvox = coeffs.shape[2]
-        chunk = max(1, 4_000_000 // max(1, mk * s_in))
-        sampled = np.empty((s_in, mk, chunk))
-        for lo in range(0, nvox, chunk):
-            hi = min(nvox, lo + chunk)
-            width = hi - lo
-            for s in range(s_in):
-                sampled[s, :, :width] = resample @ np.ascontiguousarray(coeffs[s, :, lo:hi])
-            for o in range(s_out):
-                for i in range(m):
-                    base = i * klen
-                    for v in range(width):
-                        val = bias[o]
-                        for s in range(s_in):
-                            for k in range(klen):
-                                val += weights[o, s, k] * sampled[s, base + k, v]
-                        out[o, i, lo + v] = val
 
 
 def naive_fit(basis, penalty, lam, signals, backend: str | None = None) -> np.ndarray:
@@ -186,33 +133,10 @@ def naive_eval(basis, coeffs, backend: str | None = None) -> np.ndarray:
     return out
 
 
-def lsc_combine(resample, weights, bias, coeffs, backend: str | None = None) -> np.ndarray:
-    """Fused resample + ring-kernel reduction of one coefficient batch.
-
-    resample: (m*K, R_in) row blocks per origin; weights: (S_out, S_in, K);
-    bias: (S_out,); coeffs: (S_in, R_in, V). Returns origin values
-    (S_out, m, V) where entry [o, i, v] = bias[o] + sum_{s,k} w[o,s,k] *
-    (resample row i*K+k . coeffs[s,:,v]).
-    """
-    which = resolve_backend(backend, prefer="numpy")
-    resample = np.ascontiguousarray(resample, dtype=np.float64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    bias = np.ascontiguousarray(bias, dtype=np.float64)
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-    if which == "numpy":
-        return _lsc_combine_numpy(resample, weights, bias, coeffs)
-    s_out, _, klen = weights.shape
-    m = resample.shape[0] // klen
-    out = np.empty((s_out, m, coeffs.shape[2]))
-    _lsc_combine_numba(resample, weights, bias, coeffs, out)
-    return out
-
-
 def warm_up() -> str:
     """Trigger jit compilation of all kernels; returns the active backend."""
     which = default_backend()
     basis = np.eye(3, 2)
     naive_fit(basis, np.zeros(2), 0.0, np.ones((3, 1)), backend=which)
     naive_eval(basis, np.ones((2, 1)), backend=which)
-    lsc_combine(np.ones((4, 2)), np.full((1, 1, 2), 0.5), np.zeros(1), np.ones((1, 2, 1)), backend=which)
     return which

@@ -3,8 +3,10 @@
 The naive path re-forms and solves the regularized normal equations from
 scratch for every voxel (no factorization reuse); it doubles as the
 correctness oracle for the batched path. Timings are medians over repeats
-with one untimed warm-up per configuration and BLAS pinned to one thread
-for fairness. Two measurement-hygiene rules keep the speedup-vs-volume
+with one untimed warm-up per configuration, whose result is kept as the
+reference output, and BLAS pinned to one thread for fairness when
+threadpoolctl is installed (``BenchReport.blas_pinned`` says whether it
+was). Two measurement-hygiene rules keep the speedup-vs-volume
 curve about the algorithm instead of the machine: the CPU data caches are
 scrubbed before every timed run (small volumes must not be timed cache-hot),
 and batched runs write into a reused output buffer (fresh multi-hundred-MB
@@ -59,6 +61,7 @@ class BenchRow:
 @dataclass
 class BenchReport:
     rows: list[BenchRow]
+    blas_pinned: bool  # False when threadpoolctl was missing and BLAS ran unpinned
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -82,13 +85,14 @@ class BenchReport:
 
 @contextmanager
 def _single_thread_blas():
+    """Pin BLAS to one thread; yields whether it could (needs threadpoolctl)."""
     try:
         from threadpoolctl import threadpool_limits
-    except ImportError:  # pragma: no cover
-        yield
+    except ImportError:
+        yield False
         return
     with threadpool_limits(limits=1):
-        yield
+        yield True
 
 
 def _validate_like_batched(gradients, order: int, lb_lambda: float) -> np.ndarray:
@@ -177,15 +181,16 @@ def _scrub_caches() -> None:
     float(_scrub_buf.sum())
 
 
-def _median_time(fn, repeats: int) -> float:
-    fn()  # warm-up: page faults, jit, BLAS thread pools
+def _median_time(fn, repeats: int) -> tuple[float, object]:
+    """Median of ``repeats`` timed calls and the result of the warm-up call."""
+    result = fn()  # warm-up: page faults, jit, BLAS thread pools
     times = []
     for _ in range(repeats):
         _scrub_caches()
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+    return float(np.median(times)), result
 
 
 def _interleaved_median_times(fns: dict, repeats: int) -> dict:
@@ -194,10 +199,10 @@ def _interleaved_median_times(fns: dict, repeats: int) -> dict:
     Host-load bursts on shared machines last seconds; timing method A's
     repeats and then method B's in disjoint windows lets one burst inflate a
     single method's median and corrupt the speedup ratio. Alternating the
-    repeats exposes both methods to the same load profile.
+    repeats exposes both methods to the same load profile. Returns the
+    medians and the warm-up results, both keyed by name.
     """
-    for fn in fns.values():
-        fn()  # warm-up
+    results = {name: fn() for name, fn in fns.items()}  # warm-up
     samples = {name: [] for name in fns}
     for _ in range(repeats):
         for name, fn in fns.items():
@@ -205,7 +210,7 @@ def _interleaved_median_times(fns: dict, repeats: int) -> dict:
             t0 = time.perf_counter()
             fn()
             samples[name].append(time.perf_counter() - t0)
-    return {name: float(np.median(vals)) for name, vals in samples.items()}
+    return {name: float(np.median(vals)) for name, vals in samples.items()}, results
 
 
 def _synth_inputs(order: int, voxel_count: int, seed: int, n_dirs: int):
@@ -270,14 +275,16 @@ def run_bench(
     if active == "numba":
         _kernels.warm_up()
     rows: list[BenchRow] = []
+    pinned = True
     for order in orders:
         gradients, vol, shvol = _synth_inputs(order, voxel_count, seed, n_dirs)
         r = coeff_count(order)
         fit_buf = np.empty((1, 1, r, voxel_count))
         eval_buf = np.empty((1, 1, n_dirs, voxel_count))
 
-        with _single_thread_blas():
-            fit_times = _interleaved_median_times(
+        with _single_thread_blas() as ok:
+            pinned &= ok
+            fit_times, fit_results = _interleaved_median_times(
                 {
                     "batched": lambda: _timed_batched_fit(
                         vol, gradients, order, lb_lambda, fit_buf
@@ -290,7 +297,7 @@ def run_bench(
             )
         op = make_fit_operator(gradients, order, lb_lambda)
         fitted = signal_to_sh(vol, op)
-        reference = naive_signal_to_sh(vol, gradients, order, lb_lambda, backend=backend)
+        reference = fit_results["naive"]
         dev_fit = float(np.max(np.abs(fitted.data - reference.data)))
         assert np.array_equal(fit_buf.reshape(fitted.data.shape), fitted.data)
         rows.append(
@@ -300,8 +307,9 @@ def run_bench(
             BenchRow("signal2sh", order, voxel_count, "naive", fit_times["naive"], dev_fit)
         )
 
-        with _single_thread_blas():
-            eval_times = _interleaved_median_times(
+        with _single_thread_blas() as ok:
+            pinned &= ok
+            eval_times, eval_results = _interleaved_median_times(
                 {
                     "batched": lambda: _timed_batched_eval(shvol, gradients, eval_buf),
                     "naive": lambda: naive_sh_to_signal(shvol, gradients, backend=backend),
@@ -309,7 +317,7 @@ def run_bench(
                 repeats,
             )
         evaluated = sh_to_signal(shvol, gradients)
-        reference_s = naive_sh_to_signal(shvol, gradients, backend=backend)
+        reference_s = eval_results["naive"]
         dev_eval = float(np.max(np.abs(evaluated.data - reference_s.data)))
         rows.append(
             BenchRow("sh2signal", order, voxel_count, "batched", eval_times["batched"], dev_eval)
@@ -319,7 +327,7 @@ def run_bench(
         )
 
         if parallel_threads > 0:
-            t_par = _median_time(
+            t_par, _ = _median_time(
                 lambda: _timed_batched_fit(
                     vol, gradients, order, lb_lambda, fit_buf, threads=parallel_threads
                 ),
@@ -332,14 +340,14 @@ def run_bench(
             )
 
         if compare_backends:
-            with _single_thread_blas():
-                t_other = _median_time(
+            with _single_thread_blas() as ok:
+                pinned &= ok
+                t_other, ref_other = _median_time(
                     lambda: naive_signal_to_sh(vol, gradients, order, lb_lambda, backend=other),
                     repeats,
                 )
-            ref_other = naive_signal_to_sh(vol, gradients, order, lb_lambda, backend=other)
             dev_other = float(np.max(np.abs(fitted.data - ref_other.data)))
             rows.append(
                 BenchRow("signal2sh", order, voxel_count, f"naive-{other}", t_other, dev_other)
             )
-    return BenchReport(rows=rows)
+    return BenchReport(rows=rows, blas_pinned=pinned)

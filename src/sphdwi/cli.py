@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bvals")
     p.add_argument("--bvecs")
     p.add_argument("--shell", type=float, action="append",
-                   help="take target directions from this shell of --bvals/--bvecs")
+                   help="take target directions from this shell of --bvals/--bvecs; "
+                   "give it once (a repeat exits 2)")
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
@@ -188,7 +189,9 @@ def _cmd_sh2signal(args) -> int:
         dirs = _read_dirs_file(args.dirs)
     else:
         if args.bvals is None or not args.shell:
-            raise ShapeError("--bvecs needs --bvals and at least one --shell")
+            raise ShapeError("--bvecs needs --bvals and one --shell")
+        if len(args.shell) > 1:
+            raise ShapeError(f"sh2signal takes one --shell, got {len(args.shell)}")
         scheme = dwio.read_bvals_bvecs(args.bvals, args.bvecs)
         dirs = scheme.shell_directions(args.shell[0])
     sh, affine = _load_sh_volume(args.sh, args.order)
@@ -269,6 +272,8 @@ def _cmd_bench(args) -> int:
         parallel_threads=args.parallel_threads,
         compare_backends=args.compare_backends,
     )
+    if not report.blas_pinned:
+        _info("BLAS not pinned to one thread: threadpoolctl not installed")
     csv_text = report.to_csv()
     if args.out:
         _atomic_write_text(args.out, csv_text)

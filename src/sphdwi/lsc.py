@@ -7,6 +7,11 @@ ring kernel is applied without reflection (cross-correlation semantics, as
 in deep-learning convolutions), and the resulting per-origin scalars are
 refit to SH at the requested output order. Kernels carry input/output shell
 channels so multi-shell signals mix explicitly.
+
+All three steps are linear, so :func:`lsc_operator` folds them into one
+(S_out*R_out, S_in*R_in) matrix plus a constant offset, and
+:func:`lsc_forward` applies that matrix to every voxel with the shared GEMM
+routine of :mod:`sphdwi.fitting` (bitwise stable across thread counts).
 """
 
 from __future__ import annotations
@@ -14,12 +19,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, dwio
+from . import dwio
 from .errors import KernelMismatchError, ShapeError
 from .fitting import FitOperator, ShVolume, _apply_channel_matrix, make_fit_operator
 from .shcore import ShBasisSpec, as_unit_directions, eval_basis, ring_directions
@@ -155,19 +159,37 @@ def make_identity_kernel(kernel_sizes, shells: int = 1) -> LscKernel:
     return LscKernel(weights=weights, bias=np.zeros(shells))
 
 
+def lsc_operator(kernel: LscKernel, geom: LscGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Fold resample, ring reduction and refit into one affine map.
+
+    Returns ``(matrix, offset)`` with matrix (S_out*R_out, S_in*R_in) and
+    offset (S_out*R_out,): block [o, s] of the matrix is
+    ``M_refit @ sum_k w[o,s,k] * S_k``, where S_k holds the resample rows of
+    kernel entry k for every origin, and ``offset[o] = bias[o] * M_refit @ 1``.
+    """
+    fit = geom.refit.fit_matrix                                    # (R_out, m)
+    sampled = geom.resample_matrix.reshape(geom.m, geom.kernel_len, -1)
+    reduced = np.einsum("osk,mkr->osmr", kernel.weights, sampled)  # (S_out, S_in, m, R_in)
+    blocks = np.matmul(fit, reduced)                               # (S_out, S_in, R_out, R_in)
+    s_out, s_in, r_out, r_in = blocks.shape
+    matrix = np.ascontiguousarray(blocks.transpose(0, 2, 1, 3).reshape(s_out * r_out, s_in * r_in))
+    offset = np.outer(kernel.bias, fit.sum(axis=1)).ravel()
+    return matrix, offset
+
+
 def lsc_forward(
     sh_in: ShVolume,
     kernel: LscKernel,
     geom: LscGeometry,
     threads: int = 1,
-    backend: str | None = None,
 ) -> ShVolume:
     """Apply a local spherical convolution to an SH volume.
 
     Per voxel and input shell the coefficients are resampled onto the
     origin+ring points, reduced with the kernel (one scalar per origin and
     output shell), and the origin scalars are refit to SH at the geometry's
-    output order.
+    output order. The three steps run as the single matrix of
+    :func:`lsc_operator`.
     """
     if sh_in.basis_spec.order != geom.order_in:
         raise ShapeError(
@@ -184,40 +206,17 @@ def lsc_forward(
             f"geometry K = {geom.kernel_len}"
         )
 
+    matrix, offset = lsc_operator(kernel, geom)
     subjects = sh_in.data.shape[0]
     grid = sh_in.data.shape[2:]
-    nvox = int(np.prod(grid))
-    r_in = sh_in.basis_spec.coeff_count
-    r_out = geom.refit.basis_spec.coeff_count
-    out = np.empty((subjects, kernel.shells_out * r_out, *grid))
-
-    stacked = sh_in.data.reshape(subjects, sh_in.shells, r_in, nvox)
-    for b in range(subjects):
-        origin_vals = _combine_threaded(geom, kernel, stacked[b], threads, backend)
-        coeffs = _apply_channel_matrix(geom.refit.fit_matrix, origin_vals[None], threads)[0]
-        out[b] = coeffs.reshape(kernel.shells_out * r_out, *grid)
-    return ShVolume(data=out, basis_spec=ShBasisSpec(geom.order_out), shells=kernel.shells_out)
-
-
-def _combine_threaded(geom, kernel, coeffs, threads, backend):
-    if threads <= 1 or coeffs.shape[2] < 2 * threads:
-        return _kernels.lsc_combine(
-            geom.resample_matrix, kernel.weights, kernel.bias, coeffs, backend=backend
-        )
-    nvox = coeffs.shape[2]
-    out = np.empty((kernel.shells_out, geom.m, nvox))
-    bounds = np.linspace(0, nvox, threads + 1, dtype=int)
-    spans = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-    def run(span):
-        lo, hi = span
-        out[:, :, lo:hi] = _kernels.lsc_combine(
-            geom.resample_matrix, kernel.weights, kernel.bias, coeffs[:, :, lo:hi], backend=backend
-        )
-
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-        list(pool.map(run, spans))
-    return out
+    stacked = sh_in.data.reshape(subjects, 1, sh_in.data.shape[1], -1)
+    out = _apply_channel_matrix(matrix, stacked, threads)[:, 0]
+    out += offset[:, None]
+    return ShVolume(
+        data=out.reshape(subjects, matrix.shape[0], *grid),
+        basis_spec=ShBasisSpec(geom.order_out),
+        shells=kernel.shells_out,
+    )
 
 
 def save_kernel_json(path: str, kernel: LscKernel, kernel_sizes, angular_distance: float) -> None:

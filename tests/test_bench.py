@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from sphdwi import (
 from sphdwi import _kernels, bench
 from sphdwi.bench import CSV_HEADER
 from sphdwi.fitting import ShBasisSpec, ShVolume
+from sphdwi.shcore import coeff_count
 
 
 def band_limited(rng, dirs, order, nvox):
@@ -117,6 +121,36 @@ class TestRunBench:
         monkeypatch.setattr(bench, "_interleaved_median_times", no_timing)
         with pytest.raises(BackendUnavailableError, match="numba"):
             run_bench([2], voxel_count=200, repeats=3, seed=0, compare_backends=True)
+
+    def test_naive_oracle_runs_repeats_plus_one_times_per_order(self, monkeypatch):
+        # the untimed warm-up result doubles as the reference: no extra oracle runs
+        calls = {"fit": Counter(), "eval": Counter()}
+        real_fit, real_eval = _kernels.naive_fit, _kernels.naive_eval
+
+        def counting_fit(basis, *args, **kwargs):
+            calls["fit"][basis.shape[1]] += 1
+            return real_fit(basis, *args, **kwargs)
+
+        def counting_eval(basis, *args, **kwargs):
+            calls["eval"][basis.shape[1]] += 1
+            return real_eval(basis, *args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "naive_fit", counting_fit)
+        monkeypatch.setattr(_kernels, "naive_eval", counting_eval)
+        repeats = 4
+        report = run_bench([2, 4], voxel_count=80, repeats=repeats, seed=3)
+        expected = {coeff_count(2): repeats + 1, coeff_count(4): repeats + 1}
+        assert calls["fit"] == expected
+        assert calls["eval"] == expected
+        assert all(r.max_dev <= 1e-12 for r in report.rows)
+
+    def test_blas_pinning_reported_when_threadpoolctl_missing(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import now fails
+        with bench._single_thread_blas() as pinned:
+            assert pinned is False
+        report = run_bench([2], voxel_count=60, repeats=3, seed=0)
+        assert report.blas_pinned is False
+        assert report.to_csv().splitlines()[0] == CSV_HEADER
 
     def test_sixteen_rows_for_four_orders(self):
         report = run_bench([2, 4, 6, 8], voxel_count=120, repeats=3, seed=2)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,24 @@ class TestSh2Signal:
             ["sh2signal", "--sh", phantom_files["nifti"], "--out", str(tmp_path / "x.nii")]
         )
         assert code == 2
+
+    def test_repeated_shell_exits_2_with_count(self, phantom_files, tmp_path, capsys):
+        sh_path = str(tmp_path / "sh.nii.gz")
+        assert main(fit_args(phantom_files, sh_path)) == 0
+        out = tmp_path / "back.nii.gz"
+        code = main(
+            [
+                "sh2signal", "--sh", sh_path,
+                "--bvals", phantom_files["bvals"],
+                "--bvecs", phantom_files["bvecs"],
+                "--shell", "1000", "--shell", "1000",
+                "--order", "4",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "got 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_round_trip_through_files(self, phantom_files, tmp_path):
         """SH evaluated back at the acquisition directions returns the signal."""
@@ -396,6 +416,14 @@ class TestBenchCommand:
         code = main(["bench", "--orders", "2", "--voxels", "50", "--repeats", "3"])
         assert code == 2
         assert "numba" in capsys.readouterr().err
+
+    def test_unpinned_blas_reported_once_on_stderr(self, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import now fails
+        code = main(["bench", "--orders", "2,4", "--voxels", "50", "--repeats", "3"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("BLAS not pinned to one thread: threadpoolctl not installed") == 1
+        assert captured.out.splitlines()[0] == "direction,order,voxels,method,seconds,max_dev"
 
     def test_bad_orders_exit_2(self):
         assert main(["bench", "--orders", "two"]) == 2

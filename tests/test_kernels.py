@@ -30,10 +30,6 @@ class TestBackendSelection:
         monkeypatch.setenv("SPHDWI_BACKEND", "numpy")
         assert _kernels.resolve_backend("numpy") == "numpy"
 
-    def test_auto_honors_per_kernel_preference(self, monkeypatch):
-        monkeypatch.setenv("SPHDWI_BACKEND", "auto")
-        assert _kernels.resolve_backend(None, prefer="numpy") == "numpy"
-
     def test_forced_numba_without_numba_raises(self, monkeypatch):
         monkeypatch.setattr(_kernels, "HAVE_NUMBA", False)
         monkeypatch.setenv("SPHDWI_BACKEND", "numba")
@@ -41,12 +37,6 @@ class TestBackendSelection:
             _kernels.default_backend()
         with pytest.raises(RuntimeError, match="numba"):
             _kernels.resolve_backend("numba")
-
-    @needs_numba
-    def test_forced_numba_overrides_preference(self, monkeypatch):
-        monkeypatch.setenv("SPHDWI_BACKEND", "numba")
-        assert _kernels.resolve_backend(None, prefer="numpy") == "numba"
-
 
 @needs_numba
 class TestBackendEquivalence:
@@ -64,31 +54,6 @@ class TestBackendEquivalence:
         a = _kernels.naive_eval(basis, coeffs, backend="numpy")
         b = _kernels.naive_eval(basis, coeffs, backend="numba")
         assert np.max(np.abs(a - b)) <= 1e-13
-
-    def test_lsc_combine(self, rng):
-        resample = rng.normal(size=(30 * 6, 15))
-        weights = rng.normal(size=(2, 2, 6))
-        bias = rng.normal(size=2)
-        coeffs = rng.normal(size=(2, 15, 33))
-        a = _kernels.lsc_combine(resample, weights, bias, coeffs, backend="numpy")
-        b = _kernels.lsc_combine(resample, weights, bias, coeffs, backend="numba")
-        assert np.max(np.abs(a - b)) <= 1e-12
-
-    def test_lsc_combine_chunk_boundaries(self, rng):
-        # numpy fallback chunks internally; whole vs split must agree exactly
-        resample = rng.normal(size=(10 * 3, 6))
-        weights = rng.normal(size=(1, 1, 3))
-        bias = np.zeros(1)
-        coeffs = rng.normal(size=(1, 6, 97))
-        whole = _kernels.lsc_combine(resample, weights, bias, coeffs, backend="numpy")
-        parts = np.concatenate(
-            [
-                _kernels.lsc_combine(resample, weights, bias, coeffs[:, :, :41], backend="numpy"),
-                _kernels.lsc_combine(resample, weights, bias, coeffs[:, :, 41:], backend="numpy"),
-            ],
-            axis=2,
-        )
-        assert np.array_equal(whole, parts)
 
 
 class TestWarmUp:

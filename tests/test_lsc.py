@@ -1,7 +1,9 @@
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sphdwi import (
     KernelMismatchError,
@@ -11,8 +13,10 @@ from sphdwi import (
     ShapeError,
     build_lsc_geometry,
     high_degree_energy_fraction,
+    laplace_beltrami_diag,
     load_kernel_json,
     lsc_forward,
+    lsc_operator,
     make_identity_kernel,
     make_moving_average_kernel,
     save_kernel_json,
@@ -300,6 +304,142 @@ class TestCrossCorrelationSemantics:
             origin_vals[i] = value
         expected, *_ = np.linalg.lstsq(reference_basis(origins, order), origin_vals, rcond=None)
         np.testing.assert_allclose(got, expected, atol=1e-9)
+
+
+class TestOperator:
+    def test_multi_shell_two_ring_matches_explicit_reference(self, rng):
+        """3 input shells, 2 output shells, rings (4, 8), bias, order 6 -> 4, lambda 0.006.
+
+        The reference resamples with the scipy basis at the geometry's
+        points, reduces each origin's ring block with the kernel, adds the
+        bias and refits by solving the regularized normal equations.
+        """
+        origins = unit_sphere_directions(30)
+        sizes, alpha, order_in, order_out, lam = (4, 8), 0.3, 6, 4, 0.006
+        geom = build_lsc_geometry(origins, list(sizes), alpha, order_in, order_out, lam)
+        klen = 1 + sum(sizes)
+        weights = rng.normal(size=(2, 3, klen)) * 0.3
+        bias = np.array([0.7, -1.1])
+        r_in, r_out, nvox = 28, 15, 7
+        coeffs = rng.normal(size=(3, r_in, nvox)) * 0.3
+        coeffs[:, 0] = TWO_SQRT_PI
+        sh = ShVolume(
+            data=coeffs.reshape(1, 3 * r_in, nvox, 1, 1), basis_spec=ShBasisSpec(order_in), shells=3
+        )
+        got = lsc_forward(sh, LscKernel(weights=weights, bias=bias), geom)
+
+        points = np.concatenate(
+            [geom.origins[:, None, :], *geom.rings], axis=1
+        )  # (m, K, 3): origin, ring-1 points, ring-2 points
+        resample = reference_basis(points.reshape(-1, 3), order_in)
+        sampled = np.stack([resample @ coeffs[s] for s in range(3)]).reshape(3, 30, klen, nvox)
+        basis_out = reference_basis(origins, order_out)
+        normal = basis_out.T @ basis_out + lam * np.diag(laplace_beltrami_diag(order_out))
+        expected = np.empty((2 * r_out, nvox))
+        for o in range(2):
+            values = np.full((30, nvox), bias[o])
+            for s in range(3):
+                for k in range(klen):
+                    values += weights[o, s, k] * sampled[s, :, k]
+            expected[o * r_out : (o + 1) * r_out] = np.linalg.solve(normal, basis_out.T @ values)
+        assert got.shells == 2 and got.basis_spec.order == order_out
+        np.testing.assert_allclose(got.data.reshape(2 * r_out, nvox), expected, rtol=0, atol=1e-12)
+
+    def test_operator_shapes(self):
+        geom = build_lsc_geometry(unit_sphere_directions(30), [5], np.pi / 5, 4, 2, 0.0)
+        kernel = make_moving_average_kernel([5], shells_in=3, shells_out=2)
+        matrix, offset = lsc_operator(kernel, geom)
+        assert matrix.shape == (2 * 6, 3 * 15) and offset.shape == (2 * 6,)
+        np.testing.assert_array_equal(offset, 0.0)
+
+
+@lru_cache(maxsize=None)
+def _property_geometry(shells_in, shells_out, seed):
+    """A multi-shell geometry and kernel with a nonzero bias, built once per draw."""
+    geom = build_lsc_geometry(unit_sphere_directions(30), [4, 8], 0.3, 4, 4, 0.006)
+    rng = np.random.default_rng(seed)
+    kernel = LscKernel(
+        weights=rng.normal(size=(shells_out, shells_in, geom.kernel_len)) * 0.3,
+        bias=rng.normal(size=shells_out),
+    )
+    return geom, kernel
+
+
+_layouts = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 3))
+_seeds = st.integers(0, 2**32 - 1)
+
+
+def _volume(shells, subjects, grid, seed):
+    data = np.random.default_rng(seed).normal(size=(subjects, shells * 15, *grid))
+    return ShVolume(data=data, basis_spec=ShBasisSpec(4), shells=shells)
+
+
+class TestOperatorProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        layout=_layouts,
+        nvox=st.integers(1, 40),
+        a=st.floats(-4.0, 4.0),
+        b=st.floats(-4.0, 4.0),
+        seed=_seeds,
+    )
+    def test_linear_in_input(self, layout, nvox, a, b, seed):
+        geom, kernel = _property_geometry(*layout)
+        _, offset = lsc_operator(kernel, geom)
+        x = _volume(kernel.shells_in, 1, (nvox, 1, 1), seed)
+        y = _volume(kernel.shells_in, 1, (nvox, 1, 1), seed + 1)
+        combo = ShVolume(
+            data=a * x.data + b * y.data, basis_spec=ShBasisSpec(4), shells=kernel.shells_in
+        )
+
+        def linear_part(vol):
+            return lsc_forward(vol, kernel, geom).data - offset[None, :, None, None, None]
+
+        lhs = linear_part(combo)
+        rhs = a * linear_part(x) + b * linear_part(y)
+        scale = 1.0 + np.max(np.abs(lsc_forward(x, kernel, geom).data)) * (1 + abs(a) + abs(b))
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        layout=_layouts,
+        subjects=st.integers(1, 4),
+        nvox=st.integers(1, 2100),
+        split=st.integers(0, 4),
+        seed=_seeds,
+    )
+    def test_bitwise_stable_across_threads_and_subject_splits(
+        self, layout, subjects, nvox, split, seed
+    ):
+        geom, kernel = _property_geometry(*layout)
+        vol = _volume(kernel.shells_in, subjects, (nvox, 1, 1), seed)
+        serial = lsc_forward(vol, kernel, geom, threads=1).data
+        for threads in (2, 3):
+            assert np.array_equal(lsc_forward(vol, kernel, geom, threads=threads).data, serial)
+        cut = min(split, subjects)
+        parts = [
+            lsc_forward(
+                ShVolume(data=vol.data[lo:hi], basis_spec=ShBasisSpec(4), shells=kernel.shells_in),
+                kernel,
+                geom,
+            ).data
+            for lo, hi in ((0, cut), (cut, subjects))
+            if hi > lo
+        ]
+        assert np.array_equal(np.concatenate(parts, axis=0), serial)
+
+    @settings(max_examples=20, deadline=None)
+    @given(layout=_layouts, subjects=st.integers(1, 3), nvox=st.integers(1, 30))
+    def test_zero_input_yields_offset(self, layout, subjects, nvox):
+        geom, kernel = _property_geometry(*layout)
+        _, offset = lsc_operator(kernel, geom)
+        zero = ShVolume(
+            data=np.zeros((subjects, kernel.shells_in * 15, nvox, 1, 1)),
+            basis_spec=ShBasisSpec(4),
+            shells=kernel.shells_in,
+        )
+        out = lsc_forward(zero, kernel, geom).data
+        assert np.array_equal(out, np.broadcast_to(offset[None, :, None, None, None], out.shape))
 
 
 class TestKernelJson:
