@@ -26,12 +26,12 @@ import numpy as np
 
 from . import _kernels
 from .directions import unit_sphere_directions
-from .errors import BackendUnavailableError, IllPosedFitError
+from .errors import BackendUnavailableError
 from .fitting import (
-    COND_LIMIT,
     DwiVolume,
     ShVolume,
     _apply_channel_matrix,
+    _normal_system,
     make_fit_operator,
     sh_to_signal,
     signal_to_sh,
@@ -95,25 +95,6 @@ def _single_thread_blas():
         yield True
 
 
-def _validate_like_batched(gradients, order: int, lb_lambda: float) -> np.ndarray:
-    """Same pre-checks as make_fit_operator so both paths fail identically."""
-    n = gradients.shape[0]
-    r = coeff_count(order)
-    if lb_lambda == 0.0 and n < r:
-        raise IllPosedFitError(
-            f"unregularized fit needs at least R = {r} directions, got N = {n} (cond = inf)"
-        )
-    basis = eval_basis(gradients, order)
-    normal = basis.T @ basis + lb_lambda * np.diag(laplace_beltrami_diag(order))
-    cond = float(np.linalg.cond(normal))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise IllPosedFitError(
-            f"fit system is numerically rank deficient "
-            f"(N = {n}, R = {r}, cond = {cond:.3e})"
-        )
-    return basis
-
-
 def naive_signal_to_sh(
     vol: DwiVolume,
     gradients,
@@ -125,7 +106,7 @@ def naive_signal_to_sh(
     from .shcore import as_unit_directions
 
     dirs = as_unit_directions(gradients)
-    basis = _validate_like_batched(dirs, order, lb_lambda)
+    basis, _normal, _cond = _normal_system(dirs, order, lb_lambda)
     penalty = laplace_beltrami_diag(order)
     n = dirs.shape[0]
     subjects = vol.data.shape[0]
@@ -227,20 +208,20 @@ def _synth_inputs(order: int, voxel_count: int, seed: int, n_dirs: int):
     return gradients, vol, shvol
 
 
-def _timed_batched_fit(vol, gradients, order, lb_lambda, out_buf, threads=1):
+def _timed_batched_fit(vol, gradients, order, lb_lambda, out_buf):
     """One batched signal->SH pass: operator build (the amortized cost) plus
     the matrix application, written into a reused buffer so allocator page
     zeroing does not pollute small-volume timings."""
     op = make_fit_operator(gradients, order, lb_lambda)
     stacked = vol.data.reshape(1, vol.shells, gradients.shape[0], -1)
-    _apply_channel_matrix(op.fit_matrix, stacked, threads=threads, out=out_buf)
+    _apply_channel_matrix(op.fit_matrix, stacked, out=out_buf)
 
 
-def _timed_batched_eval(shvol, gradients, out_buf, threads=1):
+def _timed_batched_eval(shvol, gradients, out_buf):
     basis = eval_basis(gradients, shvol.basis_spec.order)
     r = shvol.basis_spec.coeff_count
     stacked = shvol.data.reshape(1, shvol.shells, r, -1)
-    _apply_channel_matrix(basis, stacked, threads=threads, out=out_buf)
+    _apply_channel_matrix(basis, stacked, out=out_buf)
 
 
 def run_bench(
@@ -250,7 +231,6 @@ def run_bench(
     seed: int = 0,
     lb_lambda: float = 0.006,
     n_dirs: int = 90,
-    parallel_threads: int = 0,
     backend: str | None = None,
     compare_backends: bool = False,
 ) -> BenchReport:
@@ -258,11 +238,10 @@ def run_bench(
 
     Emits one batched and one naive row per (direction, order). Batched
     timing includes operator construction, which is exactly the cost the
-    precomputation amortizes over the volume. ``parallel_threads > 0`` adds
-    rows for the voxel-parallel batched path under a separate method label;
-    ``compare_backends`` adds naive rows for the non-active kernel backend
-    and raises BackendUnavailableError, before any timing, when that backend
-    cannot be imported.
+    precomputation amortizes over the volume. ``compare_backends`` adds
+    naive rows for the non-active kernel backend and raises
+    BackendUnavailableError, before any timing, when that backend cannot be
+    imported.
     """
     if repeats < 3:
         raise ValueError(f"repeats must be >= 3, got {repeats}")
@@ -325,19 +304,6 @@ def run_bench(
         rows.append(
             BenchRow("sh2signal", order, voxel_count, "naive", eval_times["naive"], dev_eval)
         )
-
-        if parallel_threads > 0:
-            t_par, _ = _median_time(
-                lambda: _timed_batched_fit(
-                    vol, gradients, order, lb_lambda, fit_buf, threads=parallel_threads
-                ),
-                repeats,
-            )
-            par = signal_to_sh(vol, op, threads=parallel_threads)
-            dev_par = float(np.max(np.abs(par.data - reference.data)))
-            rows.append(
-                BenchRow("signal2sh", order, voxel_count, "batched-parallel", t_par, dev_par)
-            )
 
         if compare_backends:
             with _single_thread_blas() as ok:

@@ -62,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Laplace-Beltrami weight (default 0.006)")
     p.add_argument("--shell", type=float, action="append",
                    help="nominal b-value to fit; repeatable (default: all shells)")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="output SH NIfTI (shells*R volumes)")
 
     p = sub.add_parser("sh2signal", help="evaluate SH coefficients at target directions")
@@ -74,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="take target directions from this shell of --bvals/--bvecs; "
                    "give it once (a repeat exits 2)")
     p.add_argument("--order", type=int, default=4)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("lsc", help="local spherical convolution of an SH volume")
@@ -88,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="uniform kernel: ring of N points at angle ALPHA (radians)")
     p.add_argument("--order-out", type=int, help="output SH order (default: input order)")
     p.add_argument("--lambda", dest="lb_lambda", type=float, default=0.006)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("bench", help="batched vs naive transform benchmark (CSV)")
@@ -98,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dirs", type=int, default=90, choices=(30, 60, 90))
     p.add_argument("--lambda", dest="lb_lambda", type=float, default=0.006)
-    p.add_argument("--parallel-threads", type=int, default=0,
-                   help="also time the voxel-parallel batched path with N threads")
     p.add_argument("--compare-backends", action="store_true",
                    help="also time the naive solver on the non-active kernel backend; "
                    "needs both numpy and numba importable, exits 2 otherwise")
@@ -169,7 +164,7 @@ def _cmd_signal2sh(args) -> int:
         for s in vol.scheme.shells
     ]
     _info(f"R={ops[0].basis_spec.coeff_count} cond={max(o.cond for o in ops):.3e}")
-    fitted = signal_to_sh(vol, ops, threads=args.threads)
+    fitted = signal_to_sh(vol, ops)
     _sh_volume_to_nifti(fitted, args.out, affine=affine)
     return 0
 
@@ -195,7 +190,7 @@ def _cmd_sh2signal(args) -> int:
         scheme = dwio.read_bvals_bvecs(args.bvals, args.bvecs)
         dirs = scheme.shell_directions(args.shell[0])
     sh, affine = _load_sh_volume(args.sh, args.order)
-    out = sh_to_signal(sh, dirs, threads=args.threads)
+    out = sh_to_signal(sh, dirs)
     arr = np.moveaxis(out.data[0], 0, 3)
     dwio.write_nifti(args.out, arr, affine=affine, dtype=np.float32)
     return 0
@@ -239,7 +234,7 @@ def _cmd_lsc(args) -> int:
     geom = lsc.build_lsc_geometry(
         origins, sizes, alpha, sh.basis_spec.order, order_out, args.lb_lambda
     )
-    result = lsc.lsc_forward(sh, kernel, geom, threads=args.threads)
+    result = lsc.lsc_forward(sh, kernel, geom)
 
     _info(
         f"mean l>=2 energy fraction: {_mean_high_degree_fraction(sh):.4f} "
@@ -269,7 +264,6 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         lb_lambda=args.lb_lambda,
         n_dirs=args.dirs,
-        parallel_threads=args.parallel_threads,
         compare_backends=args.compare_backends,
     )
     if not report.blas_pinned:

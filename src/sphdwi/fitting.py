@@ -10,12 +10,10 @@ contiguous block [s*C, (s+1)*C).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import dwio
 from .errors import IllPosedFitError, MissingB0Error, ShapeError
@@ -105,16 +103,16 @@ class FitOperator:
         return int(self.gradients.shape[0])
 
 
-def make_fit_operator(gradients, order: int, lb_lambda: float = 0.0) -> FitOperator:
-    """Build the regularized least-squares operator for a gradient set.
+def _normal_system(
+    dirs: np.ndarray, order: int, lb_lambda: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Basis B, penalized normal matrix B^T B + lambda L and its condition number.
 
-    With lambda = 0 this requires at least R = (order+1)(order+2)/2 directions
-    of full column rank; otherwise an :class:`IllPosedFitError` is raised with
-    the system dimensions and a condition estimate.
+    Raises :class:`IllPosedFitError` with the system dimensions when the
+    system is underdetermined or numerically rank deficient. Shared by
+    :func:`make_fit_operator` and the naive per-voxel oracle, so both paths
+    reject the same inputs with the same messages.
     """
-    dirs = as_unit_directions(gradients)
-    if lb_lambda < 0:
-        raise ValueError(f"regularization weight must be >= 0, got {lb_lambda}")
     n = dirs.shape[0]
     r = coeff_count(order)
     if lb_lambda == 0.0 and n < r:
@@ -130,13 +128,29 @@ def make_fit_operator(gradients, order: int, lb_lambda: float = 0.0) -> FitOpera
             f"fit system is numerically rank deficient "
             f"(N = {n}, R = {r}, cond = {cond:.3e})"
         )
+    return basis, normal, cond
+
+
+def make_fit_operator(gradients, order: int, lb_lambda: float = 0.0) -> FitOperator:
+    """Build the regularized least-squares operator for a gradient set.
+
+    With lambda = 0 this requires at least R = (order+1)(order+2)/2 directions
+    of full column rank; otherwise an :class:`IllPosedFitError` is raised with
+    the system dimensions and a condition estimate.
+    """
+    dirs = as_unit_directions(gradients)
+    if lb_lambda < 0:
+        raise ValueError(f"regularization weight must be >= 0, got {lb_lambda}")
+    basis, normal, cond = _normal_system(dirs, order, lb_lambda)
     try:
-        factor = scipy.linalg.cho_factor(normal)
-    except scipy.linalg.LinAlgError as exc:
+        lower = np.linalg.cholesky(normal)
+    except np.linalg.LinAlgError as exc:
         raise IllPosedFitError(
-            f"normal matrix is not positive definite (N = {n}, R = {r}, cond = {cond:.3e})"
+            f"normal matrix is not positive definite "
+            f"(N = {dirs.shape[0]}, R = {normal.shape[0]}, cond = {cond:.3e})"
         ) from exc
-    fit_matrix = np.ascontiguousarray(scipy.linalg.cho_solve(factor, basis.T))
+    # M = (L L^T)^-1 B^T: solve with L, then with L^T
+    fit_matrix = np.ascontiguousarray(np.linalg.solve(lower.T, np.linalg.solve(lower, basis.T)))
     for arr in (dirs, basis, fit_matrix):
         arr.setflags(write=False)
     return FitOperator(
@@ -153,38 +167,32 @@ _BLOCK = 1024  # voxel columns per BLAS call
 
 
 def _apply_channel_matrix(
-    matrix: np.ndarray, stacked: np.ndarray, threads: int, out: np.ndarray | None = None
+    matrix: np.ndarray, stacked: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """out[b, s] = matrix @ stacked[b, s] over a (B, S, C_in, V) stack.
 
-    The product runs in fixed-width column blocks with a zero-padded tail,
-    so every BLAS call sees identical dimensions. BLAS kernel selection can
-    depend on the operand shape, and uniform calls keep the result bitwise
-    identical from a single voxel up to a whole (possibly thread-chunked)
-    volume. ``out`` lets hot loops reuse a result buffer.
+    The product runs serially in fixed-width blocks of _BLOCK voxel columns:
+    full blocks are strided views of ``stacked`` multiplied straight into
+    ``out``, and only the tail block is copied into a zero-padded buffer. So
+    every BLAS call sees identical dimensions; kernel selection can depend
+    on the operand shape (a lone column would go to gemv), and uniform calls
+    keep each voxel's result bitwise identical however the volume is split,
+    from a single voxel up to many subjects. Any parallelism comes from BLAS
+    itself. ``out`` lets callers write into an existing buffer.
     """
     nb, ns, cin, nvox = stacked.shape
     if out is None:
         out = np.empty((nb, ns, matrix.shape[0], nvox))
-    spans = [
-        (b, s, lo, min(nvox, lo + _BLOCK))
-        for b in range(nb)
-        for s in range(ns)
-        for lo in range(0, nvox, _BLOCK)
-    ]
-
-    def run(span):
-        b, s, lo, hi = span
-        buf = np.zeros((cin, _BLOCK))
-        buf[:, : hi - lo] = stacked[b, s, :, lo:hi]
-        out[b, s, :, lo:hi] = np.matmul(matrix, buf)[:, : hi - lo]
-
-    if threads <= 1 or len(spans) == 1:
-        for span in spans:
-            run(span)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, spans))
+    full = nvox - nvox % _BLOCK
+    tail = np.zeros((cin, _BLOCK)) if full < nvox else None
+    for b in range(nb):
+        for s in range(ns):
+            for lo in range(0, full, _BLOCK):
+                hi = lo + _BLOCK
+                np.matmul(matrix, stacked[b, s, :, lo:hi], out=out[b, s, :, lo:hi])
+            if tail is not None:
+                tail[:, : nvox - full] = stacked[b, s, :, full:]
+                out[b, s, :, full:] = np.matmul(matrix, tail)[:, : nvox - full]
     return out
 
 
@@ -203,7 +211,7 @@ def _as_operator_list(op, shells: int) -> list[FitOperator]:
     return ops
 
 
-def signal_to_sh(vol: DwiVolume, op: FitOperator | Sequence[FitOperator], threads: int = 1) -> ShVolume:
+def signal_to_sh(vol: DwiVolume, op: FitOperator | Sequence[FitOperator]) -> ShVolume:
     """Fit SH coefficients to every voxel of a normalized DWI volume.
 
     ``op`` may be a single operator (shared by all shells) or one operator
@@ -220,23 +228,16 @@ def signal_to_sh(vol: DwiVolume, op: FitOperator | Sequence[FitOperator], thread
     subjects = vol.data.shape[0]
     grid = vol.data.shape[2:]
     nvox = int(np.prod(grid))
-    stacked = vol.data.reshape(subjects, vol.shells, n, nvox)
-    if all(o is ops[0] for o in ops):
-        coeffs = _apply_channel_matrix(ops[0].fit_matrix, stacked, threads)
-    else:
-        coeffs = np.stack(
-            [
-                _apply_channel_matrix(o.fit_matrix, stacked[:, s : s + 1], threads)[:, 0]
-                for s, o in enumerate(ops)
-            ],
-            axis=1,
-        )
     r = ops[0].basis_spec.coeff_count
+    stacked = vol.data.reshape(subjects, vol.shells, n, nvox)
+    coeffs = np.empty((subjects, vol.shells, r, nvox))
+    for s, o in enumerate(ops):
+        _apply_channel_matrix(o.fit_matrix, stacked[:, s : s + 1], out=coeffs[:, s : s + 1])
     out = coeffs.reshape(subjects, vol.shells * r, *grid)
     return ShVolume(data=out, basis_spec=ops[0].basis_spec, shells=vol.shells)
 
 
-def sh_to_signal(sh: ShVolume, gradients, threads: int = 1) -> DwiVolume:
+def sh_to_signal(sh: ShVolume, gradients) -> DwiVolume:
     """Evaluate an SH volume at arbitrary unit directions (per shell)."""
     dirs = as_unit_directions(gradients)
     basis = eval_basis(dirs, sh.basis_spec.order)
@@ -245,7 +246,7 @@ def sh_to_signal(sh: ShVolume, gradients, threads: int = 1) -> DwiVolume:
     nvox = int(np.prod(grid))
     r = sh.basis_spec.coeff_count
     stacked = sh.data.reshape(subjects, sh.shells, r, nvox)
-    signals = _apply_channel_matrix(basis, stacked, threads)
+    signals = _apply_channel_matrix(basis, stacked)
     out = signals.reshape(subjects, sh.shells * dirs.shape[0], *grid)
     return DwiVolume(data=out, shells=sh.shells)
 

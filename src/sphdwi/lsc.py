@@ -11,7 +11,8 @@ channels so multi-shell signals mix explicitly.
 All three steps are linear, so :func:`lsc_operator` folds them into one
 (S_out*R_out, S_in*R_in) matrix plus a constant offset, and
 :func:`lsc_forward` applies that matrix to every voxel with the shared GEMM
-routine of :mod:`sphdwi.fitting` (bitwise stable across thread counts).
+routine of :mod:`sphdwi.fitting` (each voxel's result is bitwise the same
+however the volume is split into subjects or blocks).
 """
 
 from __future__ import annotations
@@ -111,19 +112,11 @@ def build_lsc_geometry(
             f"rings must stay inside the hemisphere: need 0 < alpha and "
             f"alpha * {len(sizes)} < pi/2, got alpha = {alpha}"
         )
-    m = origins.shape[0]
-    klen = 1 + sum(sizes)
-
-    rings: list[np.ndarray] = []
-    for r, npts in enumerate(sizes, start=1):
-        ring_r = np.stack([ring_directions(u, r * alpha, npts) for u in origins])
-        rings.append(ring_r)
-
-    all_dirs = np.empty((m * klen, 3))
-    for i in range(m):
-        block = [origins[i : i + 1]]
-        block.extend(ring[i] for ring in rings)
-        all_dirs[i * klen : (i + 1) * klen] = np.concatenate(block, axis=0)
+    rings = [
+        np.stack([ring_directions(u, r * alpha, npts) for u in origins])
+        for r, npts in enumerate(sizes, start=1)
+    ]
+    all_dirs = np.concatenate([origins[:, None], *rings], axis=1).reshape(-1, 3)
 
     resample = eval_basis(all_dirs, order_in)
     refit = make_fit_operator(origins, order_out, lb_lambda)
@@ -177,19 +170,16 @@ def lsc_operator(kernel: LscKernel, geom: LscGeometry) -> tuple[np.ndarray, np.n
     return matrix, offset
 
 
-def lsc_forward(
-    sh_in: ShVolume,
-    kernel: LscKernel,
-    geom: LscGeometry,
-    threads: int = 1,
-) -> ShVolume:
+def lsc_forward(sh_in: ShVolume, kernel: LscKernel, geom: LscGeometry) -> ShVolume:
     """Apply a local spherical convolution to an SH volume.
 
     Per voxel and input shell the coefficients are resampled onto the
     origin+ring points, reduced with the kernel (one scalar per origin and
     output shell), and the origin scalars are refit to SH at the geometry's
     output order. The three steps run as the single matrix of
-    :func:`lsc_operator`.
+    :func:`lsc_operator`, applied serially in fixed voxel blocks, so each
+    voxel's output is bitwise the same whatever the subject count or grid
+    size; BLAS supplies any parallelism.
     """
     if sh_in.basis_spec.order != geom.order_in:
         raise ShapeError(
@@ -210,7 +200,7 @@ def lsc_forward(
     subjects = sh_in.data.shape[0]
     grid = sh_in.data.shape[2:]
     stacked = sh_in.data.reshape(subjects, 1, sh_in.data.shape[1], -1)
-    out = _apply_channel_matrix(matrix, stacked, threads)[:, 0]
+    out = _apply_channel_matrix(matrix, stacked)[:, 0]
     out += offset[:, None]
     return ShVolume(
         data=out.reshape(subjects, matrix.shape[0], *grid),

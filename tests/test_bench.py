@@ -95,11 +95,6 @@ class TestRunBench:
         with pytest.raises(ValueError):
             run_bench([4], voxel_count=10, repeats=2)
 
-    def test_parallel_rows_have_own_label(self):
-        report = run_bench([2], voxel_count=300, repeats=3, seed=0, parallel_threads=2)
-        row = report.row("signal2sh", 2, "batched-parallel")
-        assert row.max_dev <= 1e-12
-
     @pytest.mark.skipif(
         not _kernels.HAVE_NUMBA,
         reason="numba not installed: comparing backends needs both numpy and numba",

@@ -1,8 +1,11 @@
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import sphdwi
 from sphdwi import _kernels, dwio, lsc as lsc_mod, make_moving_average_kernel
 from sphdwi.cli import main
 from sphdwi.shcore import high_degree_energy_fraction
@@ -214,15 +217,6 @@ class TestSh2Signal:
         raw, _, _ = dwio.read_nifti(phantom_files["nifti"])
         original = raw[..., 1:] / raw[..., :1]
         assert np.max(np.abs(got - original)) <= 1e-6
-
-    def test_threads_flag_does_not_change_output(self, phantom_files, tmp_path):
-        a = str(tmp_path / "a.nii.gz")
-        b = str(tmp_path / "b.nii.gz")
-        assert main(fit_args(phantom_files, a)) == 0
-        assert main(fit_args(phantom_files, b, extra=["--threads", "3"])) == 0
-        va, _, _ = dwio.read_nifti(a)
-        vb, _, _ = dwio.read_nifti(b)
-        assert np.array_equal(va, vb)
 
 
 class TestLsc:
@@ -451,3 +445,30 @@ class TestUsageErrors:
 
     def test_no_arguments_exits_2(self):
         assert main([]) == 2
+
+    @pytest.mark.parametrize(
+        "required",
+        [
+            ["signal2sh", "--dwi", "d", "--bvals", "b", "--bvecs", "v"],
+            ["sh2signal", "--sh", "s"],
+            ["lsc", "--sh", "s", "--bvals", "b", "--bvecs", "v"],
+        ],
+    )
+    def test_threads_flag_is_gone(self, required, tmp_path, capsys):
+        out = tmp_path / "out.nii"
+        assert main([*required, "--out", str(out), "--threads", "2"]) == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sphdwi.__file__)))
+    probe = "import sys, sphdwi.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"

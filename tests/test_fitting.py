@@ -1,5 +1,8 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sphdwi import (
     DwiVolume,
@@ -17,7 +20,7 @@ from sphdwi import (
     unit_sphere_directions,
 )
 
-from conftest import random_unit_vectors
+from conftest import fibonacci_sphere, random_unit_vectors
 
 TWO_SQRT_PI = 2.0 * np.sqrt(np.pi)
 
@@ -66,6 +69,25 @@ class TestMakeFitOperator:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             make_fit_operator(unit_sphere_directions(30), 4, -1.0)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.006])
+    @pytest.mark.parametrize("order", [2, 4, 6, 8, 10, 12])
+    def test_fit_matrix_matches_scipy_cho_solve(self, order, lam):
+        import scipy.linalg
+
+        op = make_fit_operator(fibonacci_sphere(120), order, lam)
+        basis = op.basis_matrix
+        normal = basis.T @ basis + lam * np.diag(laplace_beltrami_diag(order))
+        ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(normal), basis.T)
+        assert np.max(np.abs(op.fit_matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_cholesky_failure_is_ill_posed(self, monkeypatch):
+        def not_positive_definite(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+        with pytest.raises(IllPosedFitError, match="not positive definite.*R = 15"):
+            make_fit_operator(unit_sphere_directions(30), 4, 0.006)
 
 
 class TestSignalToSh:
@@ -148,14 +170,6 @@ class TestSignalToSh:
         out = signal_to_sh(DwiVolume(data=data, shells=2), ops)
         lone = signal_to_sh(DwiVolume(data=data[:, 30:]), ops[1])
         np.testing.assert_allclose(out.shell_coeffs(1), lone.data, atol=1e-14)
-
-    def test_threaded_output_identical(self, rng):
-        dirs = unit_sphere_directions(30)
-        op = make_fit_operator(dirs, 4, 0.006)
-        vol, _ = band_limited_volume(rng, dirs, 4, 101)
-        assert np.array_equal(
-            signal_to_sh(vol, op).data, signal_to_sh(vol, op, threads=4).data
-        )
 
     def test_multiple_subjects_fit_independently(self, rng):
         dirs = unit_sphere_directions(30)
@@ -311,3 +325,79 @@ class TestVolumeTypes:
     def test_dwi_shell_divisibility(self):
         with pytest.raises(ShapeError):
             DwiVolume(data=np.ones((1, 7, 1, 1, 1)), shells=2)
+
+
+@lru_cache(maxsize=None)
+def _chunk_operators(shells, shared):
+    """One shared operator, or one per shell on its own random direction set."""
+    if shared:
+        return make_fit_operator(unit_sphere_directions(30), 4, 0.006)
+    rng = np.random.default_rng(shells)
+    return tuple(make_fit_operator(random_unit_vectors(rng, 30), 4, 0.006) for _ in range(shells))
+
+
+def _probe_voxels(nvox, pick):
+    """Both ends, both sides of the first block edge and one drawn voxel."""
+    return sorted({0, nvox - 1, min(1023, nvox - 1), min(1024, nvox - 1), pick % nvox})
+
+
+def _split(data, cut):
+    cut = min(cut, data.shape[0])
+    return [data[lo:hi] for lo, hi in ((0, cut), (cut, data.shape[0])) if hi > lo]
+
+
+class TestChunkStability:
+    """Bitwise contract of the shared GEMM routine: full blocks are views of
+    the input, the tail block is zero-padded, and every BLAS call has the
+    same shape, so a voxel's result never depends on how the volume is cut."""
+
+    @settings(max_examples=30, deadline=None)
+    @example(shells=2, shared=False, subjects=3, nvox=2100, cut=1, pick=1500, seed=0)
+    @given(
+        shells=st.integers(1, 3),
+        shared=st.booleans(),
+        subjects=st.integers(1, 3),
+        nvox=st.integers(1, 2100),
+        cut=st.integers(0, 3),
+        pick=st.integers(0, 2**16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_signal_to_sh(self, shells, shared, subjects, nvox, cut, pick, seed):
+        ops = _chunk_operators(shells, shared)
+        data = np.random.default_rng(seed).normal(size=(subjects, shells * 30, nvox, 1, 1))
+        whole = signal_to_sh(DwiVolume(data=data, shells=shells), ops).data
+        for v in _probe_voxels(nvox, pick):
+            alone = signal_to_sh(DwiVolume(data=data[:, :, v : v + 1], shells=shells), ops)
+            assert np.array_equal(alone.data[:, :, 0], whole[:, :, v])
+        parts = [signal_to_sh(DwiVolume(data=d, shells=shells), ops) for d in _split(data, cut)]
+        assert np.array_equal(np.concatenate([p.data for p in parts]), whole)
+        per_shell = ops if not shared else [ops] * shells
+        for s, op in enumerate(per_shell):
+            lone = signal_to_sh(DwiVolume(data=data[:, s * 30 : (s + 1) * 30]), op)
+            assert np.array_equal(lone.data, whole[:, s * 15 : (s + 1) * 15])
+
+    @settings(max_examples=30, deadline=None)
+    @example(shells=2, subjects=3, nvox=2100, cut=1, pick=1500, seed=0)
+    @given(
+        shells=st.integers(1, 3),
+        subjects=st.integers(1, 3),
+        nvox=st.integers(1, 2100),
+        cut=st.integers(0, 3),
+        pick=st.integers(0, 2**16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sh_to_signal(self, shells, subjects, nvox, cut, pick, seed):
+        dirs = unit_sphere_directions(30)
+        data = np.random.default_rng(seed).normal(size=(subjects, shells * 15, nvox, 1, 1))
+
+        def evaluate(arr, n_shells=shells):
+            sh = ShVolume(data=arr, basis_spec=ShBasisSpec(4), shells=n_shells)
+            return sh_to_signal(sh, dirs).data
+
+        whole = evaluate(data)
+        for v in _probe_voxels(nvox, pick):
+            assert np.array_equal(evaluate(data[:, :, v : v + 1])[:, :, 0], whole[:, :, v])
+        assert np.array_equal(np.concatenate([evaluate(d) for d in _split(data, cut)]), whole)
+        for s in range(shells):
+            lone = evaluate(data[:, s * 15 : (s + 1) * 15], n_shells=1)
+            assert np.array_equal(lone, whole[:, s * 30 : (s + 1) * 30])
