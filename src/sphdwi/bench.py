@@ -24,9 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .directions import unit_sphere_directions
-from .errors import BackendUnavailableError
 from .fitting import (
     DwiVolume,
     ShVolume,
@@ -95,13 +93,38 @@ def _single_thread_blas():
         yield True
 
 
-def naive_signal_to_sh(
-    vol: DwiVolume,
-    gradients,
-    order: int,
-    lb_lambda: float = 0.0,
-    backend: str | None = None,
-) -> ShVolume:
+def _naive_fit(basis, penalty, lam, signals) -> np.ndarray:
+    """Solve (B^T B + lam diag(penalty)) c = B^T s per voxel, no reuse across voxels.
+
+    basis: (N, R); signals: (N, V). Returns coefficients (R, V).
+    """
+    basis = np.ascontiguousarray(basis, dtype=np.float64)
+    signals = np.ascontiguousarray(signals, dtype=np.float64)
+    penalty = np.ascontiguousarray(penalty, dtype=np.float64)
+    lam = float(lam)
+    r = basis.shape[1]
+    nvox = signals.shape[1]
+    bt = np.ascontiguousarray(basis.T)
+    out = np.empty((r, nvox))
+    for v in range(nvox):
+        normal = bt @ basis + lam * np.diag(penalty)
+        out[:, v] = np.linalg.solve(normal, bt @ signals[:, v])
+    return out
+
+
+def _naive_eval(basis, coeffs) -> np.ndarray:
+    """Evaluate s = B c per voxel. basis: (N, R); coeffs: (R, V) -> (N, V)."""
+    basis = np.ascontiguousarray(basis, dtype=np.float64)
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
+    n = basis.shape[0]
+    nvox = coeffs.shape[1]
+    out = np.empty((n, nvox))
+    for v in range(nvox):
+        out[:, v] = basis @ coeffs[:, v]
+    return out
+
+
+def naive_signal_to_sh(vol: DwiVolume, gradients, order: int, lb_lambda: float = 0.0) -> ShVolume:
     """Per-voxel reference fit: solve the normal equations voxel by voxel."""
     from .shcore import as_unit_directions
 
@@ -117,7 +140,7 @@ def naive_signal_to_sh(
     out = np.empty((subjects, vol.shells, r, nvox))
     for b in range(subjects):
         for s in range(vol.shells):
-            out[b, s] = _kernels.naive_fit(basis, penalty, lb_lambda, stacked[b, s], backend=backend)
+            out[b, s] = _naive_fit(basis, penalty, lb_lambda, stacked[b, s])
     return ShVolume(
         data=out.reshape(subjects, vol.shells * r, *grid),
         basis_spec=ShBasisSpec(order),
@@ -125,7 +148,7 @@ def naive_signal_to_sh(
     )
 
 
-def naive_sh_to_signal(sh: ShVolume, gradients, backend: str | None = None) -> DwiVolume:
+def naive_sh_to_signal(sh: ShVolume, gradients) -> DwiVolume:
     """Per-voxel reference evaluation of an SH volume at target directions."""
     from .shcore import as_unit_directions
 
@@ -139,7 +162,7 @@ def naive_sh_to_signal(sh: ShVolume, gradients, backend: str | None = None) -> D
     out = np.empty((subjects, sh.shells, dirs.shape[0], nvox))
     for b in range(subjects):
         for s in range(sh.shells):
-            out[b, s] = _kernels.naive_eval(basis, stacked[b, s], backend=backend)
+            out[b, s] = _naive_eval(basis, stacked[b, s])
     return DwiVolume(data=out.reshape(subjects, sh.shells * dirs.shape[0], *grid), shells=sh.shells)
 
 
@@ -160,18 +183,6 @@ def _scrub_caches() -> None:
     if _scrub_buf is None:
         _scrub_buf = np.ones(32 * 1024 * 1024)
     float(_scrub_buf.sum())
-
-
-def _median_time(fn, repeats: int) -> tuple[float, object]:
-    """Median of ``repeats`` timed calls and the result of the warm-up call."""
-    result = fn()  # warm-up: page faults, jit, BLAS thread pools
-    times = []
-    for _ in range(repeats):
-        _scrub_caches()
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times)), result
 
 
 def _interleaved_median_times(fns: dict, repeats: int) -> dict:
@@ -231,28 +242,15 @@ def run_bench(
     seed: int = 0,
     lb_lambda: float = 0.006,
     n_dirs: int = 90,
-    backend: str | None = None,
-    compare_backends: bool = False,
 ) -> BenchReport:
     """Time batched vs naive transforms on seeded synthetic volumes.
 
     Emits one batched and one naive row per (direction, order). Batched
     timing includes operator construction, which is exactly the cost the
-    precomputation amortizes over the volume. ``compare_backends`` adds
-    naive rows for the non-active kernel backend and raises
-    BackendUnavailableError, before any timing, when that backend cannot be
-    imported.
+    precomputation amortizes over the volume.
     """
     if repeats < 3:
         raise ValueError(f"repeats must be >= 3, got {repeats}")
-    active = _kernels.resolve_backend(backend)
-    other = "numpy" if active == "numba" else "numba"
-    if compare_backends and not _kernels.HAVE_NUMBA:
-        raise BackendUnavailableError(
-            "comparing backends needs both numpy and numba, but numba is not importable"
-        )
-    if active == "numba":
-        _kernels.warm_up()
     rows: list[BenchRow] = []
     pinned = True
     for order in orders:
@@ -268,9 +266,7 @@ def run_bench(
                     "batched": lambda: _timed_batched_fit(
                         vol, gradients, order, lb_lambda, fit_buf
                     ),
-                    "naive": lambda: naive_signal_to_sh(
-                        vol, gradients, order, lb_lambda, backend=backend
-                    ),
+                    "naive": lambda: naive_signal_to_sh(vol, gradients, order, lb_lambda),
                 },
                 repeats,
             )
@@ -291,7 +287,7 @@ def run_bench(
             eval_times, eval_results = _interleaved_median_times(
                 {
                     "batched": lambda: _timed_batched_eval(shvol, gradients, eval_buf),
-                    "naive": lambda: naive_sh_to_signal(shvol, gradients, backend=backend),
+                    "naive": lambda: naive_sh_to_signal(shvol, gradients),
                 },
                 repeats,
             )
@@ -305,15 +301,4 @@ def run_bench(
             BenchRow("sh2signal", order, voxel_count, "naive", eval_times["naive"], dev_eval)
         )
 
-        if compare_backends:
-            with _single_thread_blas() as ok:
-                pinned &= ok
-                t_other, ref_other = _median_time(
-                    lambda: naive_signal_to_sh(vol, gradients, order, lb_lambda, backend=other),
-                    repeats,
-                )
-            dev_other = float(np.max(np.abs(fitted.data - ref_other.data)))
-            rows.append(
-                BenchRow("signal2sh", order, voxel_count, f"naive-{other}", t_other, dev_other)
-            )
     return BenchReport(rows=rows, blas_pinned=pinned)

@@ -10,9 +10,7 @@ files behind.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -95,9 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dirs", type=int, default=90, choices=(30, 60, 90))
     p.add_argument("--lambda", dest="lb_lambda", type=float, default=0.006)
-    p.add_argument("--compare-backends", action="store_true",
-                   help="also time the naive solver on the non-active kernel backend; "
-                   "needs both numpy and numba importable, exits 2 otherwise")
     p.add_argument("--out", help="CSV path (default: stdout)")
 
     p = sub.add_parser("phantom", help="write a synthetic phantom + gradient files")
@@ -148,7 +143,7 @@ def _load_sh_volume(path: str, order: int | None, shells_hint: int | None = None
     return ShVolume(data=arr, basis_spec=ShBasisSpec(order), shells=shells), affine
 
 
-def _sh_volume_to_nifti(vol, path: str, affine=None) -> None:
+def _volume_to_nifti(vol, path: str, affine=None) -> None:
     arr = np.moveaxis(vol.data[0], 0, 3)
     dwio.write_nifti(path, arr, affine=affine, dtype=np.float32)
 
@@ -165,7 +160,7 @@ def _cmd_signal2sh(args) -> int:
     ]
     _info(f"R={ops[0].basis_spec.coeff_count} cond={max(o.cond for o in ops):.3e}")
     fitted = signal_to_sh(vol, ops)
-    _sh_volume_to_nifti(fitted, args.out, affine=affine)
+    _volume_to_nifti(fitted, args.out, affine=affine)
     return 0
 
 
@@ -190,9 +185,7 @@ def _cmd_sh2signal(args) -> int:
         scheme = dwio.read_bvals_bvecs(args.bvals, args.bvecs)
         dirs = scheme.shell_directions(args.shell[0])
     sh, affine = _load_sh_volume(args.sh, args.order)
-    out = sh_to_signal(sh, dirs)
-    arr = np.moveaxis(out.data[0], 0, 3)
-    dwio.write_nifti(args.out, arr, affine=affine, dtype=np.float32)
+    _volume_to_nifti(sh_to_signal(sh, dirs), args.out, affine=affine)
     return 0
 
 
@@ -208,8 +201,7 @@ def _cmd_lsc(args) -> int:
     if (args.kernel is None) == (args.moving_average is None):
         raise ShapeError("give exactly one of --kernel or --moving-average")
     scheme = dwio.read_bvals_bvecs(args.bvals, args.bvecs)
-    shell_bvals = args.shell or [s.bvalue for s in scheme.shells]
-    selected = [scheme.shell(b) for b in shell_bvals]
+    selected = dwio.select_shells(scheme.shells, args.shell) if args.shell else scheme.shells
     if not selected:
         raise ShapeError("no shells selected")
     counts = {s.indices.size for s in selected}
@@ -240,7 +232,7 @@ def _cmd_lsc(args) -> int:
         f"mean l>=2 energy fraction: {_mean_high_degree_fraction(sh):.4f} "
         f"-> {_mean_high_degree_fraction(result):.4f}"
     )
-    _sh_volume_to_nifti(result, args.out, affine=affine)
+    _volume_to_nifti(result, args.out, affine=affine)
     return 0
 
 
@@ -264,13 +256,13 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         lb_lambda=args.lb_lambda,
         n_dirs=args.dirs,
-        compare_backends=args.compare_backends,
     )
     if not report.blas_pinned:
         _info("BLAS not pinned to one thread: threadpoolctl not installed")
     csv_text = report.to_csv()
     if args.out:
-        _atomic_write_text(args.out, csv_text)
+        with dwio._atomic_output(args.out) as tmp, open(tmp, "w") as fh:
+            fh.write(csv_text)
     else:
         sys.stdout.write(csv_text)
     return 0
@@ -294,20 +286,6 @@ def _cmd_phantom(args) -> int:
     for kind, path in result.paths.items():
         _info(f"{kind}: {path}")
     return 0
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    dirname = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".sphdwi-", suffix=".tmp", dir=dirname)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        dwio._apply_umask(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 _HANDLERS = {

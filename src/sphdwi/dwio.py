@@ -12,6 +12,7 @@ from __future__ import annotations
 import gzip
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,17 +120,37 @@ class GradientScheme:
 
     def shell(self, bvalue: float, tolerance: float = SHELL_TOLERANCE) -> Shell:
         """Shell whose nominal b-value is nearest ``bvalue`` within tolerance."""
-        if not self.shells:
-            raise ValueError("gradient scheme has no diffusion-weighted shells")
-        best = min(self.shells, key=lambda s: abs(s.bvalue - bvalue))
-        if abs(best.bvalue - bvalue) > tolerance:
-            avail = ", ".join(f"{s.bvalue:g}" for s in self.shells)
-            raise ValueError(f"no shell near b={bvalue:g}; available shells: {avail}")
-        return best
+        return select_shells(self.shells, [bvalue], tolerance)[0]
 
     def shell_directions(self, bvalue: float) -> np.ndarray:
         sh = self.shell(bvalue)
         return self.directions[sh.indices]
+
+
+def select_shells(
+    shells, bvalues, tolerance: float = SHELL_TOLERANCE
+) -> tuple[Shell, ...]:
+    """Resolve each requested b-value to the nearest shell within ``tolerance``.
+
+    Raises ValueError when a request has no shell within tolerance, naming
+    the available shells, and when two requests resolve to the same shell,
+    which would otherwise fit or convolve that shell twice.
+    """
+    picked: dict[float, float] = {}  # shell b-value -> request that chose it
+    out = []
+    for want in bvalues:
+        best = min(shells, key=lambda s: abs(s.bvalue - want), default=None)
+        if best is None or abs(best.bvalue - want) > tolerance:
+            avail = ", ".join(f"{s.bvalue:g}" for s in shells) or "none"
+            raise ValueError(f"no shell near b={want:g}; available shells: {avail}")
+        if best.bvalue in picked:
+            raise ValueError(
+                f"b={picked[best.bvalue]:g} and b={want:g} both select the "
+                f"b={best.bvalue:g} shell; give each shell once"
+            )
+        picked[best.bvalue] = want
+        out.append(best)
+    return tuple(out)
 
 
 def detect_shells(
@@ -434,26 +455,32 @@ def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
     hdr["magic"] = b"n+1"
 
     payload = np.asfortranarray(arr.astype(dtype))
+    opener = gzip.open if path.endswith(".gz") else open
+    with _atomic_output(path) as tmp, opener(tmp, "wb") as fh:
+        fh.write(hdr.tobytes())
+        fh.write(b"\x00" * 4)  # pad to vox_offset = 352
+        fh.write(payload.tobytes(order="F"))
+
+
+@contextmanager
+def _atomic_output(path: str):
+    """Yield a temporary sibling of ``path``; rename it into place on success.
+
+    On any failure the temporary file is removed and ``path`` is left as it
+    was, so readers never observe a partial file.
+    """
     dirname = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(prefix=".sphdwi-", suffix=".tmp", dir=dirname)
+    os.close(fd)
     try:
-        os.close(fd)
-        _apply_umask(tmp)
-        opener = gzip.open if path.endswith(".gz") else open
-        with opener(tmp, "wb") as fh:
-            fh.write(hdr.tobytes())
-            fh.write(b"\x00" * 4)  # pad to vox_offset = 352
-            fh.write(payload.tobytes(order="F"))
+        yield tmp
+        # mkstemp creates 0600 files and os.replace keeps that mode; outputs
+        # should get the permissions a plain open() would have produced
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _apply_umask(tmp: str) -> None:
-    # mkstemp creates 0600 files and os.replace keeps that mode; outputs
-    # should get the permissions a plain open() would have produced
-    umask = os.umask(0)
-    os.umask(umask)
-    os.chmod(tmp, 0o666 & ~umask)

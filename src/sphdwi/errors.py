@@ -25,10 +25,6 @@ class GradientParseError(SphdwiError):
     """A bvals/bvecs file could not be parsed or is internally inconsistent."""
 
 
-class BackendUnavailableError(SphdwiError, RuntimeError):
-    """A kernel backend was required but its package is not importable."""
-
-
 class KernelMismatchError(SphdwiError):
     """A convolution kernel does not match the geometry it is applied with."""
 

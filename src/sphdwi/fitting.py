@@ -291,14 +291,7 @@ def normalize_b0(
         raise MissingB0Error("acquisition has no b=0 volume to normalize against")
 
     if shells is not None:
-        picked = []
-        for want in shells:
-            best = min(shell_table, key=lambda s: abs(s.bvalue - want)) if shell_table else None
-            if best is None or abs(best.bvalue - want) > tolerance:
-                avail = ", ".join(f"{s.bvalue:g}" for s in shell_table) or "none"
-                raise ValueError(f"no shell near b={want:g}; available shells: {avail}")
-            picked.append(best)
-        shell_table = tuple(picked)
+        shell_table = dwio.select_shells(shell_table, shells, tolerance)
     if not shell_table:
         raise ShapeError("no diffusion-weighted shells selected")
     sizes = {s.indices.size for s in shell_table}

@@ -18,8 +18,6 @@ however the volume is split into subjects or blocks).
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,18 +223,9 @@ def save_kernel_json(path: str, kernel: LscKernel, kernel_sizes, angular_distanc
         "weights": kernel.weights.tolist(),
         "bias": kernel.bias.tolist(),
     }
-    dirname = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".sphdwi-", suffix=".json", dir=dirname)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        dwio._apply_umask(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with dwio._atomic_output(path) as tmp, open(tmp, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def load_kernel_json(path: str) -> tuple[LscKernel, tuple[int, ...], float]:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sphdwi import (
-    BackendUnavailableError,
     DwiVolume,
     IllPosedFitError,
     eval_basis,
@@ -17,7 +16,7 @@ from sphdwi import (
     sh_to_signal,
     unit_sphere_directions,
 )
-from sphdwi import _kernels, bench
+from sphdwi import bench
 from sphdwi.bench import CSV_HEADER
 from sphdwi.fitting import ShBasisSpec, ShVolume
 from sphdwi.shcore import coeff_count
@@ -95,32 +94,10 @@ class TestRunBench:
         with pytest.raises(ValueError):
             run_bench([4], voxel_count=10, repeats=2)
 
-    @pytest.mark.skipif(
-        not _kernels.HAVE_NUMBA,
-        reason="numba not installed: comparing backends needs both numpy and numba",
-    )
-    def test_compare_backends_adds_rows(self):
-        report = run_bench([2], voxel_count=200, repeats=3, seed=0, compare_backends=True)
-        labels = {r.method for r in report.rows}
-        assert "naive-numpy" in labels or "naive-numba" in labels
-
-    def test_compare_backends_without_numba_raises_before_timing(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "HAVE_NUMBA", False)
-        monkeypatch.delenv("SPHDWI_BACKEND", raising=False)
-
-        def no_timing(*args, **kwargs):
-            raise AssertionError("a row was timed before the backend check")
-
-        monkeypatch.setattr(bench, "_synth_inputs", no_timing)
-        monkeypatch.setattr(bench, "_median_time", no_timing)
-        monkeypatch.setattr(bench, "_interleaved_median_times", no_timing)
-        with pytest.raises(BackendUnavailableError, match="numba"):
-            run_bench([2], voxel_count=200, repeats=3, seed=0, compare_backends=True)
-
     def test_naive_oracle_runs_repeats_plus_one_times_per_order(self, monkeypatch):
         # the untimed warm-up result doubles as the reference: no extra oracle runs
         calls = {"fit": Counter(), "eval": Counter()}
-        real_fit, real_eval = _kernels.naive_fit, _kernels.naive_eval
+        real_fit, real_eval = bench._naive_fit, bench._naive_eval
 
         def counting_fit(basis, *args, **kwargs):
             calls["fit"][basis.shape[1]] += 1
@@ -130,8 +107,8 @@ class TestRunBench:
             calls["eval"][basis.shape[1]] += 1
             return real_eval(basis, *args, **kwargs)
 
-        monkeypatch.setattr(_kernels, "naive_fit", counting_fit)
-        monkeypatch.setattr(_kernels, "naive_eval", counting_eval)
+        monkeypatch.setattr(bench, "_naive_fit", counting_fit)
+        monkeypatch.setattr(bench, "_naive_eval", counting_eval)
         repeats = 4
         report = run_bench([2, 4], voxel_count=80, repeats=repeats, seed=3)
         expected = {coeff_count(2): repeats + 1, coeff_count(4): repeats + 1}

@@ -1,4 +1,5 @@
 import os
+import stat
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import sphdwi
-from sphdwi import _kernels, dwio, lsc as lsc_mod, make_moving_average_kernel
+from sphdwi import dwio, lsc as lsc_mod, make_moving_average_kernel
 from sphdwi.cli import main
 from sphdwi.shcore import high_degree_energy_fraction
 
@@ -61,6 +62,15 @@ class TestSignal2Sh:
         code = main(fit_args(phantom_files, out, extra=["--shell", "2000"]))
         assert code == 2
         assert "1000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shells", [("1000", "1000"), ("1000", "990")])
+    def test_repeated_shell_exits_2_naming_both(self, phantom_files, tmp_path, capsys, shells):
+        out = tmp_path / "sh.nii.gz"
+        extra = ["--shell", shells[0], "--shell", shells[1]]
+        assert main(fit_args(phantom_files, str(out), extra=extra)) == 2
+        err = capsys.readouterr().err
+        assert f"b={shells[0]} and b={shells[1]} both select the b=1000 shell" in err
+        assert not out.exists()
 
     def test_missing_file_exits_4(self, phantom_files, tmp_path):
         args = fit_args(phantom_files, str(tmp_path / "o.nii"))
@@ -288,6 +298,28 @@ class TestLsc:
         )
         assert code == 2
 
+    def test_two_shells_resolving_to_one_exit_2(self, phantom_files, tmp_path, capsys):
+        sh_path = str(tmp_path / "sh.nii.gz")
+        assert main(fit_args(phantom_files, sh_path)) == 0
+        data, affine, _ = dwio.read_nifti(sh_path)
+        doubled = str(tmp_path / "doubled.nii.gz")  # 2 x 15 volumes fit a 2-shell kernel
+        dwio.write_nifti(doubled, np.concatenate([data, data], axis=3), affine=affine)
+        out = tmp_path / "smooth.nii.gz"
+        code = main(
+            [
+                "lsc",
+                "--sh", doubled,
+                "--bvals", phantom_files["bvals"],
+                "--bvecs", phantom_files["bvecs"],
+                "--shell", "1000", "--shell", "990",
+                "--moving-average", f"5,{PI_OVER_5}",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "b=1000 and b=990 both select the b=1000 shell" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_kernel_and_moving_average_exclusive(self, phantom_files, tmp_path):
         code = main(
             [
@@ -374,43 +406,6 @@ class TestBenchCommand:
         text = open(out).read().strip().splitlines()
         assert len(text) == 5
 
-    def test_compare_backends_flag(self, capsys):
-        code = main(
-            ["bench", "--orders", "2", "--voxels", "120", "--repeats", "3",
-             "--compare-backends"]
-        )
-        captured = capsys.readouterr()
-        if _kernels.HAVE_NUMBA:
-            other = "numpy" if _kernels.resolve_backend(None) == "numba" else "numba"
-            assert code == 0
-            methods = {line.split(",")[3] for line in captured.out.strip().splitlines()[1:]}
-            assert f"naive-{other}" in methods
-        else:
-            assert code == 2
-            assert "numba" in captured.err
-            assert captured.out == ""
-
-    def test_compare_backends_without_numba_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(_kernels, "HAVE_NUMBA", False)
-        monkeypatch.delenv("SPHDWI_BACKEND", raising=False)
-        out = tmp_path / "bench.csv"
-        code = main(
-            ["bench", "--orders", "2", "--voxels", "120", "--repeats", "3",
-             "--compare-backends", "--out", str(out)]
-        )
-        assert code == 2
-        assert not out.exists()
-        captured = capsys.readouterr()
-        assert "numba" in captured.err
-        assert captured.out == ""
-
-    def test_forced_numba_backend_without_numba_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(_kernels, "HAVE_NUMBA", False)
-        monkeypatch.setenv("SPHDWI_BACKEND", "numba")
-        code = main(["bench", "--orders", "2", "--voxels", "50", "--repeats", "3"])
-        assert code == 2
-        assert "numba" in capsys.readouterr().err
-
     def test_unpinned_blas_reported_once_on_stderr(self, capsys, monkeypatch):
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import now fails
         code = main(["bench", "--orders", "2,4", "--voxels", "50", "--repeats", "3"])
@@ -421,6 +416,39 @@ class TestBenchCommand:
 
     def test_bad_orders_exit_2(self):
         assert main(["bench", "--orders", "two"]) == 2
+
+
+class TestAtomicOutput:
+    @pytest.mark.parametrize("command", ["signal2sh", "bench"])
+    def test_failed_rename_exits_4_leaving_no_file(self, command, phantom_files, tmp_path,
+                                                   monkeypatch, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        if command == "signal2sh":
+            args = fit_args(phantom_files, str(out_dir / "sh.nii.gz"))
+        else:
+            args = ["bench", "--orders", "2", "--voxels", "50", "--repeats", "3",
+                    "--out", str(out_dir / "bench.csv")]
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(args) == 4
+        assert "rename refused" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    def test_csv_mode_follows_umask(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        old = os.umask(0o027)
+        try:
+            code = main(["bench", "--orders", "2", "--voxels", "50", "--repeats", "3",
+                         "--out", str(out)])
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["bench.csv"]
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o640
 
 
 class TestPhantomCommand:
@@ -458,6 +486,16 @@ class TestUsageErrors:
         out = tmp_path / "out.nii"
         assert main([*required, "--out", str(out), "--threads", "2"]) == 2
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_compare_backends_flag_is_gone(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        code = main(
+            ["bench", "--orders", "2", "--voxels", "50", "--repeats", "3",
+             "--compare-backends", "--out", str(out)]
+        )
+        assert code == 2
+        assert "unrecognized arguments: --compare-backends" in capsys.readouterr().err
         assert not out.exists()
 
 

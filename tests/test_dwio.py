@@ -1,9 +1,11 @@
 import gzip
+import os
+import stat
 
 import numpy as np
 import pytest
 
-from sphdwi import dwio
+from sphdwi import dwio, lsc, make_identity_kernel
 from sphdwi.errors import (
     GradientParseError,
     NiftiDatatypeError,
@@ -292,3 +294,32 @@ class TestNifti:
         assert stored[2] == 9.0
         data, _, _ = dwio.read_nifti(path)
         np.testing.assert_array_equal(data, vol)
+
+
+ATOMIC_WRITERS = {
+    "out.nii": lambda path: dwio.write_nifti(path, np.ones((2, 2, 2, 3))),
+    "out.nii.gz": lambda path: dwio.write_nifti(path, np.ones((2, 2, 2, 3))),
+    "kernel.json": lambda path: lsc.save_kernel_json(path, make_identity_kernel([5]), [5], 0.6),
+}
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("name", sorted(ATOMIC_WRITERS))
+    def test_failed_rename_leaves_no_file(self, name, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            ATOMIC_WRITERS[name](str(tmp_path / name))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", sorted(ATOMIC_WRITERS))
+    def test_mode_follows_umask(self, name, tmp_path):
+        old = os.umask(0o027)
+        try:
+            ATOMIC_WRITERS[name](str(tmp_path / name))
+        finally:
+            os.umask(old)
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o640

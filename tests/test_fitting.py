@@ -11,6 +11,7 @@ from sphdwi import (
     ShBasisSpec,
     ShapeError,
     ShVolume,
+    degree_energies,
     eval_basis,
     laplace_beltrami_diag,
     make_fit_operator,
@@ -295,6 +296,12 @@ class TestNormalizeB0:
         vol, _ = normalize_b0(raw, bvals, shells=[2000.0])
         assert vol.data.shape[1] == 1
 
+    def test_two_requests_for_one_shell_rejected(self):
+        raw = np.ones((1, 1, 1, 3)) * 100.0
+        bvals = [0.0, 1000.0, 1000.0]
+        with pytest.raises(ValueError, match="b=1000 and b=990 both select the b=1000 shell"):
+            normalize_b0(raw, bvals, shells=[1000.0, 990.0])
+
     def test_interleaved_acquisition_order_preserved(self):
         # shells blocked in channel order, acquisition order kept inside a block
         raw = np.zeros((1, 1, 1, 5))
@@ -309,6 +316,38 @@ class TestNormalizeB0:
     def test_volume_count_mismatch(self):
         with pytest.raises(ShapeError, match="describes"):
             normalize_b0(np.ones((1, 1, 1, 3)), [0.0, 1000.0])
+
+
+def _random_rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+class TestRotationInvariance:
+    """The Laplace-Beltrami penalty l^2 (l+1)^2 is the same for every m of one
+    degree, so rotating the directions only rotates each degree's block of a
+    regularized fit and leaves the per-degree energies unchanged."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        order=st.sampled_from([2, 4, 6, 8]),
+        lam=st.sampled_from([0.0, 0.006, 0.06]),
+        n_dirs=st.sampled_from([60, 90]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_degree_energies_unchanged_by_rotation(self, order, lam, n_dirs, seed):
+        rng = np.random.default_rng(seed)
+        rotation = _random_rotation(rng)
+        dirs = unit_sphere_directions(n_dirs)
+        signal = rng.normal(size=(n_dirs, 4))
+        fit = make_fit_operator(dirs, order, lam).fit_matrix @ signal
+        turned = make_fit_operator(dirs @ rotation.T, order, lam).fit_matrix @ signal
+        energies = degree_energies(fit, order)
+        total = energies.sum(axis=0)
+        assert np.all(np.abs(degree_energies(turned, order) - energies) <= 1e-10 * total)
 
 
 class TestVolumeTypes:
