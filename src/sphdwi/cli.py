@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
-from . import dwio, lsc, phantom
+from . import dwio, fitting, lsc, phantom
 from .errors import (
     GradientParseError,
     IllPosedFitError,
@@ -25,8 +25,10 @@ from .errors import (
     ShapeError,
     SphdwiError,
 )
-from .fitting import ShVolume, make_fit_operator, normalize_b0, sh_to_signal, signal_to_sh
-from .shcore import ShBasisSpec, as_unit_directions, coeff_count, high_degree_energy_fraction
+from .fitting import _apply_channel_matrix, make_fit_operator
+# Not called here; perfbench/spans.py patches these names on this module.
+from .fitting import normalize_b0, sh_to_signal, signal_to_sh  # noqa: F401
+from .shcore import as_unit_directions, coeff_count, eval_basis, high_degree_energy_fraction
 
 _EXIT_VALIDATION = 2
 _EXIT_NUMERICAL = 3
@@ -109,11 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_sh_volume(path: str, order: int | None, shells_hint: int | None = None):
-    data, affine, _ = dwio.read_nifti(path)
-    if data.ndim != 4:
-        raise ShapeError(f"{path}: SH volume must be 4-D, got {data.ndim}-D")
-    nvol = data.shape[3]
+def _sh_layout(path: str, shape, order: int | None, shells_hint: int | None = None):
+    """(order, shells) of an SH volume of ``shape`` holding shells * R volumes."""
+    if len(shape) != 4:
+        raise ShapeError(f"{path}: SH volume must be 4-D, got {len(shape)}-D")
+    nvol = shape[3]
     if order is not None:
         r = coeff_count(order)
         if shells_hint is None:
@@ -139,28 +141,62 @@ def _load_sh_volume(path: str, order: int | None, shells_hint: int | None = None
                 f"{path}: cannot infer SH order from {nvol} volumes and {shells} shell(s)"
             )
         order = _ORDER_FOR_R[nvol // shells]
-    arr = np.moveaxis(data, 3, 0)[None, ...]
-    return ShVolume(data=arr, basis_spec=ShBasisSpec(order), shells=shells), affine
+    return order, shells
 
 
-def _volume_to_nifti(vol, path: str, affine=None) -> None:
-    arr = np.moveaxis(vol.data[0], 0, 3)
-    dwio.write_nifti(path, arr, affine=affine, dtype=np.float32)
+# The three volume commands work on the NIfTI payload itself: a single-file
+# NIfTI stores (X, Y, Z, C) in Fortran order, which is a C-order (C, V)
+# channel matrix, the layout the shared GEMM routine consumes. Blocks of it
+# stream through fitting._stream_blocks into a float32 output payload that
+# is written as it is.
+
+def _channels(raw: np.ndarray) -> np.ndarray:
+    """The (C, V) channel matrix view of an (X, Y, Z, C) Fortran-order payload."""
+    return raw.reshape(-1, raw.shape[3], order="F").T
+
+
+def _write_channels(path: str, out: np.ndarray, grid, affine) -> None:
+    """Write a (C, V) float32 channel matrix as the (X, Y, Z, C) volume it is."""
+    volume = out.T.reshape(*grid, out.shape[0], order="F")
+    dwio.write_nifti(path, volume, affine=affine, dtype=np.float32)
+
+
+def _apply_per_shell(matrices, x: np.ndarray, y: np.ndarray) -> None:
+    """y's shell block k = matrices[k] @ x's shell block k, for a block of voxels."""
+    c_in, c_out = x.shape[0] // len(matrices), y.shape[0] // len(matrices)
+    for k, matrix in enumerate(matrices):
+        _apply_channel_matrix(
+            matrix,
+            x[None, None, k * c_in : (k + 1) * c_in],
+            out=y[None, None, k * c_out : (k + 1) * c_out],
+        )
 
 
 def _cmd_signal2sh(args) -> int:
     scheme = dwio.read_bvals_bvecs(args.bvals, args.bvecs)
-    data, affine, _ = dwio.read_nifti(args.dwi)
-    if data.ndim != 4:
-        raise ShapeError(f"{args.dwi}: expected a 4-D acquisition, got {data.ndim}-D")
-    vol, _mask = normalize_b0(data, scheme, shells=args.shell)
+    raw, affine, header = dwio.read_nifti_payload(args.dwi)
+    if raw.ndim != 4:
+        raise ShapeError(f"{args.dwi}: expected a 4-D acquisition, got {raw.ndim}-D")
+    _, b0_idx, shells = fitting._plan_shells(raw.shape[3], scheme, shells=args.shell)
+    src = _channels(raw)
+    excluded, denom = fitting._b0_denominator(dwio.to_float64(src[b0_idx], header), axis=0)
     ops = [
-        make_fit_operator(vol.scheme.shell_directions(s.bvalue), args.order, args.lb_lambda)
-        for s in vol.scheme.shells
+        make_fit_operator(scheme.directions[s.indices], args.order, args.lb_lambda)
+        for s in shells
     ]
     _info(f"R={ops[0].basis_spec.coeff_count} cond={max(o.cond for o in ops):.3e}")
-    fitted = signal_to_sh(vol, ops)
-    _volume_to_nifti(fitted, args.out, affine=affine)
+    fit_matrices = [o.fit_matrix for o in ops]
+
+    def fit(x, y, lo, hi):
+        x /= denom[lo:hi]
+        x[:, excluded[lo:hi]] = 0.0
+        fitting._require_finite(x)
+        _apply_per_shell(fit_matrices, x, y)
+
+    out = np.empty((len(ops) * ops[0].basis_spec.coeff_count, src.shape[1]), dtype=np.float32)
+    rows = np.concatenate([s.indices for s in shells])
+    fitting._stream_blocks(src, out, fit, header, rows=rows)
+    _write_channels(args.out, out, raw.shape[:3], affine)
     return 0
 
 
@@ -184,8 +220,15 @@ def _cmd_sh2signal(args) -> int:
             raise ShapeError(f"sh2signal takes one --shell, got {len(args.shell)}")
         scheme = dwio.read_bvals_bvecs(args.bvals, args.bvecs)
         dirs = scheme.shell_directions(args.shell[0])
-    sh, affine = _load_sh_volume(args.sh, args.order)
-    _volume_to_nifti(sh_to_signal(sh, dirs), args.out, affine=affine)
+    raw, affine, header = dwio.read_nifti_payload(args.sh)
+    order, shells = _sh_layout(args.sh, raw.shape, args.order)
+    basis = eval_basis(as_unit_directions(dirs), order)
+    src = _channels(raw)
+    out = np.empty((shells * basis.shape[0], src.shape[1]), dtype=np.float32)
+    fitting._stream_blocks(
+        src, out, lambda x, y, lo, hi: _apply_per_shell([basis] * shells, x, y), header
+    )
+    _write_channels(args.out, out, raw.shape[:3], affine)
     return 0
 
 
@@ -221,27 +264,39 @@ def _cmd_lsc(args) -> int:
         raise ShapeError(
             f"kernel expects {kernel.shells_in} input shells, selection has {n_shells}"
         )
-    sh, affine = _load_sh_volume(args.sh, order=None, shells_hint=kernel.shells_in)
-    order_out = args.order_out if args.order_out is not None else sh.basis_spec.order
-    geom = lsc.build_lsc_geometry(
-        origins, sizes, alpha, sh.basis_spec.order, order_out, args.lb_lambda
-    )
-    result = lsc.lsc_forward(sh, kernel, geom)
+    raw, affine, header = dwio.read_nifti_payload(args.sh)
+    order_in, shells_in = _sh_layout(args.sh, raw.shape, None, shells_hint=kernel.shells_in)
+    order_out = args.order_out if args.order_out is not None else order_in
+    geom = lsc.build_lsc_geometry(origins, sizes, alpha, order_in, order_out, args.lb_lambda)
+    lsc.check_lsc_input(order_in, shells_in, kernel, geom)
+    matrix, offset = lsc.lsc_operator(kernel, geom)
+    energy = [0.0, 0.0]  # summed l>=2 energy fractions of the input and the output
 
+    def convolve(x, y, lo, hi):
+        _apply_per_shell([matrix], x, y)
+        y += offset[:, None]
+        energy[0] += _high_degree_fraction_sum(x, order_in, shells_in)
+        energy[1] += _high_degree_fraction_sum(y, order_out, kernel.shells_out)
+
+    src = _channels(raw)
+    out = np.empty((matrix.shape[0], src.shape[1]), dtype=np.float32)
+    fitting._stream_blocks(src, out, convolve, header)
+    nvox = src.shape[1]
     _info(
-        f"mean l>=2 energy fraction: {_mean_high_degree_fraction(sh):.4f} "
-        f"-> {_mean_high_degree_fraction(result):.4f}"
+        f"mean l>=2 energy fraction: {energy[0] / (shells_in * nvox):.4f} "
+        f"-> {energy[1] / (kernel.shells_out * nvox):.4f}"
     )
-    _volume_to_nifti(result, args.out, affine=affine)
+    _write_channels(args.out, out, raw.shape[:3], affine)
     return 0
 
 
-def _mean_high_degree_fraction(vol: ShVolume) -> float:
-    fracs = [
-        high_degree_energy_fraction(vol.shell_coeffs(s)[0], vol.basis_spec.order, axis=0)
-        for s in range(vol.shells)
-    ]
-    return float(np.mean(fracs))
+def _high_degree_fraction_sum(coeffs: np.ndarray, order: int, shells: int) -> float:
+    """Sum over voxels and shells of the l>=2 energy fraction of a (shells * R, w) block."""
+    r = coeff_count(order)
+    return float(sum(
+        np.sum(high_degree_energy_fraction(coeffs[s * r : (s + 1) * r], order, axis=0))
+        for s in range(shells)
+    ))
 
 
 def _cmd_bench(args) -> int:

@@ -288,16 +288,11 @@ def write_bvals_bvecs(bvals, directions, bvals_path: str, bvecs_path: str) -> No
 # NIfTI-1
 # ---------------------------------------------------------------------------
 
-def _open_maybe_gzip(path: str, mode: str):
-    if "r" in mode:
-        with open(path, "rb") as probe:
-            magic = probe.read(2)
-        if magic == b"\x1f\x8b":
-            return gzip.open(path, mode)
-        return open(path, mode)
-    if path.endswith(".gz"):
-        return gzip.open(path, mode)
-    return open(path, mode)
+def _open_maybe_gzip(path: str):
+    """Open ``path`` for reading, through gzip when it starts with the gzip magic."""
+    with open(path, "rb") as probe:
+        magic = probe.read(2)
+    return gzip.open(path, "rb") if magic == b"\x1f\x8b" else open(path, "rb")
 
 
 def _affine_from_header(hdr) -> np.ndarray:
@@ -330,16 +325,21 @@ def _affine_from_header(hdr) -> np.ndarray:
     return aff
 
 
-def read_nifti(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Read a single-file NIfTI-1 volume.
+_IO_CHUNK = 1 << 22  # bytes per read/write call; bounds gzip's temporary buffers
 
-    Returns (data, affine, header) with data as float64 in X, Y, Z[, volume]
-    order and scl_slope/scl_inter already applied. Raises distinct error
+
+def read_nifti_payload(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Read a single-file NIfTI-1 volume's voxels as stored.
+
+    Returns (raw, affine, header) with raw in the on-disk datatype and byte
+    order, shape X, Y, Z[, volume] in Fortran order and no scaling applied
+    (see :func:`to_float64`). The payload is read straight into one
+    preallocated array, in bounded chunks for gzip. Raises distinct error
     types for a bad magic number, an unsupported datatype and a truncated
     file.
     """
     try:
-        fh = _open_maybe_gzip(path, "rb")
+        fh = _open_maybe_gzip(path)
     except OSError as exc:
         raise NiftiError(f"{path}: cannot open ({exc})") from exc
     with fh:
@@ -387,38 +387,71 @@ def read_nifti(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
                     f"{path}: file has {size} bytes but header promises {offset + expected}"
                 )
         try:
-            fh.seek(offset)
-            buf = fh.read(expected)
-        except (OSError, EOFError, ValueError, OverflowError) as exc:
-            raise NiftiTruncatedError(f"{path}: unreadable voxel data ({exc})") from exc
+            buf = np.empty(expected, dtype=np.uint8)
         except MemoryError as exc:
             raise NiftiError(
                 f"{path}: header promises {expected} bytes of voxel data, "
                 "more than this process can allocate"
             ) from exc
-        if len(buf) < expected:
+        view = memoryview(buf)
+        filled = 0
+        try:
+            fh.seek(offset)
+            while filled < expected:
+                got = fh.readinto(view[filled : filled + _IO_CHUNK])
+                if not got:
+                    break
+                filled += got
+        except (OSError, EOFError, ValueError, OverflowError) as exc:
+            raise NiftiTruncatedError(f"{path}: unreadable voxel data ({exc})") from exc
+        if filled < expected:
             raise NiftiTruncatedError(
-                f"{path}: voxel data is {len(buf)} bytes, expected {expected}"
+                f"{path}: voxel data is {filled} bytes, expected {expected}"
             )
-        data = np.frombuffer(buf, dtype=dtype, count=count).reshape(shape, order="F")
-        data = data.astype(np.float64)
-
-        slope = float(hdr["scl_slope"])
-        inter = float(hdr["scl_inter"])
-        if np.isfinite(slope) and slope != 0.0:
-            data = data * slope + (inter if np.isfinite(inter) else 0.0)
-
+        data = buf.view(dtype).reshape(shape, order="F")
         header = {name: np.copy(hdr[name]) for name in HEADER_DTYPE.names}
         return data, _affine_from_header(hdr), header
+
+
+def to_float64(stored, header: dict, out: np.ndarray | None = None) -> np.ndarray:
+    """Stored voxel values as float64, with scl_slope/scl_inter applied.
+
+    The rule is ``x * slope + inter`` when the slope is finite and nonzero
+    (a non-finite intercept counts as 0); otherwise the values are taken as
+    they are. ``out`` receives the result when given (same shape as
+    ``stored``), so a caller can convert block by block into one buffer.
+    """
+    slope = float(header["scl_slope"])
+    inter = float(header["scl_inter"])
+    scaled = bool(np.isfinite(slope) and slope != 0.0)
+    # multiplying by 1 is exact, so unscaled values convert unchanged
+    out = np.multiply(stored, slope if scaled else 1.0, out=out, dtype=np.float64)
+    if scaled:
+        out += inter if np.isfinite(inter) else 0.0
+    return out
+
+
+def read_nifti(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Read a single-file NIfTI-1 volume.
+
+    Returns (data, affine, header) with data as float64 in X, Y, Z[, volume]
+    order and scl_slope/scl_inter already applied. Raises distinct error
+    types for a bad magic number, an unsupported datatype and a truncated
+    file.
+    """
+    raw, affine, header = read_nifti_payload(path)
+    return to_float64(raw, header), affine, header
 
 
 def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
     """Write a single-file NIfTI-1 volume (gzip when path ends in .gz).
 
     ``data`` is stored in X, Y, Z[, volume] order with the given on-disk
-    dtype (float32 by default); the affine lands in the sform rows. The file
-    is written to a temporary sibling and renamed into place so readers never
-    observe a partial volume.
+    dtype (float32 by default); the affine lands in the sform rows. An
+    F-contiguous array of that dtype is written as it is, without a copy.
+    The file is written to a temporary sibling and renamed into place so
+    readers never observe a partial volume. gzip output is reproducible:
+    its header stores mtime 0 and the target's name, not the temporary one.
     """
     arr = np.asarray(data)
     if arr.ndim < 1 or arr.ndim > 7:
@@ -454,12 +487,16 @@ def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
     hdr["srow_z"] = affine[2, :]
     hdr["magic"] = b"n+1"
 
-    payload = np.asfortranarray(arr.astype(dtype))
-    opener = gzip.open if path.endswith(".gz") else open
-    with _atomic_output(path) as tmp, opener(tmp, "wb") as fh:
-        fh.write(hdr.tobytes())
-        fh.write(b"\x00" * 4)  # pad to vox_offset = 352
-        fh.write(payload.tobytes(order="F"))
+    payload = memoryview(arr.astype(dtype, order="F", copy=False).reshape(-1, order="F"))
+    payload = payload.cast("B")
+    with _atomic_output(path) as tmp, open(tmp, "wb") as plain:
+        gz = path.endswith(".gz")
+        fh = gzip.GzipFile(os.path.basename(path), "wb", fileobj=plain, mtime=0) if gz else plain
+        with fh:
+            fh.write(hdr.tobytes())
+            fh.write(b"\x00" * 4)  # pad to vox_offset = 352
+            for lo in range(0, len(payload), _IO_CHUNK):
+                fh.write(payload[lo : lo + _IO_CHUNK])
 
 
 @contextmanager

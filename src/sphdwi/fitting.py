@@ -58,6 +58,11 @@ class ShVolume:
         return self.data[:, shell * r : (shell + 1) * r]
 
 
+def _require_finite(signal: np.ndarray) -> None:
+    if not np.isfinite(signal).all():
+        raise ShapeError("DWI volume contains non-finite values")
+
+
 @dataclass(frozen=True)
 class DwiVolume:
     """Normalized diffusion signal, channel block of N samples per shell."""
@@ -75,8 +80,7 @@ class DwiVolume:
             raise ShapeError(
                 f"channel count {arr.shape[1]} is not divisible by shells = {self.shells}"
             )
-        if not np.isfinite(arr).all():
-            raise ShapeError("DWI volume contains non-finite values")
+        _require_finite(arr)
 
     @property
     def samples_per_shell(self) -> int:
@@ -164,6 +168,7 @@ def make_fit_operator(gradients, order: int, lb_lambda: float = 0.0) -> FitOpera
 
 
 _BLOCK = 1024  # voxel columns per BLAS call
+_STREAM = 16 * _BLOCK  # voxel columns per float64 buffer of _stream_blocks
 
 
 def _apply_channel_matrix(
@@ -194,6 +199,34 @@ def _apply_channel_matrix(
                 tail[:, : nvox - full] = stacked[b, s, :, full:]
                 out[b, s, :, full:] = np.matmul(matrix, tail)[:, : nvox - full]
     return out
+
+
+def _stream_blocks(src: np.ndarray, dst: np.ndarray, step, header: dict, rows=None) -> None:
+    """Fill ``dst`` chunk by chunk: step(x, y, lo, hi) maps voxels lo:hi of ``src``.
+
+    ``src`` is a (C_in, V) channel matrix of stored NIfTI values (see
+    :func:`sphdwi.dwio.read_nifti_payload`) and ``dst`` a (C_out, V) output
+    payload, usually float32. For each chunk of _STREAM voxel columns, the
+    chunk's ``rows`` of ``src`` (all rows by default) are converted with
+    :func:`sphdwi.dwio.to_float64` into one reused float64 buffer ``x``;
+    ``step`` applies the per-voxel arithmetic and
+    :func:`_apply_channel_matrix` (which splits the chunk into _BLOCK-wide
+    BLAS calls), writing the float64 result into the (C_out, width) buffer
+    ``y``, which is then cast into ``dst``. Every voxel goes through the
+    same arithmetic as in the 5-D API, so the output bits match it, and the
+    float64 buffers stay a few MiB whatever the volume size.
+    """
+    nvox = src.shape[1]
+    width = min(nvox, _STREAM)
+    xbuf = np.empty((src.shape[0] if rows is None else len(rows), width))
+    ybuf = np.empty((dst.shape[0], width))
+    for lo in range(0, nvox, _STREAM):
+        hi = min(lo + _STREAM, nvox)
+        chunk = src[:, lo:hi] if rows is None else src[rows, lo:hi]
+        x = dwio.to_float64(chunk, header, out=xbuf[:, : hi - lo])
+        y = ybuf[:, : hi - lo]
+        step(x, y, lo, hi)
+        dst[:, lo:hi] = y
 
 
 def _as_operator_list(op, shells: int) -> list[FitOperator]:
@@ -251,27 +284,18 @@ def sh_to_signal(sh: ShVolume, gradients) -> DwiVolume:
     return DwiVolume(data=out, shells=sh.shells)
 
 
-def normalize_b0(
-    raw,
+def _plan_shells(
+    nvol: int,
     bvals_or_scheme,
     b0_threshold: float = dwio.B0_THRESHOLD,
     tolerance: float = dwio.SHELL_TOLERANCE,
     shells: Sequence[float] | None = None,
-) -> tuple[DwiVolume, np.ndarray]:
-    """Divide diffusion-weighted volumes by the mean b=0 volume.
+) -> tuple[dwio.GradientScheme | None, np.ndarray, tuple[dwio.Shell, ...]]:
+    """Check an acquisition of ``nvol`` volumes against its gradient table.
 
-    ``raw`` is the 4-D acquisition (X, Y, Z, volumes); ``bvals_or_scheme`` is
-    either the b-value list or a :class:`~sphdwi.dwio.GradientScheme`.
-    ``shells`` optionally restricts the output to the named nominal
-    b-values. Voxels whose mean b0 falls at or below 1e-6 times the volume
-    maximum produce 0 and are flagged in the returned exclusion mask
-    (X, Y, Z boolean, True = excluded). Returns the shell-blocked
-    :class:`DwiVolume` and that mask.
+    Returns (scheme or None, b0 indices, selected shells); see
+    :func:`normalize_b0` for the arguments and the errors raised.
     """
-    arr = np.asarray(raw, dtype=np.float64)
-    if arr.ndim != 4:
-        raise ShapeError(f"raw acquisition must be 4-D, got shape {arr.shape}")
-
     scheme: dwio.GradientScheme | None
     if isinstance(bvals_or_scheme, dwio.GradientScheme):
         scheme = bvals_or_scheme
@@ -283,7 +307,6 @@ def normalize_b0(
             bvals, tolerance=tolerance, b0_threshold=b0_threshold
         )
 
-    nvol = arr.shape[3]
     indexed = b0_idx.size + sum(s.indices.size for s in shell_table)
     if indexed != nvol:
         raise ShapeError(f"gradient table describes {indexed} volumes, data has {nvol}")
@@ -301,19 +324,58 @@ def normalize_b0(
             f"shells have unequal direction counts ({detail}); "
             "select shells of equal size"
         )
+    return scheme, b0_idx, shell_table
 
-    mean_b0 = arr[..., b0_idx].mean(axis=3)
+
+def _b0_denominator(b0: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """The b0 rule: (excluded, denominator) from b0 samples along ``axis``.
+
+    The mean over ``axis`` is the per-voxel b0. Voxels whose mean falls at
+    or below 1e-6 times the largest mean are excluded (True) and get a
+    denominator of 1; the others are divided by their mean. A non-finite b0
+    raises :class:`ShapeError`, as it would make the threshold itself
+    infinite or undefined.
+    """
+    mean_b0 = b0.mean(axis=axis)
+    if not np.isfinite(mean_b0).all():
+        raise ShapeError("b0 volumes contain non-finite values")
     eps = 1e-6 * float(mean_b0.max()) if mean_b0.size else 0.0
     excluded = mean_b0 <= eps
-    denom = np.where(excluded, 1.0, mean_b0)
+    return excluded, np.where(excluded, 1.0, mean_b0)
 
-    blocks = []
-    for sh in shell_table:
-        block = arr[..., sh.indices] / denom[..., None]
-        block[excluded] = 0.0
-        blocks.append(block)
-    stacked = np.concatenate(blocks, axis=3)  # (X, Y, Z, shells * m)
-    data5d = np.moveaxis(stacked, 3, 0)[None, ...]
+
+def normalize_b0(
+    raw,
+    bvals_or_scheme,
+    b0_threshold: float = dwio.B0_THRESHOLD,
+    tolerance: float = dwio.SHELL_TOLERANCE,
+    shells: Sequence[float] | None = None,
+) -> tuple[DwiVolume, np.ndarray]:
+    """Divide diffusion-weighted volumes by the mean b=0 volume.
+
+    ``raw`` is the 4-D acquisition (X, Y, Z, volumes); ``bvals_or_scheme`` is
+    either the b-value list or a :class:`~sphdwi.dwio.GradientScheme`.
+    ``shells`` optionally restricts the output to the named nominal
+    b-values. Voxels whose mean b0 falls at or below 1e-6 times the volume
+    maximum produce 0 and are flagged in the returned exclusion mask
+    (X, Y, Z boolean, True = excluded); a non-finite b0 value raises
+    :class:`ShapeError`. Returns the shell-blocked :class:`DwiVolume` and
+    that mask.
+    """
+    arr = np.asarray(raw, dtype=np.float64)
+    if arr.ndim != 4:
+        raise ShapeError(f"raw acquisition must be 4-D, got shape {arr.shape}")
+    scheme, b0_idx, shell_table = _plan_shells(
+        arr.shape[3], bvals_or_scheme, b0_threshold, tolerance, shells
+    )
+    excluded, denom = _b0_denominator(arr[..., b0_idx], axis=3)
+
+    m = shell_table[0].indices.size
+    data = np.empty((1, len(shell_table) * m, *arr.shape[:3]))
+    for k, sh in enumerate(shell_table):
+        block = data[0, k * m : (k + 1) * m]
+        np.divide(np.moveaxis(arr[..., sh.indices], 3, 0), denom, out=block)
+        block[:, excluded] = 0.0
 
     if scheme is not None:
         keep = np.concatenate([s.indices for s in shell_table])
@@ -332,5 +394,5 @@ def normalize_b0(
         )
     else:
         sub = None
-    vol = DwiVolume(data=data5d, shells=len(shell_table), scheme=sub)
+    vol = DwiVolume(data=data, shells=len(shell_table), scheme=sub)
     return vol, excluded

@@ -216,10 +216,10 @@ def degree_energies(coeffs, order: int, axis: int = 0) -> np.ndarray:
     r = coeff_count(order)
     if arr.shape[axis] != r:
         raise ValueError(f"expected {r} coefficients along axis {axis}, got {arr.shape[axis]}")
-    arr = np.moveaxis(arr, axis, 0)
-    degs = basis_degrees(order)
+    # degree l holds the contiguous coefficients l(l-1)/2 .. (l+1)(l+2)/2 - 1
+    sq = np.ascontiguousarray(np.moveaxis(arr, axis, 0)) ** 2
     out = np.stack(
-        [np.sum(arr[degs == l] ** 2, axis=0) for l in range(0, order + 1, 2)],
+        [sq[l * (l - 1) // 2 : (l + 1) * (l + 2) // 2].sum(axis=0) for l in range(0, order + 1, 2)],
         axis=0,
     )
     return np.moveaxis(out, 0, axis)

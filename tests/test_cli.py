@@ -1,3 +1,4 @@
+import gzip
 import os
 import stat
 import subprocess
@@ -7,7 +8,19 @@ import numpy as np
 import pytest
 
 import sphdwi
-from sphdwi import dwio, lsc as lsc_mod, make_moving_average_kernel
+from sphdwi import (
+    ShBasisSpec,
+    ShVolume,
+    build_lsc_geometry,
+    dwio,
+    lsc as lsc_mod,
+    lsc_forward,
+    make_fit_operator,
+    make_moving_average_kernel,
+    normalize_b0,
+    sh_to_signal,
+    signal_to_sh,
+)
 from sphdwi.cli import main
 from sphdwi.shcore import high_degree_energy_fraction
 
@@ -387,6 +400,169 @@ class TestMultiShellPipeline:
         assert code == 0
         out_data, _, _ = dwio.read_nifti(out_path)
         assert out_data.shape[3] == 30
+
+
+# 3 b0 volumes interleaved among two 30-direction shells
+TWO_SHELL_BVALS = ([0.0] + [1000.0] * 10 + [2000.0] * 10) * 3
+EXCLUDED_VOXEL = (-1, -1, -1)  # b0 = 0 there; the last voxel, in the tail block
+
+
+def two_shell_acquisition(dest, ext=".nii", grid=(29, 29, 20), stored=np.int16,
+                          slope=2.0, inter=10.0, poison=None):
+    """Write a two-shell acquisition stored as ``stored`` with scl_slope/scl_inter.
+
+    The default grid has 16,820 voxels: more than one float64 chunk of the
+    CLI stream, and 436 voxels past the last full 1,024-voxel block.
+    ``poison = (volume, value)`` puts ``value`` into one voxel of ``volume``.
+    """
+    dest.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(606)
+    bvals = np.array(TWO_SHELL_BVALS)
+    dirs = sphdwi.unit_sphere_directions(30)
+    directions = np.zeros((bvals.size, 3))
+    for b in (1000.0, 2000.0):
+        directions[bvals == b] = dirs
+    b0 = rng.uniform(800.0, 1200.0, size=grid)
+    atten = rng.uniform(0.1, 0.9, size=(*grid, bvals.size))
+    atten[..., bvals == 0.0] = rng.uniform(0.97, 1.03, size=(*grid, 3))
+    atten[(*EXCLUDED_VOXEL, bvals == 0.0)] = 0.0  # its diffusion values stay nonzero
+    values = (b0[..., None] * atten - inter) / slope
+    if np.dtype(stored).kind in "iu":
+        values = np.round(values)
+    values = values.astype(stored)
+    if poison is not None:
+        values[1, 2, 3, poison[0]] = poison[1]
+    plain = str(dest / "dwi.nii")
+    dwio.write_nifti(plain, values, dtype=stored)
+    blob = bytearray(open(plain, "rb").read())
+    hdr = np.frombuffer(bytes(blob[:348]), dtype=dwio.HEADER_DTYPE).copy()
+    hdr["scl_slope"] = slope
+    hdr["scl_inter"] = inter
+    blob[:348] = hdr.tobytes()
+    path = plain + ext[len(".nii"):]
+    os.unlink(plain)
+    with (gzip.open if ext.endswith(".gz") else open)(path, "wb") as fh:
+        fh.write(bytes(blob))
+    dwio.write_bvals_bvecs(bvals, directions, str(dest / "dwi.bvals"), str(dest / "dwi.bvecs"))
+    return {"dwi": path, "bvals": str(dest / "dwi.bvals"), "bvecs": str(dest / "dwi.bvecs")}
+
+
+def _grad(acq):
+    return ["--bvals", acq["bvals"], "--bvecs", acq["bvecs"]]
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr, dtype=np.float32).view(np.uint32)
+
+
+def _assert_payload_equals(path, vol):
+    """The file's float32 payload is exactly the float32 cast of a 5-D API volume."""
+    raw, _, _ = dwio.read_nifti_payload(path)
+    assert raw.dtype == np.float32
+    np.testing.assert_array_equal(_bits(raw), _bits(np.moveaxis(vol.data[0], 0, 3)))
+
+
+def _load_sh(path, order, shells):
+    data, _, _ = dwio.read_nifti(path)
+    return ShVolume(np.moveaxis(data, 3, 0)[None], ShBasisSpec(order), shells=shells)
+
+
+def _mean_fraction(vol):
+    fracs = [
+        high_degree_energy_fraction(vol.shell_coeffs(s)[0], vol.basis_spec.order, axis=0)
+        for s in range(vol.shells)
+    ]
+    return float(np.mean(fracs))
+
+
+class TestStreamedCommandsMatchApi:
+    """The CLI streams the NIfTI payload in voxel blocks; its files must hold
+    exactly the float32 cast of what the 5-D API computes on the same data."""
+
+    @pytest.mark.parametrize("ext", [".nii", ".nii.gz"])
+    def test_chain_is_bitwise_the_api(self, tmp_path, capsys, ext):
+        acq = two_shell_acquisition(tmp_path / "in", ext)
+        shells = ["--shell", "1000", "--shell", "2000"]
+        sh_path, lsc_path, sig_path = (str(tmp_path / f"{n}{ext}") for n in ("sh", "lsc", "sig"))
+        assert main(["signal2sh", "--dwi", acq["dwi"], *_grad(acq), *shells, "--order", "4",
+                     "--lambda", "0.006", "--out", sh_path]) == 0
+        # a cross-shell kernel with a bias, so the LSC offset is not zero
+        kernel = lsc_mod.LscKernel(
+            weights=np.random.default_rng(7).uniform(0.0, 0.2, size=(2, 2, 6)),
+            bias=np.array([0.05, -0.02]),
+        )
+        kernel_path = str(tmp_path / "kernel.json")
+        lsc_mod.save_kernel_json(kernel_path, kernel, [5], float(PI_OVER_5))
+        assert main(["lsc", "--sh", sh_path, *_grad(acq), *shells, "--kernel", kernel_path,
+                     "--lambda", "0.006", "--out", lsc_path]) == 0
+        err = capsys.readouterr().err
+        assert main(["sh2signal", "--sh", lsc_path, *_grad(acq), "--shell", "2000",
+                     "--order", "4", "--out", sig_path]) == 0
+
+        scheme = dwio.read_bvals_bvecs(acq["bvals"], acq["bvecs"])
+        data, _, _ = dwio.read_nifti(acq["dwi"])
+        vol, excluded = normalize_b0(data, scheme, shells=[1000.0, 2000.0])
+        assert excluded.sum() == 1 and excluded[EXCLUDED_VOXEL]
+        ops = [make_fit_operator(vol.scheme.shell_directions(s.bvalue), 4, 0.006)
+               for s in vol.scheme.shells]
+        _assert_payload_equals(sh_path, signal_to_sh(vol, ops))
+
+        sh_in = _load_sh(sh_path, 4, 2)
+        geom = build_lsc_geometry(scheme.shell_directions(1000.0), (5,), float(PI_OVER_5),
+                                  4, 4, 0.006)
+        smooth = lsc_forward(sh_in, lsc_mod.load_kernel_json(kernel_path)[0], geom)
+        _assert_payload_equals(lsc_path, smooth)
+        line = f"mean l>=2 energy fraction: {_mean_fraction(sh_in):.4f} -> {_mean_fraction(smooth):.4f}"
+        assert line in err.splitlines()
+
+        signal = sh_to_signal(_load_sh(lsc_path, 4, 2), scheme.shell_directions(2000.0))
+        _assert_payload_equals(sig_path, signal)
+
+
+class TestNonFiniteInput:
+    def test_nan_in_selected_shell_exits_2(self, tmp_path, capsys):
+        acq = two_shell_acquisition(tmp_path, stored=np.float32, slope=1.0, inter=0.0,
+                                    poison=(TWO_SHELL_BVALS.index(1000.0), np.nan))
+        out = tmp_path / "sh.nii"
+        code = main(["signal2sh", "--dwi", acq["dwi"], *_grad(acq), "--shell", "1000",
+                     "--out", str(out)])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_in_unselected_shell_is_ignored(self, tmp_path):
+        outputs = []
+        for name, poison in (("clean", None), ("nan", (TWO_SHELL_BVALS.index(2000.0), np.nan))):
+            acq = two_shell_acquisition(tmp_path / name, stored=np.float32, slope=1.0,
+                                        inter=0.0, poison=poison)
+            out = tmp_path / name / "sh.nii"
+            assert main(["signal2sh", "--dwi", acq["dwi"], *_grad(acq), "--shell", "1000",
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_infinite_b0_exits_2_without_output(self, tmp_path, capsys):
+        # the infinite b0 once set the exclusion threshold to inf, and every
+        # voxel of the output came out 0 with exit status 0
+        acq = two_shell_acquisition(tmp_path, grid=(6, 6, 4), stored=np.float32, slope=1.0,
+                                    inter=0.0, poison=(0, np.inf))
+        out = tmp_path / "sh.nii"
+        code = main(["signal2sh", "--dwi", acq["dwi"], *_grad(acq), "--shell", "1000",
+                     "--shell", "2000", "--out", str(out)])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestReproducibleOutput:
+    def test_two_signal2sh_runs_write_identical_gzip(self, phantom_files, tmp_path):
+        blobs = []
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            out = tmp_path / run / "sh.nii.gz"
+            assert main(fit_args(phantom_files, str(out))) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 class TestBenchCommand:

@@ -4,6 +4,7 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sphdwi import dwio, lsc, make_identity_kernel
 from sphdwi.errors import (
@@ -240,6 +241,20 @@ class TestNifti:
         with pytest.raises(NiftiTruncatedError):
             dwio.read_nifti(path)
 
+    @pytest.mark.parametrize("cut", ["payload", "stream"])
+    def test_truncated_gzip_data(self, tmp_path, cut):
+        # 5 MiB of payload: the reader fills it over more than one chunk
+        path = str(tmp_path / "short.nii.gz")
+        dwio.write_nifti(path, np.ones((128, 128, 80)))
+        packed = open(path, "rb").read()
+        if cut == "payload":  # a complete gzip stream that ends 64 bytes early
+            packed = gzip.compress(gzip.decompress(packed)[:-64])
+        else:  # a gzip stream cut off in the middle
+            packed = packed[: len(packed) // 2]
+        open(path, "wb").write(packed)
+        with pytest.raises(NiftiTruncatedError):
+            dwio.read_nifti(path)
+
     def test_negative_dim_rejected(self, tmp_path):
         path = str(tmp_path / "neg.nii")
         dwio.write_nifti(path, np.zeros((2, 2, 2)))
@@ -323,3 +338,90 @@ class TestAtomicWrite:
             os.umask(old)
         assert [p.name for p in tmp_path.iterdir()] == [name]
         assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o640
+
+
+class TestReproducibleGzip:
+    def test_two_writes_are_byte_identical(self, tmp_path):
+        vol = np.arange(2 * 3 * 4 * 5, dtype=np.float64).reshape(2, 3, 4, 5)
+        paths = []
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            paths.append(tmp_path / run / "vol.nii.gz")
+            dwio.write_nifti(str(paths[-1]), vol)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_header_names_the_target_with_zero_mtime(self, tmp_path):
+        path = tmp_path / "vol.nii.gz"
+        dwio.write_nifti(str(path), np.ones((2, 2, 2)))
+        blob = path.read_bytes()
+        assert blob[:3] == b"\x1f\x8b\x08"
+        assert blob[3] & 0x08  # FNAME present
+        assert blob[4:8] == b"\x00\x00\x00\x00"  # mtime 0
+        assert blob[10 : blob.index(b"\x00", 10)] == b"vol.nii"
+
+
+# float32-exact scale factors, as the header stores them as float32
+SCALINGS = [(1.0, 0.0), (2.0, 10.0), (0.5, -3.0), (-1.5, 0.25), (0.0, 7.0), (2.0, np.nan)]
+STORED_DTYPES = [np.uint8, np.int16, np.int32, np.float32, np.float64]
+
+
+def _stored_values(rng, dtype, shape):
+    dtype = np.dtype(dtype)
+    if dtype.kind == "f":
+        return (rng.normal(size=shape) * 1000.0).astype(dtype)
+    info = np.iinfo(dtype)
+    return rng.integers(info.min, info.max, size=shape, endpoint=True, dtype=dtype)
+
+
+def _restore_header(path, slope, inter, byteorder):
+    """Rewrite a file from write_nifti with a new scaling and byte order."""
+    gz = path.endswith(".gz")
+    blob = (gzip.open if gz else open)(path, "rb").read()
+    hdr = np.frombuffer(blob[:348], dtype=dwio.HEADER_DTYPE).copy()
+    hdr["scl_slope"] = slope
+    hdr["scl_inter"] = inter
+    dtype = dwio._DTYPE_CODES[int(hdr["datatype"][0])]
+    payload = np.frombuffer(blob[352:], dtype=dtype)
+    if byteorder == ">":
+        hdr = hdr.astype(dwio.HEADER_DTYPE.newbyteorder(">"))
+        payload = payload.astype(dtype.newbyteorder(">"))
+    with (gzip.open if gz else open)(path, "wb") as fh:
+        fh.write(hdr.tobytes() + blob[348:352] + payload.tobytes())
+
+
+class TestNiftiRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dtype=st.sampled_from(STORED_DTYPES),
+        byteorder=st.sampled_from("<>"),
+        shape=st.lists(st.integers(1, 4), min_size=1, max_size=5).map(tuple),
+        gz=st.booleans(),
+        scaling=st.sampled_from(SCALINGS),
+        scales=st.tuples(*[st.sampled_from([0.5, 1.0, 2.0, 2.5]) for _ in range(3)]),
+        offset=st.tuples(*[st.sampled_from([-90.5, 0.0, 12.25]) for _ in range(3)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_values_scaling_and_affine_round_trip(
+        self, tmp_path_factory, dtype, byteorder, shape, gz, scaling, scales, offset, seed
+    ):
+        stored = _stored_values(np.random.default_rng(seed), dtype, shape)
+        affine = np.diag([*scales, 1.0])
+        affine[:3, 3] = offset
+        path = str(tmp_path_factory.mktemp("rt") / ("vol.nii.gz" if gz else "vol.nii"))
+        dwio.write_nifti(path, stored, affine=affine, dtype=dtype)
+        slope, inter = scaling
+        _restore_header(path, slope, inter, byteorder)
+
+        raw, raw_affine, _ = dwio.read_nifti_payload(path)
+        assert raw.dtype == np.dtype(dtype).newbyteorder(byteorder)
+        np.testing.assert_array_equal(raw, stored)
+
+        data, got_affine, header = dwio.read_nifti(path)
+        expected = stored.astype(np.float64)
+        if slope != 0.0:
+            expected = expected * slope + (0.0 if np.isnan(inter) else inter)
+        assert data.dtype == np.float64 and data.shape == shape
+        np.testing.assert_array_equal(data, expected)
+        np.testing.assert_array_equal(got_affine, affine)
+        np.testing.assert_array_equal(raw_affine, affine)
+        assert int(header["datatype"]) == dwio._CODE_FOR_DTYPE[np.dtype(dtype)]

@@ -317,6 +317,16 @@ class TestNormalizeB0:
         with pytest.raises(ShapeError, match="describes"):
             normalize_b0(np.ones((1, 1, 1, 3)), [0.0, 1000.0])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_b0_rejected(self, bad):
+        # an infinite b0 once made the exclusion threshold infinite, which
+        # silently zeroed every voxel
+        raw = np.full((6, 6, 4, 3), 500.0)
+        raw[..., 0] = 1000.0
+        raw[2, 3, 1, 0] = bad
+        with pytest.raises(ShapeError, match="non-finite"):
+            normalize_b0(raw, [0.0, 1000.0, 1000.0])
+
 
 def _random_rotation(rng):
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))

@@ -198,6 +198,22 @@ class TestDegreeEnergies:
         assert en.shape == (3,)
         np.testing.assert_allclose(en.sum(), np.sum(coeffs**2), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "order, shape, axis",
+        [(4, (15,), 0), (8, (45, 1024), 0), (8, (45, 7, 5, 3), 0), (4, (30, 15), 1), (6, (7, 28, 9), 1)],
+    )
+    def test_equals_per_degree_mask_reference(self, rng, order, shape, axis):
+        # per-degree sums of the coefficients picked by a degree mask,
+        # bitwise: the arithmetic is the same, only the gathering changed
+        coeffs = rng.normal(size=shape)
+        moved = np.moveaxis(coeffs, axis, 0)
+        degs = shcore.basis_degrees(order)
+        reference = np.stack(
+            [np.sum(moved[degs == l] ** 2, axis=0) for l in range(0, order + 1, 2)]
+        )
+        got = shcore.degree_energies(coeffs, order, axis=axis)
+        np.testing.assert_array_equal(got, np.moveaxis(reference, 0, axis))
+
     def test_fraction_of_pure_constant_is_zero(self):
         coeffs = np.zeros(15)
         coeffs[0] = 2.0
