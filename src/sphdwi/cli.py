@@ -25,10 +25,10 @@ from .errors import (
     ShapeError,
     SphdwiError,
 )
-from .fitting import _apply_channel_matrix, make_fit_operator
-# Not called here; perfbench/spans.py patches these names on this module.
-from .fitting import normalize_b0, sh_to_signal, signal_to_sh  # noqa: F401
-from .shcore import as_unit_directions, coeff_count, eval_basis, high_degree_energy_fraction
+from .fitting import DwiVolume, ShVolume, make_fit_operator, sh_to_signal, signal_to_sh
+# Not called here; perfbench/spans.py patches this name on this module.
+from .fitting import normalize_b0  # noqa: F401
+from .shcore import ShBasisSpec, as_unit_directions, coeff_count, high_degree_energy_fraction
 
 _EXIT_VALIDATION = 2
 _EXIT_NUMERICAL = 3
@@ -146,30 +146,25 @@ def _sh_layout(path: str, shape, order: int | None, shells_hint: int | None = No
 
 # The three volume commands work on the NIfTI payload itself: a single-file
 # NIfTI stores (X, Y, Z, C) in Fortran order, which is a C-order (C, V)
-# channel matrix, the layout the shared GEMM routine consumes. Blocks of it
-# stream through fitting._stream_blocks into a float32 output payload that
-# is written as it is.
+# channel matrix. fitting._stream_blocks converts it to float64 chunk by
+# chunk; each chunk goes through the 5-D API as a (1, C, width, 1, 1)
+# volume, and the result is cast into a float32 output payload that is
+# written as it is.
 
 def _channels(raw: np.ndarray) -> np.ndarray:
     """The (C, V) channel matrix view of an (X, Y, Z, C) Fortran-order payload."""
     return raw.reshape(-1, raw.shape[3], order="F").T
 
 
+def _as_volume(x: np.ndarray) -> np.ndarray:
+    """A (C, width) chunk viewed as the 5-D layout of the API: one subject, width voxels."""
+    return x.reshape(1, x.shape[0], x.shape[1], 1, 1)
+
+
 def _write_channels(path: str, out: np.ndarray, grid, affine) -> None:
     """Write a (C, V) float32 channel matrix as the (X, Y, Z, C) volume it is."""
     volume = out.T.reshape(*grid, out.shape[0], order="F")
     dwio.write_nifti(path, volume, affine=affine, dtype=np.float32)
-
-
-def _apply_per_shell(matrices, x: np.ndarray, y: np.ndarray) -> None:
-    """y's shell block k = matrices[k] @ x's shell block k, for a block of voxels."""
-    c_in, c_out = x.shape[0] // len(matrices), y.shape[0] // len(matrices)
-    for k, matrix in enumerate(matrices):
-        _apply_channel_matrix(
-            matrix,
-            x[None, None, k * c_in : (k + 1) * c_in],
-            out=y[None, None, k * c_out : (k + 1) * c_out],
-        )
 
 
 def _cmd_signal2sh(args) -> int:
@@ -179,19 +174,17 @@ def _cmd_signal2sh(args) -> int:
         raise ShapeError(f"{args.dwi}: expected a 4-D acquisition, got {raw.ndim}-D")
     _, b0_idx, shells = fitting._plan_shells(raw.shape[3], scheme, shells=args.shell)
     src = _channels(raw)
-    excluded, denom = fitting._b0_denominator(dwio.to_float64(src[b0_idx], header), axis=0)
+    excluded, denom = fitting._b0_denominator(dwio.to_float64(src[b0_idx], header))
     ops = [
         make_fit_operator(scheme.directions[s.indices], args.order, args.lb_lambda)
         for s in shells
     ]
     _info(f"R={ops[0].basis_spec.coeff_count} cond={max(o.cond for o in ops):.3e}")
-    fit_matrices = [o.fit_matrix for o in ops]
 
-    def fit(x, y, lo, hi):
-        x /= denom[lo:hi]
-        x[:, excluded[lo:hi]] = 0.0
-        fitting._require_finite(x)
-        _apply_per_shell(fit_matrices, x, y)
+    def fit(x, lo, hi):
+        fitting._normalize_block(x, denom[lo:hi], excluded[lo:hi], out=x)
+        sh = signal_to_sh(DwiVolume(_as_volume(x), shells=len(ops)), ops)
+        return sh.data.reshape(-1, hi - lo)
 
     out = np.empty((len(ops) * ops[0].basis_spec.coeff_count, src.shape[1]), dtype=np.float32)
     rows = np.concatenate([s.indices for s in shells])
@@ -222,12 +215,15 @@ def _cmd_sh2signal(args) -> int:
         dirs = scheme.shell_directions(args.shell[0])
     raw, affine, header = dwio.read_nifti_payload(args.sh)
     order, shells = _sh_layout(args.sh, raw.shape, args.order)
-    basis = eval_basis(as_unit_directions(dirs), order)
+    spec = ShBasisSpec(order)
+
+    def evaluate(x, lo, hi):
+        signal = sh_to_signal(ShVolume(_as_volume(x), spec, shells=shells), dirs)
+        return signal.data.reshape(-1, hi - lo)
+
     src = _channels(raw)
-    out = np.empty((shells * basis.shape[0], src.shape[1]), dtype=np.float32)
-    fitting._stream_blocks(
-        src, out, lambda x, y, lo, hi: _apply_per_shell([basis] * shells, x, y), header
-    )
+    out = np.empty((shells * dirs.shape[0], src.shape[1]), dtype=np.float32)
+    fitting._stream_blocks(src, out, evaluate, header)
     _write_channels(args.out, out, raw.shape[:3], affine)
     return 0
 
@@ -268,18 +264,18 @@ def _cmd_lsc(args) -> int:
     order_in, shells_in = _sh_layout(args.sh, raw.shape, None, shells_hint=kernel.shells_in)
     order_out = args.order_out if args.order_out is not None else order_in
     geom = lsc.build_lsc_geometry(origins, sizes, alpha, order_in, order_out, args.lb_lambda)
-    lsc.check_lsc_input(order_in, shells_in, kernel, geom)
-    matrix, offset = lsc.lsc_operator(kernel, geom)
+    spec = ShBasisSpec(order_in)
     energy = [0.0, 0.0]  # summed l>=2 energy fractions of the input and the output
 
-    def convolve(x, y, lo, hi):
-        _apply_per_shell([matrix], x, y)
-        y += offset[:, None]
-        energy[0] += _high_degree_fraction_sum(x, order_in, shells_in)
-        energy[1] += _high_degree_fraction_sum(y, order_out, kernel.shells_out)
+    def convolve(x, lo, hi):
+        sh = ShVolume(_as_volume(x), spec, shells=shells_in)
+        smooth = lsc.lsc_forward(sh, kernel, geom)
+        energy[0] += _high_degree_fraction_sum(sh)
+        energy[1] += _high_degree_fraction_sum(smooth)
+        return smooth.data.reshape(-1, hi - lo)
 
     src = _channels(raw)
-    out = np.empty((matrix.shape[0], src.shape[1]), dtype=np.float32)
+    out = np.empty((kernel.shells_out * coeff_count(order_out), src.shape[1]), dtype=np.float32)
     fitting._stream_blocks(src, out, convolve, header)
     nvox = src.shape[1]
     _info(
@@ -290,12 +286,11 @@ def _cmd_lsc(args) -> int:
     return 0
 
 
-def _high_degree_fraction_sum(coeffs: np.ndarray, order: int, shells: int) -> float:
-    """Sum over voxels and shells of the l>=2 energy fraction of a (shells * R, w) block."""
-    r = coeff_count(order)
+def _high_degree_fraction_sum(vol: ShVolume) -> float:
+    """Sum over shells and voxels of the l>=2 energy fraction of a one-subject SH volume."""
     return float(sum(
-        np.sum(high_degree_energy_fraction(coeffs[s * r : (s + 1) * r], order, axis=0))
-        for s in range(shells)
+        np.sum(high_degree_energy_fraction(vol.shell_coeffs(s)[0], vol.basis_spec.order, axis=0))
+        for s in range(vol.shells)
     ))
 
 

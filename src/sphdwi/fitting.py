@@ -58,11 +58,6 @@ class ShVolume:
         return self.data[:, shell * r : (shell + 1) * r]
 
 
-def _require_finite(signal: np.ndarray) -> None:
-    if not np.isfinite(signal).all():
-        raise ShapeError("DWI volume contains non-finite values")
-
-
 @dataclass(frozen=True)
 class DwiVolume:
     """Normalized diffusion signal, channel block of N samples per shell."""
@@ -80,7 +75,8 @@ class DwiVolume:
             raise ShapeError(
                 f"channel count {arr.shape[1]} is not divisible by shells = {self.shells}"
             )
-        _require_finite(arr)
+        if not np.isfinite(arr).all():
+            raise ShapeError("DWI volume contains non-finite values")
 
     @property
     def samples_per_shell(self) -> int:
@@ -202,31 +198,28 @@ def _apply_channel_matrix(
 
 
 def _stream_blocks(src: np.ndarray, dst: np.ndarray, step, header: dict, rows=None) -> None:
-    """Fill ``dst`` chunk by chunk: step(x, y, lo, hi) maps voxels lo:hi of ``src``.
+    """Fill ``dst`` chunk by chunk with step(x, lo, hi), the result for voxels lo:hi.
 
     ``src`` is a (C_in, V) channel matrix of stored NIfTI values (see
     :func:`sphdwi.dwio.read_nifti_payload`) and ``dst`` a (C_out, V) output
     payload, usually float32. For each chunk of _STREAM voxel columns, the
     chunk's ``rows`` of ``src`` (all rows by default) are converted with
-    :func:`sphdwi.dwio.to_float64` into one reused float64 buffer ``x``;
-    ``step`` applies the per-voxel arithmetic and
-    :func:`_apply_channel_matrix` (which splits the chunk into _BLOCK-wide
-    BLAS calls), writing the float64 result into the (C_out, width) buffer
-    ``y``, which is then cast into ``dst``. Every voxel goes through the
-    same arithmetic as in the 5-D API, so the output bits match it, and the
-    float64 buffers stay a few MiB whatever the volume size.
+    :func:`sphdwi.dwio.to_float64` into ``x``, a C-contiguous view of one
+    reused float64 buffer, so the 5-D API can take it without a copy.
+    ``step`` returns the chunk's (C_out, hi - lo) float64 result, which is
+    cast into ``dst``. Chunks start on _BLOCK boundaries, so
+    :func:`_apply_channel_matrix` splits a chunk the way it splits the whole
+    volume and every voxel's bits match the 5-D API, while the float64
+    buffers stay a few MiB whatever the volume size.
     """
     nvox = src.shape[1]
-    width = min(nvox, _STREAM)
-    xbuf = np.empty((src.shape[0] if rows is None else len(rows), width))
-    ybuf = np.empty((dst.shape[0], width))
+    nrows = src.shape[0] if rows is None else len(rows)
+    buf = np.empty(nrows * min(nvox, _STREAM))
     for lo in range(0, nvox, _STREAM):
         hi = min(lo + _STREAM, nvox)
         chunk = src[:, lo:hi] if rows is None else src[rows, lo:hi]
-        x = dwio.to_float64(chunk, header, out=xbuf[:, : hi - lo])
-        y = ybuf[:, : hi - lo]
-        step(x, y, lo, hi)
-        dst[:, lo:hi] = y
+        x = dwio.to_float64(chunk, header, out=buf[: nrows * (hi - lo)].reshape(nrows, hi - lo))
+        dst[:, lo:hi] = step(x, lo, hi)
 
 
 def _as_operator_list(op, shells: int) -> list[FitOperator]:
@@ -327,21 +320,31 @@ def _plan_shells(
     return scheme, b0_idx, shell_table
 
 
-def _b0_denominator(b0: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """The b0 rule: (excluded, denominator) from b0 samples along ``axis``.
+def _b0_denominator(b0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The b0 rule: (excluded, denominator) from b0 samples (volumes, voxels...).
 
-    The mean over ``axis`` is the per-voxel b0. Voxels whose mean falls at
-    or below 1e-6 times the largest mean are excluded (True) and get a
-    denominator of 1; the others are divided by their mean. A non-finite b0
-    raises :class:`ShapeError`, as it would make the threshold itself
-    infinite or undefined.
+    The per-voxel b0 is the mean of the rows, summed one row after another,
+    so its bits do not depend on the memory layout of ``b0``. Voxels whose
+    mean falls at or below 1e-6 times the largest mean are excluded (True)
+    and get a denominator of 1; the others are divided by their mean. A
+    non-finite b0 raises :class:`ShapeError`, as it would make the
+    threshold itself infinite or undefined.
     """
-    mean_b0 = b0.mean(axis=axis)
+    total = np.array(b0[0], dtype=np.float64)
+    for row in b0[1:]:
+        total += row
+    mean_b0 = total / b0.shape[0]
     if not np.isfinite(mean_b0).all():
         raise ShapeError("b0 volumes contain non-finite values")
     eps = 1e-6 * float(mean_b0.max()) if mean_b0.size else 0.0
     excluded = mean_b0 <= eps
     return excluded, np.where(excluded, 1.0, mean_b0)
+
+
+def _normalize_block(x: np.ndarray, denom: np.ndarray, excluded: np.ndarray, out: np.ndarray) -> None:
+    """out = x / denom with the excluded voxels set to 0; x and out are (samples, voxels...)."""
+    np.divide(x, denom, out=out)
+    out[:, excluded] = 0.0
 
 
 def normalize_b0(
@@ -356,11 +359,12 @@ def normalize_b0(
     ``raw`` is the 4-D acquisition (X, Y, Z, volumes); ``bvals_or_scheme`` is
     either the b-value list or a :class:`~sphdwi.dwio.GradientScheme`.
     ``shells`` optionally restricts the output to the named nominal
-    b-values. Voxels whose mean b0 falls at or below 1e-6 times the volume
-    maximum produce 0 and are flagged in the returned exclusion mask
-    (X, Y, Z boolean, True = excluded); a non-finite b0 value raises
-    :class:`ShapeError`. Returns the shell-blocked :class:`DwiVolume` and
-    that mask.
+    b-values. The mean b0 sums the b0 volumes in acquisition order, so its
+    bits do not depend on the memory layout of ``raw``. Voxels whose mean b0
+    falls at or below 1e-6 times the volume maximum produce 0 and are
+    flagged in the returned exclusion mask (X, Y, Z boolean, True =
+    excluded); a non-finite b0 value raises :class:`ShapeError`. Returns the
+    shell-blocked :class:`DwiVolume` and that mask.
     """
     arr = np.asarray(raw, dtype=np.float64)
     if arr.ndim != 4:
@@ -368,14 +372,13 @@ def normalize_b0(
     scheme, b0_idx, shell_table = _plan_shells(
         arr.shape[3], bvals_or_scheme, b0_threshold, tolerance, shells
     )
-    excluded, denom = _b0_denominator(arr[..., b0_idx], axis=3)
+    excluded, denom = _b0_denominator(np.moveaxis(arr[..., b0_idx], 3, 0))
 
     m = shell_table[0].indices.size
     data = np.empty((1, len(shell_table) * m, *arr.shape[:3]))
     for k, sh in enumerate(shell_table):
-        block = data[0, k * m : (k + 1) * m]
-        np.divide(np.moveaxis(arr[..., sh.indices], 3, 0), denom, out=block)
-        block[:, excluded] = 0.0
+        samples = np.moveaxis(arr[..., sh.indices], 3, 0)
+        _normalize_block(samples, denom, excluded, out=data[0, k * m : (k + 1) * m])
 
     if scheme is not None:
         keep = np.concatenate([s.indices for s in shell_table])

@@ -168,23 +168,6 @@ def lsc_operator(kernel: LscKernel, geom: LscGeometry) -> tuple[np.ndarray, np.n
     return matrix, offset
 
 
-def check_lsc_input(order_in: int, shells_in: int, kernel: LscKernel, geom: LscGeometry) -> None:
-    """Reject an SH input of ``order_in`` and ``shells_in`` that the kernel and geometry cannot take."""
-    if order_in != geom.order_in:
-        raise ShapeError(
-            f"SH input order {order_in} does not match geometry input order {geom.order_in}"
-        )
-    if kernel.shells_in != shells_in:
-        raise ShapeError(
-            f"kernel expects {kernel.shells_in} input shells, volume has {shells_in}"
-        )
-    if kernel.kernel_len != geom.kernel_len:
-        raise KernelMismatchError(
-            f"kernel length K = {kernel.kernel_len} does not match "
-            f"geometry K = {geom.kernel_len}"
-        )
-
-
 def lsc_forward(sh_in: ShVolume, kernel: LscKernel, geom: LscGeometry) -> ShVolume:
     """Apply a local spherical convolution to an SH volume.
 
@@ -196,7 +179,21 @@ def lsc_forward(sh_in: ShVolume, kernel: LscKernel, geom: LscGeometry) -> ShVolu
     voxel's output is bitwise the same whatever the subject count or grid
     size; BLAS supplies any parallelism.
     """
-    check_lsc_input(sh_in.basis_spec.order, sh_in.shells, kernel, geom)
+    if sh_in.basis_spec.order != geom.order_in:
+        raise ShapeError(
+            f"SH input order {sh_in.basis_spec.order} does not match "
+            f"geometry input order {geom.order_in}"
+        )
+    if kernel.shells_in != sh_in.shells:
+        raise ShapeError(
+            f"kernel expects {kernel.shells_in} input shells, volume has {sh_in.shells}"
+        )
+    if kernel.kernel_len != geom.kernel_len:
+        raise KernelMismatchError(
+            f"kernel length K = {kernel.kernel_len} does not match "
+            f"geometry K = {geom.kernel_len}"
+        )
+
     matrix, offset = lsc_operator(kernel, geom)
     subjects = sh_in.data.shape[0]
     grid = sh_in.data.shape[2:]

@@ -404,34 +404,42 @@ class TestMultiShellPipeline:
 
 # 3 b0 volumes interleaved among two 30-direction shells
 TWO_SHELL_BVALS = ([0.0] + [1000.0] * 10 + [2000.0] * 10) * 3
+# 10 b0 volumes interleaved among the same shells
+MANY_B0_BVALS = ([0.0, 0.0] + [1000.0] * 6 + [2000.0] * 6) * 5
 EXCLUDED_VOXEL = (-1, -1, -1)  # b0 = 0 there; the last voxel, in the tail block
+POISONED_VOXEL = (1, 2, 3)
+# b0 values whose mean is 0 when summed in order and 0.8 when numpy sums them
+# pairwise, as it does for 8 or more contiguous values
+CANCELLING_B0 = [1e16] + [1.0] * 8 + [-1e16]
 
 
 def two_shell_acquisition(dest, ext=".nii", grid=(29, 29, 20), stored=np.int16,
-                          slope=2.0, inter=10.0, poison=None):
+                          slope=2.0, inter=10.0, poison=(), bvals=TWO_SHELL_BVALS):
     """Write a two-shell acquisition stored as ``stored`` with scl_slope/scl_inter.
 
     The default grid has 16,820 voxels: more than one float64 chunk of the
     CLI stream, and 436 voxels past the last full 1,024-voxel block.
-    ``poison = (volume, value)`` puts ``value`` into one voxel of ``volume``.
+    Each ``(volume, value)`` pair of ``poison`` puts ``value`` into
+    POISONED_VOXEL of ``volume``.
+    ``bvals`` interleaves b0 volumes with two 30-direction shells.
     """
     dest.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(606)
-    bvals = np.array(TWO_SHELL_BVALS)
+    bvals = np.array(bvals)
     dirs = sphdwi.unit_sphere_directions(30)
     directions = np.zeros((bvals.size, 3))
     for b in (1000.0, 2000.0):
         directions[bvals == b] = dirs
     b0 = rng.uniform(800.0, 1200.0, size=grid)
     atten = rng.uniform(0.1, 0.9, size=(*grid, bvals.size))
-    atten[..., bvals == 0.0] = rng.uniform(0.97, 1.03, size=(*grid, 3))
+    atten[..., bvals == 0.0] = rng.uniform(0.97, 1.03, size=(*grid, int((bvals == 0.0).sum())))
     atten[(*EXCLUDED_VOXEL, bvals == 0.0)] = 0.0  # its diffusion values stay nonzero
     values = (b0[..., None] * atten - inter) / slope
     if np.dtype(stored).kind in "iu":
         values = np.round(values)
     values = values.astype(stored)
-    if poison is not None:
-        values[1, 2, 3, poison[0]] = poison[1]
+    for volume, value in poison:
+        values[(*POISONED_VOXEL, volume)] = value
     plain = str(dest / "dwi.nii")
     dwio.write_nifti(plain, values, dtype=stored)
     blob = bytearray(open(plain, "rb").read())
@@ -481,7 +489,19 @@ class TestStreamedCommandsMatchApi:
 
     @pytest.mark.parametrize("ext", [".nii", ".nii.gz"])
     def test_chain_is_bitwise_the_api(self, tmp_path, capsys, ext):
-        acq = two_shell_acquisition(tmp_path / "in", ext)
+        self._check_chain(tmp_path, capsys, two_shell_acquisition(tmp_path / "in", ext), ext)
+
+    def test_chain_with_ten_b0_volumes_is_bitwise_the_api(self, tmp_path, capsys):
+        # a float32 output hides a 1-ulp change of the float64 b0 mean, so one
+        # voxel's b0 values cancel: excluded only if both sides sum them in order
+        b0_volumes = np.flatnonzero(np.array(MANY_B0_BVALS) == 0.0)
+        stored = [(v - 10.0) / 2.0 for v in CANCELLING_B0]  # exact under slope 2, inter 10
+        acq = two_shell_acquisition(tmp_path / "in", stored=np.float64, slope=2.0, inter=10.0,
+                                    bvals=MANY_B0_BVALS, poison=list(zip(b0_volumes, stored)))
+        self._check_chain(tmp_path, capsys, acq, ".nii", excluded_voxels=2)
+
+    @staticmethod
+    def _check_chain(tmp_path, capsys, acq, ext, excluded_voxels=1):
         shells = ["--shell", "1000", "--shell", "2000"]
         sh_path, lsc_path, sig_path = (str(tmp_path / f"{n}{ext}") for n in ("sh", "lsc", "sig"))
         assert main(["signal2sh", "--dwi", acq["dwi"], *_grad(acq), *shells, "--order", "4",
@@ -502,7 +522,7 @@ class TestStreamedCommandsMatchApi:
         scheme = dwio.read_bvals_bvecs(acq["bvals"], acq["bvecs"])
         data, _, _ = dwio.read_nifti(acq["dwi"])
         vol, excluded = normalize_b0(data, scheme, shells=[1000.0, 2000.0])
-        assert excluded.sum() == 1 and excluded[EXCLUDED_VOXEL]
+        assert excluded.sum() == excluded_voxels and excluded[EXCLUDED_VOXEL]
         ops = [make_fit_operator(vol.scheme.shell_directions(s.bvalue), 4, 0.006)
                for s in vol.scheme.shells]
         _assert_payload_equals(sh_path, signal_to_sh(vol, ops))
@@ -522,7 +542,7 @@ class TestStreamedCommandsMatchApi:
 class TestNonFiniteInput:
     def test_nan_in_selected_shell_exits_2(self, tmp_path, capsys):
         acq = two_shell_acquisition(tmp_path, stored=np.float32, slope=1.0, inter=0.0,
-                                    poison=(TWO_SHELL_BVALS.index(1000.0), np.nan))
+                                    poison=[(TWO_SHELL_BVALS.index(1000.0), np.nan)])
         out = tmp_path / "sh.nii"
         code = main(["signal2sh", "--dwi", acq["dwi"], *_grad(acq), "--shell", "1000",
                      "--out", str(out)])
@@ -532,7 +552,7 @@ class TestNonFiniteInput:
 
     def test_nan_in_unselected_shell_is_ignored(self, tmp_path):
         outputs = []
-        for name, poison in (("clean", None), ("nan", (TWO_SHELL_BVALS.index(2000.0), np.nan))):
+        for name, poison in (("clean", []), ("nan", [(TWO_SHELL_BVALS.index(2000.0), np.nan)])):
             acq = two_shell_acquisition(tmp_path / name, stored=np.float32, slope=1.0,
                                         inter=0.0, poison=poison)
             out = tmp_path / name / "sh.nii"
@@ -545,7 +565,7 @@ class TestNonFiniteInput:
         # the infinite b0 once set the exclusion threshold to inf, and every
         # voxel of the output came out 0 with exit status 0
         acq = two_shell_acquisition(tmp_path, grid=(6, 6, 4), stored=np.float32, slope=1.0,
-                                    inter=0.0, poison=(0, np.inf))
+                                    inter=0.0, poison=[(0, np.inf)])
         out = tmp_path / "sh.nii"
         code = main(["signal2sh", "--dwi", acq["dwi"], *_grad(acq), "--shell", "1000",
                      "--shell", "2000", "--out", str(out)])

@@ -276,6 +276,22 @@ class TestNormalizeB0:
             expected = raw[..., volume] / mean_b0
             np.testing.assert_array_equal(vol.data[0, k], expected)
 
+    def test_b0_mean_sums_rows_in_order_for_any_layout(self, rng):
+        # numpy sums 8 or more contiguous values pairwise; the b0 rule sums the
+        # b0 volumes one after another whatever the layout or voxel count
+        bvals = [0.0] * 12 + [1000.0]
+        scattered = rng.uniform(0.5, 2.0, size=(4, 3, 2, 13)) * 10.0 ** rng.uniform(-3, 3, size=(4, 3, 2, 13))
+        single = np.full((1, 1, 1, 13), 2.0 ** -53)  # 1 + eleven 2**-53 is 1 only in order
+        single[..., 0] = 1.0
+        for raw in (scattered, single):
+            total = raw[..., 0].copy()
+            for volume in range(1, 12):
+                total += raw[..., volume]
+            expected = raw[..., 12] / (total / 12)
+            for layout in (np.ascontiguousarray(raw), np.asfortranarray(raw)):
+                vol, _ = normalize_b0(layout, bvals)
+                np.testing.assert_array_equal(vol.data[0, 0], expected)
+
     def test_missing_b0_rejected(self):
         with pytest.raises(MissingB0Error):
             normalize_b0(np.ones((2, 2, 2, 2)), [1000.0, 1000.0])
