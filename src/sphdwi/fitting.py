@@ -341,7 +341,9 @@ def _b0_denominator(b0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return excluded, np.where(excluded, 1.0, mean_b0)
 
 
-def _normalize_block(x: np.ndarray, denom: np.ndarray, excluded: np.ndarray, out: np.ndarray) -> None:
+def _normalize_block(
+    x: np.ndarray, denom: np.ndarray, excluded: np.ndarray, out: np.ndarray
+) -> None:
     """out = x / denom with the excluded voxels set to 0; x and out are (samples, voxels...)."""
     np.divide(x, denom, out=out)
     out[:, excluded] = 0.0

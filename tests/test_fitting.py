@@ -280,7 +280,8 @@ class TestNormalizeB0:
         # numpy sums 8 or more contiguous values pairwise; the b0 rule sums the
         # b0 volumes one after another whatever the layout or voxel count
         bvals = [0.0] * 12 + [1000.0]
-        scattered = rng.uniform(0.5, 2.0, size=(4, 3, 2, 13)) * 10.0 ** rng.uniform(-3, 3, size=(4, 3, 2, 13))
+        scattered = rng.uniform(0.5, 2.0, size=(4, 3, 2, 13))
+        scattered *= 10.0 ** rng.uniform(-3, 3, size=(4, 3, 2, 13))
         single = np.full((1, 1, 1, 13), 2.0 ** -53)  # 1 + eleven 2**-53 is 1 only in order
         single[..., 0] = 1.0
         for raw in (scattered, single):
