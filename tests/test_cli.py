@@ -572,13 +572,40 @@ class TestNonFiniteInput:
         assert not out.exists()
 
 
+def lsc_args(files, sh, out):
+    return [
+        "lsc", "--sh", sh,
+        "--bvals", files["bvals"], "--bvecs", files["bvecs"], "--shell", "1000",
+        "--moving-average", f"5,{PI_OVER_5}", "--lambda", "0",
+        "--out", out,
+    ]
+
+
+def eval_args(files, sh, out):
+    return [
+        "sh2signal", "--sh", sh,
+        "--bvals", files["bvals"], "--bvecs", files["bvecs"], "--shell", "1000",
+        "--order", "4",
+        "--out", out,
+    ]
+
+
 class TestReproducibleOutput:
-    def test_two_signal2sh_runs_write_identical_gzip(self, phantom_files, tmp_path):
+    COMMANDS = {
+        "signal2sh": lambda files, sh, out: fit_args(files, out),
+        "lsc": lsc_args,
+        "sh2signal": eval_args,
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_two_runs_write_identical_gzip(self, command, phantom_files, tmp_path):
+        sh_path = str(tmp_path / "sh.nii.gz")
+        assert main(fit_args(phantom_files, sh_path)) == 0
         blobs = []
         for run in ("a", "b"):
             (tmp_path / run).mkdir()
-            out = tmp_path / run / "sh.nii.gz"
-            assert main(fit_args(phantom_files, str(out))) == 0
+            out = tmp_path / run / "out.nii.gz"
+            assert main(self.COMMANDS[command](phantom_files, sh_path, str(out))) == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 

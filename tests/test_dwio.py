@@ -1,6 +1,7 @@
 import gzip
 import os
 import stat
+import zlib
 
 import numpy as np
 import pytest
@@ -358,6 +359,50 @@ class TestReproducibleGzip:
         assert blob[3] & 0x08  # FNAME present
         assert blob[4:8] == b"\x00\x00\x00\x00"  # mtime 0
         assert blob[10 : blob.index(b"\x00", 10)] == b"vol.nii"
+
+    def test_one_complete_member_with_the_gzipfile_header(self, tmp_path):
+        vol = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+        dwio.write_nifti(str(tmp_path / "vol.nii"), vol)
+        dwio.write_nifti(str(tmp_path / "vol.nii.gz"), vol)
+        blob = (tmp_path / "vol.nii.gz").read_bytes()
+        assert blob[:10] == bytes.fromhex("1f8b0808" "00000000" "00ff")
+        inflate = zlib.decompressobj(31)  # gzip framing: checks CRC32 and ISIZE
+        body = inflate.decompress(blob)
+        assert inflate.eof and inflate.unused_data == b""
+        assert body == (tmp_path / "vol.nii").read_bytes()
+
+    def test_non_latin1_name_is_left_out(self, tmp_path):
+        vol = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+        path = tmp_path / "脑.nii.gz"
+        dwio.write_nifti(str(path), vol)
+        blob = path.read_bytes()
+        assert blob[:10] == bytes.fromhex("1f8b0800" "00000000" "00ff")  # no FNAME
+        np.testing.assert_array_equal(dwio.read_nifti(str(path))[0], vol)
+
+    def test_zero_volume_compresses_below_one_percent(self, tmp_path):
+        vol = np.zeros((128, 128, 128), dtype=np.float32)  # 8 MiB
+        path = tmp_path / "zeros.nii.gz"
+        dwio.write_nifti(str(path), vol)
+        assert path.stat().st_size < 0.01 * (352 + vol.nbytes)
+
+
+class TestMultiMemberGzip:
+    """Readers accept concatenated gzip members, as pigz or ``cat`` write."""
+
+    def test_members_read_like_the_plain_file(self, tmp_path, rng):
+        vol = rng.normal(size=(9, 8, 7, 5))
+        plain = str(tmp_path / "vol.nii")
+        dwio.write_nifti(plain, vol)
+        blob = open(plain, "rb").read()
+        bounds = (0, 100, 352 + 1001, len(blob))  # cuts in the header and the payload
+        packed = tmp_path / "vol.nii.gz"
+        packed.write_bytes(b"".join(gzip.compress(blob[a:b]) for a, b in zip(bounds, bounds[1:])))
+        for reader in (dwio.read_nifti_payload, dwio.read_nifti):
+            want, want_affine, _ = reader(plain)
+            got, got_affine, _ = reader(str(packed))
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got_affine, want_affine)
 
 
 # float32-exact scale factors, as the header stores them as float32
