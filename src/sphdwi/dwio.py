@@ -499,8 +499,7 @@ def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
         if path.endswith(".gz"):
             _write_gzip_member(fh, os.path.basename(path)[:-3], pieces)
         else:
-            for piece in pieces:
-                fh.write(piece)
+            fh.writelines(pieces)
 
 
 def _write_gzip_member(fh, name: str, pieces) -> None:
