@@ -28,7 +28,7 @@ from .directions import unit_sphere_directions
 from .fitting import (
     DwiVolume,
     ShVolume,
-    _apply_channel_matrix,
+    _apply_affine,
     _normal_system,
     make_fit_operator,
     sh_to_signal,
@@ -224,15 +224,12 @@ def _timed_batched_fit(vol, gradients, order, lb_lambda, out_buf):
     the matrix application, written into a reused buffer so allocator page
     zeroing does not pollute small-volume timings."""
     op = make_fit_operator(gradients, order, lb_lambda)
-    stacked = vol.data.reshape(1, vol.shells, gradients.shape[0], -1)
-    _apply_channel_matrix(op.fit_matrix, stacked, out=out_buf)
+    _apply_affine(op.fit_matrix, vol.data, vol.shells, out=out_buf)
 
 
 def _timed_batched_eval(shvol, gradients, out_buf):
     basis = eval_basis(gradients, shvol.basis_spec.order)
-    r = shvol.basis_spec.coeff_count
-    stacked = shvol.data.reshape(1, shvol.shells, r, -1)
-    _apply_channel_matrix(basis, stacked, out=out_buf)
+    _apply_affine(basis, shvol.data, shvol.shells, out=out_buf)
 
 
 def run_bench(
@@ -256,8 +253,8 @@ def run_bench(
     for order in orders:
         gradients, vol, shvol = _synth_inputs(order, voxel_count, seed, n_dirs)
         r = coeff_count(order)
-        fit_buf = np.empty((1, 1, r, voxel_count))
-        eval_buf = np.empty((1, 1, n_dirs, voxel_count))
+        fit_buf = np.empty((1, r, voxel_count, 1, 1))
+        eval_buf = np.empty((1, n_dirs, voxel_count, 1, 1))
 
         with _single_thread_blas() as ok:
             pinned &= ok
@@ -274,7 +271,7 @@ def run_bench(
         fitted = signal_to_sh(vol, op)
         reference = fit_results["naive"]
         dev_fit = float(np.max(np.abs(fitted.data - reference.data)))
-        assert np.array_equal(fit_buf.reshape(fitted.data.shape), fitted.data)
+        assert np.array_equal(fit_buf, fitted.data)
         rows.append(
             BenchRow("signal2sh", order, voxel_count, "batched", fit_times["batched"], dev_fit)
         )

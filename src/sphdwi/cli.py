@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shell", type=float, action="append",
                    help="take target directions from this shell of --bvals/--bvecs; "
                    "give it once (a repeat exits 2)")
-    p.add_argument("--order", type=int, default=4)
+    p.add_argument("--order", type=int, required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("lsc", help="local spherical convolution of an SH volume")
@@ -111,37 +111,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sh_layout(path: str, shape, order: int | None, shells_hint: int | None = None):
-    """(order, shells) of an SH volume of ``shape`` holding shells * R volumes."""
+def _sh_layout(path: str, shape, order: int | None = None, shells: int | None = None):
+    """(order, shells) of an SH volume of ``shape`` holding shells * R volumes.
+
+    Give the order (the shell count follows) or the shell count (the order
+    follows).
+    """
     if len(shape) != 4:
         raise ShapeError(f"{path}: SH volume must be 4-D, got {len(shape)}-D")
     nvol = shape[3]
     if order is not None:
         r = coeff_count(order)
-        if shells_hint is None:
-            if nvol % r != 0:
-                raise ShapeError(
-                    f"{path}: {nvol} volumes is not a multiple of R = {r} "
-                    f"for order {order} (expects {r})"
-                )
-            shells = nvol // r
-        else:
-            shells = shells_hint
-            if shells * r != nvol:
-                raise ShapeError(
-                    f"{path}: expected shells ({shells}) * R ({r}) = {shells * r} "
-                    f"volumes, found {nvol} (expects {shells * r})"
-                )
-    else:
-        if shells_hint is None:
-            shells_hint = 1
-        shells = shells_hint
-        if nvol % shells != 0 or (nvol // shells) not in _ORDER_FOR_R:
+        if nvol % r != 0:
             raise ShapeError(
-                f"{path}: cannot infer SH order from {nvol} volumes and {shells} shell(s)"
+                f"{path}: {nvol} volumes is not a multiple of R = {r} "
+                f"for order {order} (expects {r})"
             )
-        order = _ORDER_FOR_R[nvol // shells]
-    return order, shells
+        return order, nvol // r
+    if nvol % shells != 0 or (nvol // shells) not in _ORDER_FOR_R:
+        raise ShapeError(
+            f"{path}: cannot infer SH order from {nvol} volumes and {shells} shell(s)"
+        )
+    return _ORDER_FOR_R[nvol // shells], shells
 
 
 # The three volume commands work on the NIfTI payload itself: a single-file
@@ -214,7 +205,7 @@ def _cmd_sh2signal(args) -> int:
         scheme = dwio.read_bvals_bvecs(args.bvals, args.bvecs)
         dirs = scheme.shell_directions(args.shell[0])
     raw, affine, header = dwio.read_nifti_payload(args.sh)
-    order, shells = _sh_layout(args.sh, raw.shape, args.order)
+    order, shells = _sh_layout(args.sh, raw.shape, order=args.order)
     spec = ShBasisSpec(order)
 
     def evaluate(x, lo, hi):
@@ -240,12 +231,7 @@ def _cmd_lsc(args) -> int:
     if (args.kernel is None) == (args.moving_average is None):
         raise ShapeError("give exactly one of --kernel or --moving-average")
     scheme = dwio.read_bvals_bvecs(args.bvals, args.bvecs)
-    selected = dwio.select_shells(scheme.shells, args.shell) if args.shell else scheme.shells
-    if not selected:
-        raise ShapeError("no shells selected")
-    counts = {s.indices.size for s in selected}
-    if len(counts) != 1:
-        raise ShapeError("selected shells must share one direction count")
+    selected = dwio.select_shells(scheme.shells, args.shell)
     origins = scheme.directions[selected[0].indices]
     n_shells = len(selected)
 
@@ -261,7 +247,7 @@ def _cmd_lsc(args) -> int:
             f"kernel expects {kernel.shells_in} input shells, selection has {n_shells}"
         )
     raw, affine, header = dwio.read_nifti_payload(args.sh)
-    order_in, shells_in = _sh_layout(args.sh, raw.shape, None, shells_hint=kernel.shells_in)
+    order_in, shells_in = _sh_layout(args.sh, raw.shape, shells=kernel.shells_in)
     order_out = args.order_out if args.order_out is not None else order_in
     geom = lsc.build_lsc_geometry(origins, sizes, alpha, order_in, order_out, args.lb_lambda)
     spec = ShBasisSpec(order_in)

@@ -25,6 +25,7 @@ from .errors import (
     NiftiError,
     NiftiMagicError,
     NiftiTruncatedError,
+    ShapeError,
 )
 
 B0_THRESHOLD = 50.0  # s/mm^2; real bval files carry near-zero values for b=0
@@ -117,9 +118,6 @@ class GradientScheme:
     def n(self) -> int:
         return int(self.bvals.shape[0])
 
-    def shell_bvalues(self) -> list[float]:
-        return [s.bvalue for s in self.shells]
-
     def shell(self, bvalue: float, tolerance: float = SHELL_TOLERANCE) -> Shell:
         """Shell whose nominal b-value is nearest ``bvalue`` within tolerance."""
         return select_shells(self.shells, [bvalue], tolerance)[0]
@@ -130,28 +128,43 @@ class GradientScheme:
 
 
 def select_shells(
-    shells, bvalues, tolerance: float = SHELL_TOLERANCE
+    shells, bvalues=None, tolerance: float = SHELL_TOLERANCE
 ) -> tuple[Shell, ...]:
-    """Resolve each requested b-value to the nearest shell within ``tolerance``.
+    """The shells to process: all of ``shells``, or those nearest ``bvalues``.
 
-    Raises ValueError when a request has no shell within tolerance, naming
-    the available shells, and when two requests resolve to the same shell,
-    which would otherwise fit or convolve that shell twice.
+    Each requested b-value resolves to the nearest shell within
+    ``tolerance``. Raises ValueError when a request has no shell within
+    tolerance, naming the available shells, and when two requests resolve
+    to the same shell, which would otherwise fit or convolve that shell
+    twice. Raises :class:`ShapeError` when nothing is selected or the
+    selected shells differ in direction count, since their channel blocks
+    must share one size.
     """
-    picked: dict[float, float] = {}  # shell b-value -> request that chose it
-    out = []
-    for want in bvalues:
-        best = min(shells, key=lambda s: abs(s.bvalue - want), default=None)
-        if best is None or abs(best.bvalue - want) > tolerance:
-            avail = ", ".join(f"{s.bvalue:g}" for s in shells) or "none"
-            raise ValueError(f"no shell near b={want:g}; available shells: {avail}")
-        if best.bvalue in picked:
-            raise ValueError(
-                f"b={picked[best.bvalue]:g} and b={want:g} both select the "
-                f"b={best.bvalue:g} shell; give each shell once"
-            )
-        picked[best.bvalue] = want
-        out.append(best)
+    if bvalues is None:
+        out = list(shells)
+    else:
+        picked: dict[float, float] = {}  # shell b-value -> request that chose it
+        out = []
+        for want in bvalues:
+            best = min(shells, key=lambda s: abs(s.bvalue - want), default=None)
+            if best is None or abs(best.bvalue - want) > tolerance:
+                avail = ", ".join(f"{s.bvalue:g}" for s in shells) or "none"
+                raise ValueError(f"no shell near b={want:g}; available shells: {avail}")
+            if best.bvalue in picked:
+                raise ValueError(
+                    f"b={picked[best.bvalue]:g} and b={want:g} both select the "
+                    f"b={best.bvalue:g} shell; give each shell once"
+                )
+            picked[best.bvalue] = want
+            out.append(best)
+    if not out:
+        raise ShapeError("no diffusion-weighted shells selected")
+    if len({s.indices.size for s in out}) != 1:
+        detail = ", ".join(f"b={s.bvalue:g}: {s.indices.size}" for s in out)
+        raise ShapeError(
+            f"shells have unequal direction counts ({detail}); "
+            "select shells of equal size"
+        )
     return tuple(out)
 
 

@@ -1,8 +1,10 @@
 """Regularized least-squares transforms between q-space samples and SH space.
 
 A :class:`FitOperator` factors the penalized normal matrix once and stores
-M = (B^T B + lambda * diag(LB))^-1 B^T, after which transforming a whole
-volume is a single matrix product per shell. All arithmetic is double
+M = (B^T B + lambda * diag(LB))^-1 B^T. Every linear stage of the package
+(the fit, the evaluation at directions and the local spherical convolution
+of :mod:`sphdwi.lsc`) is a precomputed matrix applied to each voxel by one
+routine, :func:`_apply_affine`. All arithmetic is double
 precision; volumes are 5-D arrays laid out as
 (subjects, shells * channels, X, Y, Z) with the channels of shell s in the
 contiguous block [s*C, (s+1)*C).
@@ -48,10 +50,6 @@ class ShVolume:
                 f"shells ({self.shells}) * R ({self.basis_spec.coeff_count}) = {expected}"
             )
 
-    @property
-    def grid_shape(self) -> tuple[int, int, int]:
-        return self.data.shape[2:]
-
     def shell_coeffs(self, shell: int) -> np.ndarray:
         """View of shell ``shell`` as (subjects, R, X, Y, Z)."""
         r = self.basis_spec.coeff_count
@@ -77,14 +75,6 @@ class DwiVolume:
             )
         if not np.isfinite(arr).all():
             raise ShapeError("DWI volume contains non-finite values")
-
-    @property
-    def samples_per_shell(self) -> int:
-        return self.data.shape[1] // self.shells
-
-    @property
-    def grid_shape(self) -> tuple[int, int, int]:
-        return self.data.shape[2:]
 
 
 @dataclass(frozen=True)
@@ -167,33 +157,56 @@ _BLOCK = 1024  # voxel columns per BLAS call
 _STREAM = 16 * _BLOCK  # voxel columns per float64 buffer of _stream_blocks
 
 
-def _apply_channel_matrix(
-    matrix: np.ndarray, stacked: np.ndarray, out: np.ndarray | None = None
+def _apply_affine(
+    matrix: np.ndarray,
+    data: np.ndarray,
+    groups: int = 1,
+    offset: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """out[b, s] = matrix @ stacked[b, s] over a (B, S, C_in, V) stack.
+    """Apply a linear stage, plus an optional offset, to every voxel of a 5-D volume.
+
+    ``data`` is (B, groups * C_in, X, Y, Z). ``matrix`` is one (C_out, C_in)
+    matrix shared by every channel group, or a (groups, C_out, C_in) stack
+    with one matrix per group; ``offset`` has shape (groups * C_out,). The
+    result, written into ``out`` when given (a C-contiguous buffer), is
+    (B, groups * C_out, X, Y, Z): group g of the output is matrix[g] times
+    group g of the input, plus its slice of ``offset``.
 
     The product runs serially in fixed-width blocks of _BLOCK voxel columns:
-    full blocks are strided views of ``stacked`` multiplied straight into
+    full blocks are strided views of ``data`` multiplied straight into
     ``out``, and only the tail block is copied into a zero-padded buffer. So
     every BLAS call sees identical dimensions; kernel selection can depend
     on the operand shape (a lone column would go to gemv), and uniform calls
     keep each voxel's result bitwise identical however the volume is split,
     from a single voxel up to many subjects. Any parallelism comes from BLAS
-    itself. ``out`` lets callers write into an existing buffer.
+    itself.
     """
-    nb, ns, cin, nvox = stacked.shape
+    cout, cin = matrix.shape[-2:]
+    mats = [matrix] * groups if matrix.ndim == 2 else matrix
+    nb, nch = data.shape[:2]
+    if nch != groups * cin:
+        raise ShapeError(
+            f"volume has {nch} channels, expected groups ({groups}) * C_in ({cin}) "
+            f"= {groups * cin}"
+        )
     if out is None:
-        out = np.empty((nb, ns, matrix.shape[0], nvox))
+        out = np.empty((nb, groups * cout, *data.shape[2:]))
+    src = data.reshape(nb, groups, cin, -1)
+    dst = out.reshape(nb, groups, cout, -1)
+    nvox = src.shape[3]
     full = nvox - nvox % _BLOCK
     tail = np.zeros((cin, _BLOCK)) if full < nvox else None
     for b in range(nb):
-        for s in range(ns):
+        for g, mat in enumerate(mats):
             for lo in range(0, full, _BLOCK):
                 hi = lo + _BLOCK
-                np.matmul(matrix, stacked[b, s, :, lo:hi], out=out[b, s, :, lo:hi])
+                np.matmul(mat, src[b, g, :, lo:hi], out=dst[b, g, :, lo:hi])
             if tail is not None:
-                tail[:, : nvox - full] = stacked[b, s, :, full:]
-                out[b, s, :, full:] = np.matmul(matrix, tail)[:, : nvox - full]
+                tail[:, : nvox - full] = src[b, g, :, full:]
+                dst[b, g, :, full:] = np.matmul(mat, tail)[:, : nvox - full]
+    if offset is not None:
+        dst += offset.reshape(groups, cout, 1)
     return out
 
 
@@ -208,7 +221,7 @@ def _stream_blocks(src: np.ndarray, dst: np.ndarray, step, header: dict, rows=No
     reused float64 buffer, so the 5-D API can take it without a copy.
     ``step`` returns the chunk's (C_out, hi - lo) float64 result, which is
     cast into ``dst``. Chunks start on _BLOCK boundaries, so
-    :func:`_apply_channel_matrix` splits a chunk the way it splits the whole
+    :func:`_apply_affine` splits a chunk the way it splits the whole
     volume and every voxel's bits match the 5-D API, while the float64
     buffers stay a few MiB whatever the volume size.
     """
@@ -244,37 +257,15 @@ def signal_to_sh(vol: DwiVolume, op: FitOperator | Sequence[FitOperator]) -> ShV
     per shell with a common order and direction count.
     """
     ops = _as_operator_list(op, vol.shells)
-    n = ops[0].n_gradients
-    expected = vol.shells * n
-    if vol.data.shape[1] != expected:
-        raise ShapeError(
-            f"DWI volume has {vol.data.shape[1]} channels, expected "
-            f"shells ({vol.shells}) * N ({n}) = {expected}"
-        )
-    subjects = vol.data.shape[0]
-    grid = vol.data.shape[2:]
-    nvox = int(np.prod(grid))
-    r = ops[0].basis_spec.coeff_count
-    stacked = vol.data.reshape(subjects, vol.shells, n, nvox)
-    coeffs = np.empty((subjects, vol.shells, r, nvox))
-    for s, o in enumerate(ops):
-        _apply_channel_matrix(o.fit_matrix, stacked[:, s : s + 1], out=coeffs[:, s : s + 1])
-    out = coeffs.reshape(subjects, vol.shells * r, *grid)
-    return ShVolume(data=out, basis_spec=ops[0].basis_spec, shells=vol.shells)
+    coeffs = _apply_affine(np.stack([o.fit_matrix for o in ops]), vol.data, vol.shells)
+    return ShVolume(data=coeffs, basis_spec=ops[0].basis_spec, shells=vol.shells)
 
 
 def sh_to_signal(sh: ShVolume, gradients) -> DwiVolume:
     """Evaluate an SH volume at arbitrary unit directions (per shell)."""
     dirs = as_unit_directions(gradients)
     basis = eval_basis(dirs, sh.basis_spec.order)
-    subjects = sh.data.shape[0]
-    grid = sh.data.shape[2:]
-    nvox = int(np.prod(grid))
-    r = sh.basis_spec.coeff_count
-    stacked = sh.data.reshape(subjects, sh.shells, r, nvox)
-    signals = _apply_channel_matrix(basis, stacked)
-    out = signals.reshape(subjects, sh.shells * dirs.shape[0], *grid)
-    return DwiVolume(data=out, shells=sh.shells)
+    return DwiVolume(data=_apply_affine(basis, sh.data, sh.shells), shells=sh.shells)
 
 
 def _plan_shells(
@@ -306,18 +297,7 @@ def _plan_shells(
     if b0_idx.size == 0:
         raise MissingB0Error("acquisition has no b=0 volume to normalize against")
 
-    if shells is not None:
-        shell_table = dwio.select_shells(shell_table, shells, tolerance)
-    if not shell_table:
-        raise ShapeError("no diffusion-weighted shells selected")
-    sizes = {s.indices.size for s in shell_table}
-    if len(sizes) != 1:
-        detail = ", ".join(f"b={s.bvalue:g}: {s.indices.size}" for s in shell_table)
-        raise ShapeError(
-            f"shells have unequal direction counts ({detail}); "
-            "select shells of equal size"
-        )
-    return scheme, b0_idx, shell_table
+    return scheme, b0_idx, dwio.select_shells(shell_table, shells, tolerance)
 
 
 def _b0_denominator(b0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

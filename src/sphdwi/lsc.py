@@ -10,9 +10,10 @@ channels so multi-shell signals mix explicitly.
 
 All three steps are linear, so :func:`lsc_operator` folds them into one
 (S_out*R_out, S_in*R_in) matrix plus a constant offset, and
-:func:`lsc_forward` applies that matrix to every voxel with the shared GEMM
-routine of :mod:`sphdwi.fitting` (each voxel's result is bitwise the same
-however the volume is split into subjects or blocks).
+:func:`lsc_forward` applies that affine map to every voxel with
+:func:`sphdwi.fitting._apply_affine`, the routine that applies every linear
+stage (each voxel's result is bitwise the same however the volume is split
+into subjects or blocks).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import dwio
 from .errors import KernelMismatchError, ShapeError
-from .fitting import FitOperator, ShVolume, _apply_channel_matrix, make_fit_operator
+from .fitting import FitOperator, ShVolume, _apply_affine, make_fit_operator
 from .shcore import ShBasisSpec, as_unit_directions, eval_basis, ring_directions
 
 KERNEL_JSON_FIELDS = ("shells_in", "shells_out", "kernel_sizes", "angular_distance", "weights", "bias")
@@ -174,10 +175,11 @@ def lsc_forward(sh_in: ShVolume, kernel: LscKernel, geom: LscGeometry) -> ShVolu
     Per voxel and input shell the coefficients are resampled onto the
     origin+ring points, reduced with the kernel (one scalar per origin and
     output shell), and the origin scalars are refit to SH at the geometry's
-    output order. The three steps run as the single matrix of
-    :func:`lsc_operator`, applied serially in fixed voxel blocks, so each
-    voxel's output is bitwise the same whatever the subject count or grid
-    size; BLAS supplies any parallelism.
+    output order. The three steps run as the single affine map of
+    :func:`lsc_operator`, applied by :func:`sphdwi.fitting._apply_affine`
+    serially in fixed voxel blocks, so each voxel's output is bitwise the
+    same whatever the subject count or grid size; BLAS supplies any
+    parallelism.
     """
     if sh_in.basis_spec.order != geom.order_in:
         raise ShapeError(
@@ -195,13 +197,8 @@ def lsc_forward(sh_in: ShVolume, kernel: LscKernel, geom: LscGeometry) -> ShVolu
         )
 
     matrix, offset = lsc_operator(kernel, geom)
-    subjects = sh_in.data.shape[0]
-    grid = sh_in.data.shape[2:]
-    stacked = sh_in.data.reshape(subjects, 1, sh_in.data.shape[1], -1)
-    out = _apply_channel_matrix(matrix, stacked)[:, 0]
-    out += offset[:, None]
     return ShVolume(
-        data=out.reshape(subjects, matrix.shape[0], *grid),
+        data=_apply_affine(matrix, sh_in.data, offset=offset),
         basis_spec=ShBasisSpec(geom.order_out),
         shells=kernel.shells_out,
     )

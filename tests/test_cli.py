@@ -148,11 +148,30 @@ class TestSh2Signal:
         assert code == 2
         assert "28" in capsys.readouterr().err
 
-    def test_dirs_and_bvecs_mutually_exclusive(self, phantom_files, tmp_path):
+    def test_dirs_and_bvecs_mutually_exclusive(self, phantom_files, tmp_path, capsys):
         code = main(
-            ["sh2signal", "--sh", phantom_files["nifti"], "--out", str(tmp_path / "x.nii")]
+            ["sh2signal", "--sh", phantom_files["nifti"], "--order", "4",
+             "--out", str(tmp_path / "x.nii")]
         )
         assert code == 2
+        assert "give either --dirs" in capsys.readouterr().err
+
+    def test_missing_order_exits_2_without_output(self, tmp_path, capsys):
+        """An order-8 file read without --order is not taken as 3 shells of order 4."""
+        prefix = str(tmp_path / "ph")
+        assert main(["phantom", "--grid", "4,4,3", "--dirs", "60", "--order", "8",
+                     "--out-prefix", prefix]) == 0
+        grad = ["--bvals", prefix + ".bvals", "--bvecs", prefix + ".bvecs"]
+        sh_path = str(tmp_path / "sh.nii")
+        assert main(["signal2sh", "--dwi", prefix + ".nii.gz", *grad, "--order", "8",
+                     "--out", sh_path]) == 0
+        out = tmp_path / "signal.nii"
+        evaluate = ["sh2signal", "--sh", sh_path, *grad, "--shell", "1000", "--out", str(out)]
+        assert main(evaluate) == 2
+        assert "required: --order" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([*evaluate, "--order", "8"]) == 0
+        assert dwio.read_nifti(str(out))[0].shape == (4, 4, 3, 60)
 
     def test_repeated_shell_exits_2_with_count(self, phantom_files, tmp_path, capsys):
         sh_path = str(tmp_path / "sh.nii.gz")
@@ -331,6 +350,21 @@ class TestLsc:
         )
         assert code == 2
         assert "b=1000 and b=990 both select the b=1000 shell" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unequal_shell_sizes_without_shell_exit_2(self, phantom_files, tmp_path, capsys):
+        sh_path = str(tmp_path / "sh.nii.gz")
+        assert main(fit_args(phantom_files, sh_path)) == 0
+        bvals = np.concatenate([[0.0], np.full(30, 1000.0), np.full(20, 2000.0)])
+        dirs = np.concatenate([np.zeros((1, 3)), sphdwi.unit_sphere_directions(30),
+                               sphdwi.unit_sphere_directions(30)[:20]])
+        grad = [str(tmp_path / "uneven.bvals"), str(tmp_path / "uneven.bvecs")]
+        dwio.write_bvals_bvecs(bvals, dirs, *grad)
+        out = tmp_path / "smooth.nii.gz"
+        code = main(["lsc", "--sh", sh_path, "--bvals", grad[0], "--bvecs", grad[1],
+                     "--moving-average", f"5,{PI_OVER_5}", "--out", str(out)])
+        assert code == 2
+        assert "b=1000: 30, b=2000: 20" in capsys.readouterr().err
         assert not out.exists()
 
     def test_kernel_and_moving_average_exclusive(self, phantom_files, tmp_path):
@@ -699,7 +733,7 @@ class TestUsageErrors:
         "required",
         [
             ["signal2sh", "--dwi", "d", "--bvals", "b", "--bvecs", "v"],
-            ["sh2signal", "--sh", "s"],
+            ["sh2signal", "--sh", "s", "--order", "4"],
             ["lsc", "--sh", "s", "--bvals", "b", "--bvecs", "v"],
         ],
     )
