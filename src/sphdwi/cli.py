@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -111,15 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sh_layout(path: str, shape, order: int | None = None, shells: int | None = None):
-    """(order, shells) of an SH volume of ``shape`` holding shells * R volumes.
+def _sh_layout(path: str, nvol: int, order: int | None = None, shells: int | None = None):
+    """(order, shells) of an SH volume of ``nvol`` = shells * R volumes.
 
     Give the order (the shell count follows) or the shell count (the order
     follows).
     """
-    if len(shape) != 4:
-        raise ShapeError(f"{path}: SH volume must be 4-D, got {len(shape)}-D")
-    nvol = shape[3]
     if order is not None:
         r = coeff_count(order)
         if nvol % r != 0:
@@ -137,59 +135,81 @@ def _sh_layout(path: str, shape, order: int | None = None, shells: int | None = 
 
 # The three volume commands work on the NIfTI payload itself: a single-file
 # NIfTI stores (X, Y, Z, C) in Fortran order, which is a C-order (C, V)
-# channel matrix. fitting._stream_blocks converts it to float64 chunk by
-# chunk; each chunk goes through the 5-D API as a (1, C, width, 1, 1)
-# volume, and the result is cast into a float32 output payload that is
-# written as it is.
+# channel matrix. _read_channels returns that view of the stored values with
+# the grid, affine and header of its file; _stream converts it to float64
+# chunk by chunk, hands each chunk to the 5-D API as a (1, C, width, 1, 1)
+# volume, casts the result into a float32 output payload and writes that
+# payload as it is.
 
-def _channels(raw: np.ndarray) -> np.ndarray:
-    """The (C, V) channel matrix view of an (X, Y, Z, C) Fortran-order payload."""
-    return raw.reshape(-1, raw.shape[3], order="F").T
-
-
-def _as_volume(x: np.ndarray) -> np.ndarray:
-    """A (C, width) chunk viewed as the 5-D layout of the API: one subject, width voxels."""
-    return x.reshape(1, x.shape[0], x.shape[1], 1, 1)
+_STREAM = 16 * fitting._BLOCK  # voxel columns per float64 buffer of _stream
+_Channels = namedtuple("_Channels", "src grid affine header")
 
 
-def _write_channels(path: str, out: np.ndarray, grid, affine) -> None:
-    """Write a (C, V) float32 channel matrix as the (X, Y, Z, C) volume it is."""
-    volume = out.T.reshape(*grid, out.shape[0], order="F")
-    dwio.write_nifti(path, volume, affine=affine, dtype=np.float32)
+def _read_channels(path: str) -> _Channels:
+    raw, affine, header = dwio.read_nifti_payload(path)
+    if raw.ndim != 4:
+        raise ShapeError(f"{path}: expected a 4-D volume, got {raw.ndim}-D")
+    return _Channels(raw.reshape(-1, raw.shape[3], order="F").T, raw.shape[:3], affine, header)
+
+
+def _stream(vol: _Channels, path: str, channels: int, step, rows=None) -> None:
+    """Write to ``path`` the float32 volume of ``channels`` volumes that ``step`` computes.
+
+    For each chunk of _STREAM voxel columns, the chunk's ``rows`` of
+    ``vol.src`` (all rows by default) are converted with
+    :func:`sphdwi.dwio.to_float64` into ``x``, a C-contiguous
+    (1, rows, width, 1, 1) view of one reused float64 buffer, so the 5-D
+    API takes it without a copy. step(x, voxels) returns the API volume of
+    the voxels in the slice ``voxels``, which is cast into the float32
+    output payload. Chunks start on fitting._BLOCK boundaries, so
+    :func:`sphdwi.fitting._apply_affine` splits a chunk the way it splits
+    the whole volume and every voxel's bits match the 5-D API, while the
+    float64 buffers stay a few MiB whatever the volume size.
+    """
+    src = vol.src
+    nvox = src.shape[1]
+    nrows = src.shape[0] if rows is None else len(rows)
+    out = np.empty((channels, nvox), dtype=np.float32)
+    buf = np.empty(nrows * min(nvox, _STREAM))
+    for lo in range(0, nvox, _STREAM):
+        hi = min(lo + _STREAM, nvox)
+        chunk = src[:, lo:hi] if rows is None else src[rows, lo:hi]
+        x = buf[: nrows * (hi - lo)].reshape(1, nrows, hi - lo, 1, 1)
+        dwio.to_float64(chunk, vol.header, out=x[0, :, :, 0, 0])
+        out[:, lo:hi] = step(x, slice(lo, hi)).data.reshape(channels, hi - lo)
+    volume = out.T.reshape(*vol.grid, channels, order="F")
+    dwio.write_nifti(path, volume, affine=vol.affine, dtype=np.float32)
 
 
 def _cmd_signal2sh(args) -> int:
     scheme = dwio.read_bvals_bvecs(args.bvals, args.bvecs)
-    raw, affine, header = dwio.read_nifti_payload(args.dwi)
-    if raw.ndim != 4:
-        raise ShapeError(f"{args.dwi}: expected a 4-D acquisition, got {raw.ndim}-D")
-    _, b0_idx, shells = fitting._plan_shells(raw.shape[3], scheme, shells=args.shell)
-    src = _channels(raw)
-    excluded, denom = fitting._b0_denominator(dwio.to_float64(src[b0_idx], header))
+    vol = _read_channels(args.dwi)
+    _, b0_idx, shells = fitting._plan_shells(vol.src.shape[0], scheme, shells=args.shell)
+    excluded, denom = fitting._b0_denominator(dwio.to_float64(vol.src[b0_idx], vol.header))
     ops = [
         make_fit_operator(scheme.directions[s.indices], args.order, args.lb_lambda)
         for s in shells
     ]
     _info(f"R={ops[0].basis_spec.coeff_count} cond={max(o.cond for o in ops):.3e}")
 
-    def fit(x, lo, hi):
-        fitting._normalize_block(x, denom[lo:hi], excluded[lo:hi], out=x)
-        sh = signal_to_sh(DwiVolume(_as_volume(x), shells=len(ops)), ops)
-        return sh.data.reshape(-1, hi - lo)
+    def fit(x, voxels):
+        flat = x[0, :, :, 0, 0]
+        fitting._normalize_block(flat, denom[voxels], excluded[voxels], out=flat)
+        return signal_to_sh(DwiVolume(x, shells=len(ops)), ops)
 
-    out = np.empty((len(ops) * ops[0].basis_spec.coeff_count, src.shape[1]), dtype=np.float32)
     rows = np.concatenate([s.indices for s in shells])
-    fitting._stream_blocks(src, out, fit, header, rows=rows)
-    _write_channels(args.out, out, raw.shape[:3], affine)
+    _stream(vol, args.out, len(ops) * ops[0].basis_spec.coeff_count, fit, rows=rows)
     return 0
 
 
 def _read_dirs_file(path: str) -> np.ndarray:
     rows = dwio._parse_numeric_table(path)
-    table = np.array(rows, dtype=np.float64)
-    if table.ndim != 2 or table.shape[1] != 3:
-        raise GradientParseError(f"{path}: expected one 'x y z' row per direction")
-    return as_unit_directions(table)
+    widths = {len(r) for r in rows}
+    if widths != {3}:
+        raise GradientParseError(
+            f"{path}: expected one 'x y z' row per direction, got row widths {sorted(widths)}"
+        )
+    return as_unit_directions(np.array(rows, dtype=np.float64))
 
 
 def _cmd_sh2signal(args) -> int:
@@ -204,18 +224,14 @@ def _cmd_sh2signal(args) -> int:
             raise ShapeError(f"sh2signal takes one --shell, got {len(args.shell)}")
         scheme = dwio.read_bvals_bvecs(args.bvals, args.bvecs)
         dirs = scheme.shell_directions(args.shell[0])
-    raw, affine, header = dwio.read_nifti_payload(args.sh)
-    order, shells = _sh_layout(args.sh, raw.shape, order=args.order)
+    vol = _read_channels(args.sh)
+    order, shells = _sh_layout(args.sh, vol.src.shape[0], order=args.order)
     spec = ShBasisSpec(order)
 
-    def evaluate(x, lo, hi):
-        signal = sh_to_signal(ShVolume(_as_volume(x), spec, shells=shells), dirs)
-        return signal.data.reshape(-1, hi - lo)
+    def evaluate(x, voxels):
+        return sh_to_signal(ShVolume(x, spec, shells=shells), dirs)
 
-    src = _channels(raw)
-    out = np.empty((shells * dirs.shape[0], src.shape[1]), dtype=np.float32)
-    fitting._stream_blocks(src, out, evaluate, header)
-    _write_channels(args.out, out, raw.shape[:3], affine)
+    _stream(vol, args.out, shells * dirs.shape[0], evaluate)
     return 0
 
 
@@ -246,29 +262,26 @@ def _cmd_lsc(args) -> int:
         raise ShapeError(
             f"kernel expects {kernel.shells_in} input shells, selection has {n_shells}"
         )
-    raw, affine, header = dwio.read_nifti_payload(args.sh)
-    order_in, shells_in = _sh_layout(args.sh, raw.shape, shells=kernel.shells_in)
+    vol = _read_channels(args.sh)
+    order_in, shells_in = _sh_layout(args.sh, vol.src.shape[0], shells=kernel.shells_in)
     order_out = args.order_out if args.order_out is not None else order_in
     geom = lsc.build_lsc_geometry(origins, sizes, alpha, order_in, order_out, args.lb_lambda)
     spec = ShBasisSpec(order_in)
     energy = [0.0, 0.0]  # summed l>=2 energy fractions of the input and the output
 
-    def convolve(x, lo, hi):
-        sh = ShVolume(_as_volume(x), spec, shells=shells_in)
+    def convolve(x, voxels):
+        sh = ShVolume(x, spec, shells=shells_in)
         smooth = lsc.lsc_forward(sh, kernel, geom)
         energy[0] += _high_degree_fraction_sum(sh)
         energy[1] += _high_degree_fraction_sum(smooth)
-        return smooth.data.reshape(-1, hi - lo)
+        return smooth
 
-    src = _channels(raw)
-    out = np.empty((kernel.shells_out * coeff_count(order_out), src.shape[1]), dtype=np.float32)
-    fitting._stream_blocks(src, out, convolve, header)
-    nvox = src.shape[1]
+    _stream(vol, args.out, kernel.shells_out * coeff_count(order_out), convolve)
+    nvox = vol.src.shape[1]
     _info(
         f"mean l>=2 energy fraction: {energy[0] / (shells_in * nvox):.4f} "
         f"-> {energy[1] / (kernel.shells_out * nvox):.4f}"
     )
-    _write_channels(args.out, out, raw.shape[:3], affine)
     return 0
 
 

@@ -28,7 +28,9 @@ from .errors import (
     ShapeError,
 )
 
-B0_THRESHOLD = 50.0  # s/mm^2; real bval files carry near-zero values for b=0
+# Fixed grouping rules, in s/mm^2: b <= B0_THRESHOLD is b0 (real bval files
+# carry near-zero values for b=0), and shells split at gaps > SHELL_TOLERANCE.
+B0_THRESHOLD = 50.0
 SHELL_TOLERANCE = 50.0
 
 # NIfTI-1 header, 348 bytes. Field offsets noted for reference.
@@ -105,7 +107,6 @@ class GradientScheme:
     bvals: np.ndarray       # (N,)
     b0_indices: np.ndarray
     shells: tuple[Shell, ...]
-    b0_threshold: float = B0_THRESHOLD
 
     def __post_init__(self) -> None:
         if self.directions.shape[0] != self.bvals.shape[0]:
@@ -118,25 +119,23 @@ class GradientScheme:
     def n(self) -> int:
         return int(self.bvals.shape[0])
 
-    def shell(self, bvalue: float, tolerance: float = SHELL_TOLERANCE) -> Shell:
-        """Shell whose nominal b-value is nearest ``bvalue`` within tolerance."""
-        return select_shells(self.shells, [bvalue], tolerance)[0]
+    def shell(self, bvalue: float) -> Shell:
+        """Shell whose nominal b-value is nearest ``bvalue``, within SHELL_TOLERANCE."""
+        return select_shells(self.shells, [bvalue])[0]
 
     def shell_directions(self, bvalue: float) -> np.ndarray:
         sh = self.shell(bvalue)
         return self.directions[sh.indices]
 
 
-def select_shells(
-    shells, bvalues=None, tolerance: float = SHELL_TOLERANCE
-) -> tuple[Shell, ...]:
+def select_shells(shells, bvalues=None) -> tuple[Shell, ...]:
     """The shells to process: all of ``shells``, or those nearest ``bvalues``.
 
     Each requested b-value resolves to the nearest shell within
-    ``tolerance``. Raises ValueError when a request has no shell within
-    tolerance, naming the available shells, and when two requests resolve
-    to the same shell, which would otherwise fit or convolve that shell
-    twice. Raises :class:`ShapeError` when nothing is selected or the
+    SHELL_TOLERANCE (50 s/mm^2). Raises ValueError when a request has no
+    shell that close, naming the available shells, and when two requests
+    resolve to the same shell, which would otherwise fit or convolve that
+    shell twice. Raises :class:`ShapeError` when nothing is selected or the
     selected shells differ in direction count, since their channel blocks
     must share one size.
     """
@@ -147,7 +146,7 @@ def select_shells(
         out = []
         for want in bvalues:
             best = min(shells, key=lambda s: abs(s.bvalue - want), default=None)
-            if best is None or abs(best.bvalue - want) > tolerance:
+            if best is None or abs(best.bvalue - want) > SHELL_TOLERANCE:
                 avail = ", ".join(f"{s.bvalue:g}" for s in shells) or "none"
                 raise ValueError(f"no shell near b={want:g}; available shells: {avail}")
             if best.bvalue in picked:
@@ -168,33 +167,27 @@ def select_shells(
     return tuple(out)
 
 
-def detect_shells(
-    bvals,
-    tolerance: float = SHELL_TOLERANCE,
-    b0_threshold: float = B0_THRESHOLD,
-) -> tuple[np.ndarray, tuple[Shell, ...]]:
-    """Group b-values into a b0 set and shells.
+def detect_shells(bvals) -> tuple[np.ndarray, tuple[Shell, ...]]:
+    """Group b-values into a b0 set and shells, by the fixed rules of this module.
 
-    Values <= ``b0_threshold`` form the b0 group. The rest are sorted and
-    split wherever the gap between consecutive values exceeds ``tolerance``;
-    each group's nominal b is its mean rounded to the nearest 5.
-    Returns (b0_indices, shells sorted by nominal b).
+    Values <= B0_THRESHOLD (50) form the b0 group. The rest are sorted and
+    split wherever the gap between consecutive values exceeds
+    SHELL_TOLERANCE (50); each group's nominal b is its mean rounded to the
+    nearest 5. Returns (b0_indices, shells sorted by nominal b).
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
     b = np.asarray(bvals, dtype=np.float64)
     if b.ndim != 1:
         raise ValueError("bvals must be one-dimensional")
     if not np.isfinite(b).all():
         raise ValueError("bvals contain non-finite values")
-    b0_idx = np.flatnonzero(b <= b0_threshold)
-    dwi_idx = np.flatnonzero(b > b0_threshold)
+    b0_idx = np.flatnonzero(b <= B0_THRESHOLD)
+    dwi_idx = np.flatnonzero(b > B0_THRESHOLD)
     if dwi_idx.size == 0:
         return b0_idx, ()
     order = dwi_idx[np.argsort(b[dwi_idx], kind="stable")]
     groups: list[list[int]] = [[int(order[0])]]
     for i in order[1:]:
-        if b[i] - b[groups[-1][-1]] > tolerance:
+        if b[i] - b[groups[-1][-1]] > SHELL_TOLERANCE:
             groups.append([])
         groups[-1].append(int(i))
     shells = []
@@ -226,18 +219,14 @@ def _parse_numeric_table(path: str) -> list[list[float]]:
     return rows
 
 
-def read_bvals_bvecs(
-    bvals_path: str,
-    bvecs_path: str,
-    b0_threshold: float = B0_THRESHOLD,
-    tolerance: float = SHELL_TOLERANCE,
-) -> GradientScheme:
+def read_bvals_bvecs(bvals_path: str, bvecs_path: str) -> GradientScheme:
     """Read an FSL gradient table into a :class:`GradientScheme`.
 
     bvals: whitespace-separated reals forming one logical row. bvecs: 3 rows
     of N columns; a transposed N x 3 layout is accepted and detected from the
     shape. Non-b0 rows are normalized to unit length; zero vectors are only
-    legal where b <= b0_threshold.
+    legal where b <= B0_THRESHOLD. Shells are grouped by
+    :func:`detect_shells`.
     """
     bval_rows = _parse_numeric_table(bvals_path)
     bvals = np.array([v for row in bval_rows for v in row], dtype=np.float64)
@@ -269,23 +258,17 @@ def read_bvals_bvecs(
 
     norms = np.linalg.norm(vecs, axis=1)
     zero = norms <= 1e-12
-    bad = zero & (bvals > b0_threshold)
+    bad = zero & (bvals > B0_THRESHOLD)
     if np.any(bad):
         raise GradientParseError(
             f"{bvecs_path}: zero direction at index {int(np.flatnonzero(bad)[0])} "
-            f"with b > {b0_threshold:g}"
+            f"with b > {B0_THRESHOLD:g}"
         )
     unit = vecs.copy()
     unit[~zero] /= norms[~zero, None]
 
-    b0_idx, shells = detect_shells(bvals, tolerance=tolerance, b0_threshold=b0_threshold)
-    return GradientScheme(
-        directions=unit,
-        bvals=bvals,
-        b0_indices=b0_idx,
-        shells=shells,
-        b0_threshold=b0_threshold,
-    )
+    b0_idx, shells = detect_shells(bvals)
+    return GradientScheme(directions=unit, bvals=bvals, b0_indices=b0_idx, shells=shells)
 
 
 def write_bvals_bvecs(bvals, directions, bvals_path: str, bvecs_path: str) -> None:

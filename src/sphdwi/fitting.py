@@ -129,8 +129,8 @@ def make_fit_operator(gradients, order: int, lb_lambda: float = 0.0) -> FitOpera
     the system dimensions and a condition estimate.
     """
     dirs = as_unit_directions(gradients)
-    if lb_lambda < 0:
-        raise ValueError(f"regularization weight must be >= 0, got {lb_lambda}")
+    if not (np.isfinite(lb_lambda) and lb_lambda >= 0):
+        raise ValueError(f"regularization weight must be finite and >= 0, got {lb_lambda}")
     basis, normal, cond = _normal_system(dirs, order, lb_lambda)
     try:
         lower = np.linalg.cholesky(normal)
@@ -154,7 +154,6 @@ def make_fit_operator(gradients, order: int, lb_lambda: float = 0.0) -> FitOpera
 
 
 _BLOCK = 1024  # voxel columns per BLAS call
-_STREAM = 16 * _BLOCK  # voxel columns per float64 buffer of _stream_blocks
 
 
 def _apply_affine(
@@ -210,31 +209,6 @@ def _apply_affine(
     return out
 
 
-def _stream_blocks(src: np.ndarray, dst: np.ndarray, step, header: dict, rows=None) -> None:
-    """Fill ``dst`` chunk by chunk with step(x, lo, hi), the result for voxels lo:hi.
-
-    ``src`` is a (C_in, V) channel matrix of stored NIfTI values (see
-    :func:`sphdwi.dwio.read_nifti_payload`) and ``dst`` a (C_out, V) output
-    payload, usually float32. For each chunk of _STREAM voxel columns, the
-    chunk's ``rows`` of ``src`` (all rows by default) are converted with
-    :func:`sphdwi.dwio.to_float64` into ``x``, a C-contiguous view of one
-    reused float64 buffer, so the 5-D API can take it without a copy.
-    ``step`` returns the chunk's (C_out, hi - lo) float64 result, which is
-    cast into ``dst``. Chunks start on _BLOCK boundaries, so
-    :func:`_apply_affine` splits a chunk the way it splits the whole
-    volume and every voxel's bits match the 5-D API, while the float64
-    buffers stay a few MiB whatever the volume size.
-    """
-    nvox = src.shape[1]
-    nrows = src.shape[0] if rows is None else len(rows)
-    buf = np.empty(nrows * min(nvox, _STREAM))
-    for lo in range(0, nvox, _STREAM):
-        hi = min(lo + _STREAM, nvox)
-        chunk = src[:, lo:hi] if rows is None else src[rows, lo:hi]
-        x = dwio.to_float64(chunk, header, out=buf[: nrows * (hi - lo)].reshape(nrows, hi - lo))
-        dst[:, lo:hi] = step(x, lo, hi)
-
-
 def _as_operator_list(op, shells: int) -> list[FitOperator]:
     ops = [op] if isinstance(op, FitOperator) else list(op)
     if len(ops) == 1:
@@ -269,11 +243,7 @@ def sh_to_signal(sh: ShVolume, gradients) -> DwiVolume:
 
 
 def _plan_shells(
-    nvol: int,
-    bvals_or_scheme,
-    b0_threshold: float = dwio.B0_THRESHOLD,
-    tolerance: float = dwio.SHELL_TOLERANCE,
-    shells: Sequence[float] | None = None,
+    nvol: int, bvals_or_scheme, shells: Sequence[float] | None = None
 ) -> tuple[dwio.GradientScheme | None, np.ndarray, tuple[dwio.Shell, ...]]:
     """Check an acquisition of ``nvol`` volumes against its gradient table.
 
@@ -286,10 +256,7 @@ def _plan_shells(
         b0_idx, shell_table = scheme.b0_indices, scheme.shells
     else:
         scheme = None
-        bvals = np.asarray(bvals_or_scheme, dtype=np.float64)
-        b0_idx, shell_table = dwio.detect_shells(
-            bvals, tolerance=tolerance, b0_threshold=b0_threshold
-        )
+        b0_idx, shell_table = dwio.detect_shells(bvals_or_scheme)
 
     indexed = b0_idx.size + sum(s.indices.size for s in shell_table)
     if indexed != nvol:
@@ -297,7 +264,7 @@ def _plan_shells(
     if b0_idx.size == 0:
         raise MissingB0Error("acquisition has no b=0 volume to normalize against")
 
-    return scheme, b0_idx, dwio.select_shells(shell_table, shells, tolerance)
+    return scheme, b0_idx, dwio.select_shells(shell_table, shells)
 
 
 def _b0_denominator(b0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -330,19 +297,17 @@ def _normalize_block(
 
 
 def normalize_b0(
-    raw,
-    bvals_or_scheme,
-    b0_threshold: float = dwio.B0_THRESHOLD,
-    tolerance: float = dwio.SHELL_TOLERANCE,
-    shells: Sequence[float] | None = None,
+    raw, bvals_or_scheme, shells: Sequence[float] | None = None
 ) -> tuple[DwiVolume, np.ndarray]:
     """Divide diffusion-weighted volumes by the mean b=0 volume.
 
     ``raw`` is the 4-D acquisition (X, Y, Z, volumes); ``bvals_or_scheme`` is
-    either the b-value list or a :class:`~sphdwi.dwio.GradientScheme`.
-    ``shells`` optionally restricts the output to the named nominal
-    b-values. The mean b0 sums the b0 volumes in acquisition order, so its
-    bits do not depend on the memory layout of ``raw``. Voxels whose mean b0
+    either the b-value list, grouped by :func:`sphdwi.dwio.detect_shells`,
+    or a :class:`~sphdwi.dwio.GradientScheme`, whose own b0 indices and
+    shells are used. ``shells`` optionally restricts the output to the
+    named nominal b-values (see :func:`sphdwi.dwio.select_shells`). The
+    mean b0 sums the b0 volumes in acquisition order, so its bits do not
+    depend on the memory layout of ``raw``. Voxels whose mean b0
     falls at or below 1e-6 times the volume maximum produce 0 and are
     flagged in the returned exclusion mask (X, Y, Z boolean, True =
     excluded); a non-finite b0 value raises :class:`ShapeError`. Returns the
@@ -351,9 +316,7 @@ def normalize_b0(
     arr = np.asarray(raw, dtype=np.float64)
     if arr.ndim != 4:
         raise ShapeError(f"raw acquisition must be 4-D, got shape {arr.shape}")
-    scheme, b0_idx, shell_table = _plan_shells(
-        arr.shape[3], bvals_or_scheme, b0_threshold, tolerance, shells
-    )
+    scheme, b0_idx, shell_table = _plan_shells(arr.shape[3], bvals_or_scheme, shells)
     excluded, denom = _b0_denominator(np.moveaxis(arr[..., b0_idx], 3, 0))
 
     m = shell_table[0].indices.size
@@ -375,7 +338,6 @@ def normalize_b0(
                     shell_table,
                 )
             ),
-            b0_threshold=b0_threshold,
         )
     else:
         sub = None

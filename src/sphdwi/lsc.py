@@ -225,20 +225,36 @@ def save_kernel_json(path: str, kernel: LscKernel, kernel_sizes, angular_distanc
         fh.write("\n")
 
 
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
 def load_kernel_json(path: str) -> tuple[LscKernel, tuple[int, ...], float]:
-    """Read a kernel JSON document; returns (kernel, kernel_sizes, angular_distance)."""
+    """Read a kernel JSON document; returns (kernel, kernel_sizes, angular_distance).
+
+    A malformed document raises :class:`KernelMismatchError` naming the field.
+    """
     with open(path, "r") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise KernelMismatchError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise KernelMismatchError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     missing = [k for k in KERNEL_JSON_FIELDS if k not in doc]
     if missing:
         raise KernelMismatchError(f"{path}: missing fields {missing}")
-    sizes = tuple(int(s) for s in doc["kernel_sizes"])
+    sizes = doc["kernel_sizes"]
+    if not (isinstance(sizes, list) and sizes and all(map(_positive_int, sizes))):
+        raise KernelMismatchError(
+            f"{path}: kernel_sizes must be a non-empty list of positive integers, got {sizes!r}"
+        )
+    for name in ("shells_in", "shells_out"):
+        if not _positive_int(doc[name]):
+            raise KernelMismatchError(f"{path}: {name} must be a positive integer, got {doc[name]}")
     weights = np.asarray(doc["weights"], dtype=np.float64)
     bias = np.asarray(doc["bias"], dtype=np.float64)
-    if weights.ndim != 3 or weights.shape[:2] != (int(doc["shells_out"]), int(doc["shells_in"])):
+    if weights.ndim != 3 or weights.shape[:2] != (doc["shells_out"], doc["shells_in"]):
         raise KernelMismatchError(
             f"{path}: weights shape {weights.shape} does not match declared shells "
             f"({doc['shells_out']} out, {doc['shells_in']} in)"
@@ -249,4 +265,4 @@ def load_kernel_json(path: str) -> tuple[LscKernel, tuple[int, ...], float]:
             f"kernel_sizes K = {1 + sum(sizes)}"
         )
     kernel = LscKernel(weights=weights, bias=bias)
-    return kernel, sizes, float(doc["angular_distance"])
+    return kernel, tuple(sizes), float(doc["angular_distance"])

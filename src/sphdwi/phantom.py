@@ -17,7 +17,8 @@ import numpy as np
 from . import dwio
 from .shcore import coeff_count, basis_degrees, eval_basis
 
-DEFAULT_S0 = 1000.0
+DEFAULT_S0 = 1000.0  # b0 signal of every voxel
+TENSOR_DIAG = (1.7e-3, 0.3e-3, 0.3e-3)  # diffusion tensor of the 'tensor' kind, mm^2/s
 _MIN_SIGNAL = 0.05
 
 
@@ -27,7 +28,8 @@ class PhantomSpec:
 
     kind: 'constant' (signal == value), 'bandlimited' (seeded random SH
     coefficients of the given order) or 'tensor'
-    (signal = exp(-b g^T D g), D diagonal in mm^2/s).
+    (signal = exp(-b g^T D g), D = diag(TENSOR_DIAG)). Every kind is scaled
+    by the b0 signal DEFAULT_S0.
     """
 
     grid: tuple[int, int, int]
@@ -35,9 +37,7 @@ class PhantomSpec:
     value: float = 1.0
     order: int = 4
     seed: int = 0
-    tensor_diag: tuple[float, float, float] = (1.7e-3, 0.3e-3, 0.3e-3)
     noise_sigma: float = 0.0
-    s0: float = DEFAULT_S0
 
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "bandlimited", "tensor"):
@@ -108,11 +108,11 @@ def generate_phantom(spec: PhantomSpec, scheme: dwio.GradientScheme) -> PhantomR
     dwi_idx = np.concatenate([s.indices for s in scheme.shells]) if scheme.shells else np.array([], int)
 
     data = np.empty((nvox, nvol))
-    data[:, scheme.b0_indices] = spec.s0
+    data[:, scheme.b0_indices] = DEFAULT_S0
     truth = None
 
     if spec.kind == "constant":
-        data[:, dwi_idx] = spec.s0 * spec.value
+        data[:, dwi_idx] = DEFAULT_S0 * spec.value
     elif spec.kind == "bandlimited":
         coeffs = _bandlimited_coeffs(rng, spec.order, nvox)
         for shell in scheme.shells:
@@ -120,18 +120,18 @@ def generate_phantom(spec: PhantomSpec, scheme: dwio.GradientScheme) -> PhantomR
             coeffs = _enforce_positive(coeffs, basis)
         for shell in scheme.shells:
             basis = eval_basis(scheme.directions[shell.indices], spec.order)
-            data[:, shell.indices] = spec.s0 * (basis @ coeffs).T
+            data[:, shell.indices] = DEFAULT_S0 * (basis @ coeffs).T
         truth = coeffs.T.reshape(*grid, -1)
     else:  # tensor
-        d = np.diag(spec.tensor_diag)
+        d = np.diag(TENSOR_DIAG)
         for shell in scheme.shells:
             g = scheme.directions[shell.indices]
             b = scheme.bvals[shell.indices]
             decay = np.exp(-b * np.einsum("ni,ij,nj->n", g, d, g))
-            data[:, shell.indices] = spec.s0 * decay[None, :]
+            data[:, shell.indices] = DEFAULT_S0 * decay[None, :]
 
     if spec.noise_sigma > 0.0:
-        data = data + rng.normal(scale=spec.noise_sigma * spec.s0, size=data.shape)
+        data = data + rng.normal(scale=spec.noise_sigma * DEFAULT_S0, size=data.shape)
 
     raw = data.reshape(*grid, nvol)
     return PhantomResult(data=raw, scheme=scheme, truth_coeffs=truth)

@@ -54,10 +54,6 @@ class ShBasisSpec:
     def coeff_count(self) -> int:
         return (self.order + 1) * (self.order + 2) // 2
 
-    def degrees(self) -> np.ndarray:
-        """Degree l of every coefficient index, shape (R,)."""
-        return basis_degrees(self.order)
-
 
 def sh_index(l: int, m: int) -> int:
     """Packed coefficient index j = l(l+1)/2 + m for even degree l."""
@@ -225,13 +221,11 @@ def degree_energies(coeffs, order: int, axis: int = 0) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def high_degree_energy_fraction(coeffs, order: int, axis: int = 0, min_degree: int = 2) -> np.ndarray:
-    """Fraction of squared-coefficient energy carried by degrees >= min_degree."""
-    en = degree_energies(coeffs, order, axis=axis)
-    en = np.moveaxis(en, axis, 0)
-    levels = np.arange(0, order + 1, 2)
+def high_degree_energy_fraction(coeffs, order: int, axis: int = 0) -> np.ndarray:
+    """Fraction of squared-coefficient energy carried by degrees l >= 2."""
+    en = np.moveaxis(degree_energies(coeffs, order, axis=axis), axis, 0)
     total = np.sum(en, axis=0)
-    high = np.sum(en[levels >= min_degree], axis=0)
+    high = np.sum(en[1:], axis=0)  # every degree but l = 0
     with np.errstate(invalid="ignore", divide="ignore"):
         frac = np.where(total > 0.0, high / total, 0.0)
     return frac

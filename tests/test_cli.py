@@ -1,8 +1,10 @@
 import gzip
+import json
 import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -113,11 +115,18 @@ class TestSignal2Sh:
         _, got, _ = dwio.read_nifti(out)
         np.testing.assert_allclose(got, affine, atol=1e-6)
 
-    def test_three_dimensional_input_exits_2(self, phantom_files, tmp_path):
-        dwi = str(tmp_path / "flat.nii.gz")
-        dwio.write_nifti(dwi, np.ones((3, 3, 3)))
-        files = dict(phantom_files, nifti=dwi)
-        assert main(fit_args(files, str(tmp_path / "x.nii"))) == 2
+    def test_three_dimensional_input_exits_2(self, phantom_files, tmp_path, capsys):
+        flat = str(tmp_path / "flat.nii.gz")
+        dwio.write_nifti(flat, np.ones((3, 3, 3)))
+        out = tmp_path / "x.nii"
+        for args in (
+            fit_args(dict(phantom_files, nifti=flat), str(out)),
+            lsc_args(phantom_files, flat, str(out)),
+            eval_args(phantom_files, flat, str(out)),
+        ):
+            assert main(args) == 2, args[0]
+            assert "expected a 4-D volume, got 3-D" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestSh2Signal:
@@ -147,6 +156,19 @@ class TestSh2Signal:
         )
         assert code == 2
         assert "28" in capsys.readouterr().err
+
+    def test_ragged_dirs_file_exits_2_naming_widths(self, phantom_files, tmp_path, capsys):
+        sh_path = str(tmp_path / "sh.nii")
+        assert main(fit_args(phantom_files, sh_path)) == 0
+        dirs_path = tmp_path / "ragged.txt"
+        dirs_path.write_text("1 0 0\n0 1\n0 0 1\n")
+        out = tmp_path / "x.nii"
+        code = main(["sh2signal", "--sh", sh_path, "--dirs", str(dirs_path), "--order", "4",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(dirs_path) in err and "row widths [2, 3]" in err
+        assert not out.exists()
 
     def test_dirs_and_bvecs_mutually_exclusive(self, phantom_files, tmp_path, capsys):
         code = main(
@@ -366,6 +388,53 @@ class TestLsc:
         assert code == 2
         assert "b=1000: 30, b=2000: 20" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            (5, "JSON object"),
+            ({"kernel_sizes": None}, "kernel_sizes"),
+            # truncated to 4, this size would match the 5 weights and run
+            ({"kernel_sizes": [4.7], "weights": [[[0.2] * 5]]}, "kernel_sizes"),
+            ({"kernel_sizes": []}, "kernel_sizes"),
+            ({"shells_in": 0}, "shells_in"),
+            ({"shells_out": 1.5}, "shells_out"),
+        ],
+        ids=["not-an-object", "null-sizes", "float-size", "empty-sizes", "zero-shells-in",
+             "float-shells-out"],
+    )
+    def test_malformed_kernel_json_exits_2(self, phantom_files, tmp_path, capsys, doc, field):
+        sh_path = str(tmp_path / "sh.nii")
+        assert main(fit_args(phantom_files, sh_path)) == 0
+        valid = {"shells_in": 1, "shells_out": 1, "kernel_sizes": [5],
+                 "angular_distance": float(PI_OVER_5), "weights": [[[1 / 6] * 6]], "bias": [0.0]}
+        kernel_path = tmp_path / "kernel.json"
+        kernel_path.write_text(json.dumps({**valid, **doc} if isinstance(doc, dict) else doc))
+        out = tmp_path / "x.nii"
+        args = lsc_args(phantom_files, sh_path, str(out))
+        at = args.index("--moving-average")
+        args[at : at + 2] = ["--kernel", str(kernel_path)]
+        assert main(args) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_order_out_writes_the_api_result(self, phantom_files, tmp_path):
+        """lsc --order-out 2 on an order-4 file writes the order-2 refit, 6 volumes per shell."""
+        sh_path, low_path = str(tmp_path / "sh.nii"), str(tmp_path / "low.nii")
+        assert main(fit_args(phantom_files, sh_path)) == 0
+        assert main([*lsc_args(phantom_files, sh_path, low_path), "--order-out", "2"]) == 0
+        scheme = dwio.read_bvals_bvecs(phantom_files["bvals"], phantom_files["bvecs"])
+        dirs = scheme.shell_directions(1000.0)
+        geom = build_lsc_geometry(dirs, (5,), float(PI_OVER_5), 4, 2, 0.0)
+        low = lsc_forward(_load_sh(sh_path, 4, 1), make_moving_average_kernel([5]), geom)
+        assert low.data.shape[1] == 6
+        _assert_payload_equals(low_path, low)
+
+        sig_path = str(tmp_path / "sig.nii")
+        args = eval_args(phantom_files, low_path, sig_path)
+        args[args.index("--order") + 1] = "2"
+        assert main(args) == 0
+        _assert_payload_equals(sig_path, sh_to_signal(_load_sh(low_path, 2, 1), dirs))
 
     def test_kernel_and_moving_average_exclusive(self, phantom_files, tmp_path):
         code = main(
@@ -592,6 +661,21 @@ class TestNonFiniteInput:
                          "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["signal2sh", "lsc"])
+    def test_non_finite_lambda_exits_2(self, phantom_files, tmp_path, capsys, command, value):
+        sh_path = str(tmp_path / "sh.nii")
+        assert main(fit_args(phantom_files, sh_path)) == 0
+        out = tmp_path / "x.nii"
+        args = (fit_args(phantom_files, str(out)) if command == "signal2sh"
+                else lsc_args(phantom_files, sh_path, str(out)))
+        args[args.index("--lambda") + 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 2
+        assert "regularization weight must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_infinite_b0_exits_2_without_output(self, tmp_path, capsys):
         # the infinite b0 once set the exclusion threshold to inf, and every

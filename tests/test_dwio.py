@@ -26,19 +26,19 @@ class TestDetectShells:
 
     def test_values_within_tolerance_merge(self):
         # hand-frozen expectation: 990 and 1010 sit 20 apart -> one shell at 1000
-        b0, shells = dwio.detect_shells([0.0, 990.0, 1010.0], tolerance=50.0)
+        b0, shells = dwio.detect_shells([0.0, 990.0, 1010.0])
         assert len(shells) == 1
         assert shells[0].bvalue == 1000.0
         assert list(shells[0].indices) == [1, 2]
 
     def test_gap_beyond_tolerance_splits(self):
         # 990 vs 1200 is a 210 gap -> two shells
-        _, shells = dwio.detect_shells([0.0, 990.0, 1200.0], tolerance=50.0)
+        _, shells = dwio.detect_shells([0.0, 990.0, 1200.0])
         assert len(shells) == 2
         assert [s.bvalue for s in shells] == [990.0, 1200.0]
 
     def test_mixed_cluster(self):
-        _, shells = dwio.detect_shells([0.0, 995.0, 1005.0, 2000.0], tolerance=50.0)
+        _, shells = dwio.detect_shells([0.0, 995.0, 1005.0, 2000.0])
         assert [s.bvalue for s in shells] == [1000.0, 2000.0]
         assert [s.indices.size for s in shells] == [2, 1]
 
@@ -50,10 +50,6 @@ class TestDetectShells:
     def test_nominal_rounded_to_five(self):
         _, shells = dwio.detect_shells([0.0, 998.0, 999.0])
         assert shells[0].bvalue == 1000.0
-
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            dwio.detect_shells([0.0, 1000.0], tolerance=0.0)
 
 
 class TestReadBvalsBvecs:

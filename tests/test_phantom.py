@@ -12,6 +12,7 @@ from sphdwi import (
     read_nifti,
     signal_to_sh,
 )
+from sphdwi.phantom import DEFAULT_S0, TENSOR_DIAG
 
 
 class TestScheme:
@@ -52,9 +53,9 @@ class TestGenerators:
         scheme = make_scheme(30)
         result = generate_phantom(spec, scheme)
         g = scheme.directions[scheme.shells[0].indices]
-        d = np.diag(spec.tensor_diag)
+        d = np.diag(TENSOR_DIAG)
         expected = np.exp(-1000.0 * np.einsum("ni,ij,nj->n", g, d, g))
-        got = result.data[0, 0, 0, scheme.shells[0].indices] / spec.s0
+        got = result.data[0, 0, 0, scheme.shells[0].indices] / DEFAULT_S0
         np.testing.assert_allclose(got, expected, atol=1e-12)
         x_axis = np.exp(-1.7)
         closest = np.argmax(np.abs(g @ np.array([1.0, 0.0, 0.0])))
@@ -73,8 +74,7 @@ class TestGenerators:
         assert np.array_equal(eval_basis(g, 4) @ coeffs, eval_basis(-g, 4) @ coeffs)
 
     def test_tensor_signal_antipodally_exact(self):
-        spec = PhantomSpec(grid=(1, 1, 1), kind="tensor")
-        d = np.diag(spec.tensor_diag)
+        d = np.diag(TENSOR_DIAG)
         g = np.array([[0.6, -0.48, 0.64], [0.0, 0.8, 0.6]])
         plus = np.exp(-1000.0 * np.einsum("ni,ij,nj->n", g, d, g))
         minus = np.exp(-1000.0 * np.einsum("ni,ij,nj->n", -g, d, -g))
