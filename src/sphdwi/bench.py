@@ -248,6 +248,8 @@ def run_bench(
     """
     if repeats < 3:
         raise ValueError(f"repeats must be >= 3, got {repeats}")
+    if voxel_count < 1:
+        raise ValueError(f"voxel_count must be >= 1, got {voxel_count}")
     rows: list[BenchRow] = []
     pinned = True
     for order in orders:

@@ -213,10 +213,15 @@ def _read_dirs_file(path: str) -> np.ndarray:
 
 
 def _cmd_sh2signal(args) -> int:
-    if (args.dirs is None) == (args.bvecs is None):
-        raise ShapeError("give either --dirs or the --bvals/--bvecs/--shell triple")
+    either = "give either --dirs or the --bvals/--bvecs/--shell triple"
     if args.dirs is not None:
+        given = {"--bvals": args.bvals, "--bvecs": args.bvecs, "--shell": args.shell}
+        extra = [flag for flag, value in given.items() if value is not None]
+        if extra:
+            raise ShapeError(f"--dirs does not combine with {', '.join(extra)}: {either}")
         dirs = _read_dirs_file(args.dirs)
+    elif args.bvecs is None:
+        raise ShapeError(either)
     else:
         if args.bvals is None or not args.shell:
             raise ShapeError("--bvecs needs --bvals and one --shell")
@@ -270,10 +275,12 @@ def _cmd_lsc(args) -> int:
     energy = [0.0, 0.0]  # summed l>=2 energy fractions of the input and the output
 
     def convolve(x, voxels):
-        sh = ShVolume(x, spec, shells=shells_in)
-        smooth = lsc.lsc_forward(sh, kernel, geom)
-        energy[0] += _high_degree_fraction_sum(sh)
-        energy[1] += _high_degree_fraction_sum(smooth)
+        smooth = lsc.lsc_forward(ShVolume(x, spec, shells=shells_in), kernel, geom)
+        # each side as (shells, R, width): one reduction over every shell of the chunk
+        for side, data, shells, order in ((0, x, shells_in, order_in),
+                                          (1, smooth.data, kernel.shells_out, order_out)):
+            coeffs = data.reshape(shells, -1, x.shape[2])
+            energy[side] += np.sum(high_degree_energy_fraction(coeffs, order, axis=1))
         return smooth
 
     _stream(vol, args.out, kernel.shells_out * coeff_count(order_out), convolve)
@@ -283,14 +290,6 @@ def _cmd_lsc(args) -> int:
         f"-> {energy[1] / (kernel.shells_out * nvox):.4f}"
     )
     return 0
-
-
-def _high_degree_fraction_sum(vol: ShVolume) -> float:
-    """Sum over shells and voxels of the l>=2 energy fraction of a one-subject SH volume."""
-    return float(sum(
-        np.sum(high_degree_energy_fraction(vol.shell_coeffs(s)[0], vol.basis_spec.order, axis=0))
-        for s in range(vol.shells)
-    ))
 
 
 def _cmd_bench(args) -> int:

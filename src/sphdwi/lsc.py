@@ -19,6 +19,7 @@ into subjects or blocks).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,8 +226,12 @@ def save_kernel_json(path: str, kernel: LscKernel, kernel_sizes, angular_distanc
         fh.write("\n")
 
 
+def _real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+    return isinstance(value, int) and _real(value) and value > 0
 
 
 def load_kernel_json(path: str) -> tuple[LscKernel, tuple[int, ...], float]:
@@ -264,5 +269,11 @@ def load_kernel_json(path: str) -> tuple[LscKernel, tuple[int, ...], float]:
             f"{path}: weights length K = {weights.shape[2]} does not match "
             f"kernel_sizes K = {1 + sum(sizes)}"
         )
+    alpha = doc["angular_distance"]
+    # the upper bound also rejects infinity, NaN and integers too large for a float
+    if not _real(alpha) or not 0.0 < alpha <= sys.float_info.max:
+        raise KernelMismatchError(
+            f"{path}: angular_distance must be a finite number > 0, got {alpha!r}"
+        )
     kernel = LscKernel(weights=weights, bias=bias)
-    return kernel, tuple(sizes), float(doc["angular_distance"])
+    return kernel, tuple(sizes), float(alpha)

@@ -202,16 +202,21 @@ def ring_directions(u, alpha: float, n: int) -> np.ndarray:
     return ring / np.linalg.norm(ring, axis=1, keepdims=True)
 
 
+def _checked_coeffs(coeffs, order: int, axis: int) -> np.ndarray:
+    arr = np.asarray(coeffs, dtype=np.float64)
+    r = coeff_count(order)
+    if arr.shape[axis] != r:
+        raise ValueError(f"expected {r} coefficients along axis {axis}, got {arr.shape[axis]}")
+    return arr
+
+
 def degree_energies(coeffs, order: int, axis: int = 0) -> np.ndarray:
     """Sum of squared coefficients per even degree.
 
     ``coeffs`` has R entries along ``axis``; the result replaces that axis by
     one entry per even degree 0, 2, ..., order.
     """
-    arr = np.asarray(coeffs, dtype=np.float64)
-    r = coeff_count(order)
-    if arr.shape[axis] != r:
-        raise ValueError(f"expected {r} coefficients along axis {axis}, got {arr.shape[axis]}")
+    arr = _checked_coeffs(coeffs, order, axis)
     # degree l holds the contiguous coefficients l(l-1)/2 .. (l+1)(l+2)/2 - 1
     sq = np.ascontiguousarray(np.moveaxis(arr, axis, 0)) ** 2
     out = np.stack(
@@ -222,10 +227,10 @@ def degree_energies(coeffs, order: int, axis: int = 0) -> np.ndarray:
 
 
 def high_degree_energy_fraction(coeffs, order: int, axis: int = 0) -> np.ndarray:
-    """Fraction of squared-coefficient energy carried by degrees l >= 2."""
-    en = np.moveaxis(degree_energies(coeffs, order, axis=axis), axis, 0)
-    total = np.sum(en, axis=0)
-    high = np.sum(en[1:], axis=0)  # every degree but l = 0
+    """Share of squared-coefficient energy in degrees l >= 2: 1 - c_0^2 / sum(c^2), 0 if c = 0."""
+    arr = _checked_coeffs(coeffs, order, axis)
+    dims = list(range(arr.ndim))
+    # einsum sums the squares along axis without a squared copy of the array
+    total = np.einsum(arr, dims, arr, dims, [d for d in dims if d != dims[axis]])
     with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(total > 0.0, high / total, 0.0)
-    return frac
+        return np.where(total > 0.0, 1.0 - np.take(arr, 0, axis=axis) ** 2 / total, 0.0)

@@ -94,6 +94,11 @@ class TestRunBench:
         with pytest.raises(ValueError):
             run_bench([4], voxel_count=10, repeats=2)
 
+    @pytest.mark.parametrize("voxel_count", [0, -3])
+    def test_voxel_count_validated(self, voxel_count):
+        with pytest.raises(ValueError, match="voxel_count must be >= 1"):
+            run_bench([4], voxel_count=voxel_count, repeats=3)
+
     def test_naive_oracle_runs_repeats_plus_one_times_per_order(self, monkeypatch):
         # the untimed warm-up result doubles as the reference: no extra oracle runs
         calls = {"fit": Counter(), "eval": Counter()}

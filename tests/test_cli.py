@@ -171,12 +171,24 @@ class TestSh2Signal:
         assert not out.exists()
 
     def test_dirs_and_bvecs_mutually_exclusive(self, phantom_files, tmp_path, capsys):
-        code = main(
-            ["sh2signal", "--sh", phantom_files["nifti"], "--order", "4",
-             "--out", str(tmp_path / "x.nii")]
-        )
-        assert code == 2
-        assert "give either --dirs" in capsys.readouterr().err
+        dirs_path = str(tmp_path / "d.txt")
+        np.savetxt(dirs_path, np.eye(3))
+        out = tmp_path / "x.nii"
+        command = ["sh2signal", "--sh", phantom_files["nifti"], "--order", "4", "--out", str(out)]
+        with_dirs = ["--dirs", dirs_path]
+        cases = [
+            ([], "give either --dirs"),
+            # --shell 5000 names no shell of the scheme: it must not be silently ignored
+            ([*with_dirs, "--bvals", phantom_files["bvals"], "--shell", "5000"],
+             "does not combine with --bvals, --shell"),
+            ([*with_dirs, "--bvals", phantom_files["bvals"]], "does not combine with --bvals"),
+            ([*with_dirs, "--bvecs", phantom_files["bvecs"]], "does not combine with --bvecs"),
+            ([*with_dirs, "--shell", "1000"], "does not combine with --shell"),
+        ]
+        for extra, message in cases:
+            assert main([*command, *extra]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_order_exits_2_without_output(self, tmp_path, capsys):
         """An order-8 file read without --order is not taken as 3 shells of order 4."""
@@ -399,9 +411,20 @@ class TestLsc:
             ({"kernel_sizes": []}, "kernel_sizes"),
             ({"shells_in": 0}, "shells_in"),
             ({"shells_out": 1.5}, "shells_out"),
+            ({"angular_distance": None}, "angular_distance"),
+            ({"angular_distance": [0.6]}, "angular_distance"),
+            ({"angular_distance": "0.6"}, "angular_distance"),
+            # a bool is an int to Python, and True would run as 1 radian
+            ({"angular_distance": True}, "angular_distance"),
+            ({"angular_distance": 0}, "angular_distance"),
+            ({"angular_distance": -0.6}, "angular_distance"),
+            ({"angular_distance": float("nan")}, "angular_distance"),
+            ({"angular_distance": float("inf")}, "angular_distance"),
+            ({"angular_distance": 10**400}, "angular_distance"),
         ],
         ids=["not-an-object", "null-sizes", "float-size", "empty-sizes", "zero-shells-in",
-             "float-shells-out"],
+             "float-shells-out", "null-alpha", "list-alpha", "string-alpha", "bool-alpha",
+             "zero-alpha", "negative-alpha", "nan-alpha", "inf-alpha", "huge-int-alpha"],
     )
     def test_malformed_kernel_json_exits_2(self, phantom_files, tmp_path, capsys, doc, field):
         sh_path = str(tmp_path / "sh.nii")

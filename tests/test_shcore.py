@@ -218,3 +218,31 @@ class TestDegreeEnergies:
         coeffs = np.zeros(15)
         coeffs[0] = 2.0
         assert shcore.high_degree_energy_fraction(coeffs, 4) == 0.0
+
+    @pytest.mark.parametrize(
+        "order, shape, axis",
+        [(4, (15,), 0), (8, (45, 1024), 0), (8, (45, 7, 5, 3), 0), (4, (30, 15), 1), (6, (7, 28, 9), 1),
+         (4, (3, 15), -1)],
+    )
+    def test_fraction_is_one_minus_degree_zero_share(self, rng, order, shape, axis):
+        # 1 - c_0^2 / sum c^2 is the l >= 2 share of the per-degree energies
+        coeffs = rng.normal(size=shape)
+        en = np.moveaxis(shcore.degree_energies(coeffs, order, axis=axis), axis, 0)
+        reference = 1.0 - en[0] / en.sum(axis=0)
+        got = shcore.high_degree_energy_fraction(coeffs, order, axis=axis)
+        assert got.shape == reference.shape
+        np.testing.assert_allclose(got, reference, rtol=0.0, atol=1e-12)
+        assert np.all((got >= 0.0) & (got <= 1.0))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_fraction_of_zero_and_of_no_constant(self, axis):
+        # three voxels: all zero; c_0 = 0 and every other coefficient set; c_0 only
+        coeffs = np.zeros((28, 3))
+        coeffs[1:, 1] = 0.5
+        coeffs[0, 2] = -3.0
+        got = shcore.high_degree_energy_fraction(coeffs if axis == 0 else coeffs.T, 6, axis=axis)
+        np.testing.assert_array_equal(got, [0.0, 1.0, 0.0])
+
+    def test_fraction_checks_coefficient_count(self):
+        with pytest.raises(ValueError, match="expected 15 coefficients along axis 1"):
+            shcore.high_degree_energy_fraction(np.ones((2, 14)), 4, axis=1)
