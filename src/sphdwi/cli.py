@@ -4,12 +4,15 @@ Exit codes: 0 success, 2 usage/validation, 3 numerical failure, 4 I/O
 failure. Diagnostics go to stderr; data and CSV go to --out or stdout.
 Angles are radians (pi/5 = 0.6283185307). Output files are written to a
 temporary sibling and renamed into place, so failures never leave partial
-files behind.
+files behind; an --out whose directory does not exist exits 4 before any
+input is read.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from collections import namedtuple
 
@@ -336,6 +339,12 @@ def _cmd_phantom(args) -> int:
     return 0
 
 
+def _check_out_dir(path: str) -> None:
+    """Fail before any work, not after it, when ``--out`` names no existing directory."""
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise FileNotFoundError(errno.ENOENT, "output directory does not exist", path)
+
+
 _HANDLERS = {
     "signal2sh": _cmd_signal2sh,
     "sh2signal": _cmd_sh2signal,
@@ -352,6 +361,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out_dir(args.out)
         return _HANDLERS[args.command](args)
     except (ShapeError, GradientParseError, KernelMismatchError, MissingB0Error, ValueError) as exc:
         _err(str(exc))

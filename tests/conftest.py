@@ -1,10 +1,35 @@
+import errno
+import io
+import os
+
 import numpy as np
 import pytest
+
+from sphdwi import dwio
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240814)
+
+
+class _FullDisk(io.FileIO):
+    """A file that refuses writes once 100 bytes are in it, as a full disk would."""
+
+    def write(self, data):
+        if self.tell() >= 100:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(data)
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Make every file dwio opens for "wb" fail with ENOSPC past 100 bytes."""
+
+    def full_disk_open(path, mode="r"):
+        return _FullDisk(path, "w") if mode == "wb" else open(path, mode)
+
+    monkeypatch.setattr(dwio, "open", full_disk_open, raising=False)
 
 
 def random_unit_vectors(rng, n):

@@ -1,3 +1,4 @@
+import errno
 import gzip
 import json
 import os
@@ -800,6 +801,43 @@ class TestAtomicOutput:
         assert "rename refused" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["signal2sh", "lsc", "sh2signal", "bench"])
+    def test_missing_out_directory_exits_4_before_reading(self, command, phantom_files, tmp_path,
+                                                          monkeypatch, capsys):
+        sh_path = phantom_files["nifti"]  # any 4-D file: nothing may read it
+        out = str(tmp_path / "nodir" / "out.nii.gz")
+        args = {
+            "signal2sh": fit_args(phantom_files, out),
+            "lsc": ["lsc", "--sh", sh_path, "--bvals", phantom_files["bvals"],
+                    "--bvecs", phantom_files["bvecs"], "--moving-average", f"5,{PI_OVER_5}",
+                    "--out", out],
+            "sh2signal": ["sh2signal", "--sh", sh_path, "--bvals", phantom_files["bvals"],
+                          "--bvecs", phantom_files["bvecs"], "--shell", "1000",
+                          "--order", "4", "--out", out],
+            "bench": ["bench", "--orders", "2", "--voxels", "50", "--repeats", "3",
+                      "--out", out],
+        }[command]
+
+        def no_read(path):
+            raise AssertionError(f"read {path} although --out cannot be written")
+
+        monkeypatch.setattr(dwio, "read_nifti_payload", no_read)
+        monkeypatch.setattr(sphdwi.bench, "run_bench", no_read)
+        before = sorted(tmp_path.iterdir())
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert out in err and ".sphdwi-" not in err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_failed_gzip_write_exits_4_leaving_no_file(self, phantom_files, tmp_path,
+                                                       full_disk, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = str(out_dir / "sh.nii.gz")
+        assert main(fit_args(phantom_files, out)) == 4
+        assert f"{os.strerror(errno.ENOSPC)}: '{out}'" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
     def test_csv_mode_follows_umask(self, tmp_path):
         out = tmp_path / "bench.csv"
         old = os.umask(0o027)
@@ -864,6 +902,23 @@ class TestUsageErrors:
 def test_cli_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(sphdwi.__file__)))
     probe = "import sys, sphdwi.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_thread_pool():
+    # the .gz writer imports concurrent.futures (about 12 ms) when it first runs
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sphdwi.__file__)))
+    probe = (
+        "import sys, sphdwi.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": src},

@@ -1,6 +1,9 @@
+import errno
 import gzip
+import io
 import os
 import stat
+import threading
 import zlib
 
 import numpy as np
@@ -380,6 +383,170 @@ class TestReproducibleGzip:
         path = tmp_path / "zeros.nii.gz"
         dwio.write_nifti(str(path), vol)
         assert path.stat().st_size < 0.01 * (352 + vol.nbytes)
+
+
+SLICE = 4096  # small .gz slices, so a few KiB of payload spans several
+
+
+def _rle_deflate(data, mode=zlib.Z_FINISH):
+    deflate = zlib.compressobj(9, zlib.DEFLATED, -zlib.MAX_WBITS, 9, zlib.Z_RLE)
+    return deflate.compress(data) + deflate.flush(mode)
+
+
+def _sliced_reference(stream, size):
+    """The raw deflate stream pigz-style slicing gives, built slice by slice here."""
+    cuts = range(0, max(len(stream), 1), size)
+    ends = [zlib.Z_SYNC_FLUSH] * (len(cuts) - 1) + [zlib.Z_FINISH]
+    return b"".join(_rle_deflate(stream[lo : lo + size], end) for lo, end in zip(cuts, ends))
+
+
+def _deflate_body(blob):
+    """The raw deflate stream of a one-member gzip file whose FNAME is vol.nii."""
+    header = bytes.fromhex("1f8b0808" "00000000" "00ff") + b"vol.nii\x00"
+    assert blob[: len(header)] == header
+    return blob[len(header) : -8]
+
+
+def _one_member(blob):
+    inflate = zlib.decompressobj(31)  # gzip framing: checks CRC32 and ISIZE
+    body = inflate.decompress(blob)
+    assert inflate.eof and inflate.unused_data == b""
+    return body
+
+
+class TestSlicedGzip:
+    """.nii.gz bodies are 1 MiB slices deflated apart and joined by sync flushes."""
+
+    # payload bytes of a uint8 volume: the stream is 352 header bytes plus these
+    @pytest.mark.parametrize(
+        "payload",
+        [3 * SLICE + 1000, 4 * SLICE - 352, 2 * SLICE - 352 + 1],
+        ids=["over-three-slices", "exact-multiple", "one-byte-tail"],
+    )
+    def test_slices_form_one_member_that_reads_back(self, payload, tmp_path, monkeypatch, rng):
+        monkeypatch.setattr(dwio, "_GZIP_SLICE", SLICE)
+        vol = rng.integers(0, 4, size=(payload, 1, 1), dtype=np.uint8)  # runs to match
+        dwio.write_nifti(str(tmp_path / "vol.nii"), vol, dtype=np.uint8)
+        dwio.write_nifti(str(tmp_path / "vol.nii.gz"), vol, dtype=np.uint8)
+        plain = (tmp_path / "vol.nii").read_bytes()
+        blob = (tmp_path / "vol.nii.gz").read_bytes()
+        assert _one_member(blob) == plain
+        assert gzip.decompress(blob) == plain
+        raw, _, _ = dwio.read_nifti_payload(str(tmp_path / "vol.nii.gz"))
+        np.testing.assert_array_equal(raw, vol)
+        assert _deflate_body(blob) == _sliced_reference(plain, SLICE)
+        assert _deflate_body(blob) != _rle_deflate(plain)  # the slices show in the bytes
+
+    def test_bytes_do_not_depend_on_the_thread_count(self, tmp_path, monkeypatch, rng):
+        monkeypatch.setattr(dwio, "_GZIP_SLICE", SLICE)
+        vol = rng.normal(size=(7, 6, 5, 9)).astype(np.float32)  # 7,560 bytes: 3 slices
+        blobs = []
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(dwio, "_thread_count", lambda threads=threads: threads)
+            path = tmp_path / f"t{threads}" / "vol.nii.gz"
+            path.parent.mkdir()
+            dwio.write_nifti(str(path), vol)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
+        assert _deflate_body(blobs[0]) == _sliced_reference(_one_member(blobs[0]), SLICE)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_at_most_one_slice_per_thread_in_flight(self, threads, monkeypatch):
+        from concurrent import futures
+
+        submitted, in_flight = [], []
+
+        class CountingPool(futures.ThreadPoolExecutor):
+            def submit(self, *args):
+                submitted.append(args)
+                return super().submit(*args)
+
+        class Sink(io.BytesIO):
+            def writelines(self, lines):  # one call per compressed slice
+                in_flight.append(len(submitted) - len(in_flight))
+                super().writelines(lines)
+
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(dwio, "_GZIP_SLICE", 16)
+        monkeypatch.setattr(dwio, "_thread_count", lambda: threads)
+        out = Sink()
+        dwio._write_gzip_member(out, "s", [b"z" * 200])
+        assert len(in_flight) == len(submitted) == 13
+        assert max(in_flight) == threads
+        assert gzip.decompress(out.getvalue()) == b"z" * 200
+
+    # uint8 payloads of 2**20 - 352 and one byte more (NIfTI-1 axes stop at 32,767)
+    @pytest.mark.parametrize(
+        "shape", [(32757, 32), (1823, 575)], ids=["one-mib", "one-mib-plus-one"]
+    )
+    def test_files_up_to_one_mib_are_one_unsliced_deflate(self, shape, tmp_path):
+        extra = shape[0] * shape[1] - ((1 << 20) - 352)
+        vol = np.zeros(shape, dtype=np.uint8)
+        dwio.write_nifti(str(tmp_path / "vol.nii.gz"), vol, dtype=np.uint8)
+        blob = (tmp_path / "vol.nii.gz").read_bytes()
+        stream = _one_member(blob)
+        assert _deflate_body(blob) == _sliced_reference(stream, 1 << 20)
+        assert (_deflate_body(blob) == _rle_deflate(stream)) == (extra == 0)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_empty_and_short_streams(self, threads, monkeypatch):
+        monkeypatch.setattr(dwio, "_thread_count", lambda: threads)
+        monkeypatch.setattr(dwio, "_GZIP_SLICE", 4)
+        for pieces in ([], [b""], [b"ab", b"", b"c"], [b"x" * 10, memoryview(b"y" * 7)]):
+            out = io.BytesIO()
+            dwio._write_gzip_member(out, "s", pieces)
+            stream = b"".join(bytes(p) for p in pieces)
+            assert gzip.decompress(out.getvalue()) == stream
+            assert out.getvalue()[12:-8] == _sliced_reference(stream, 4)
+
+
+class TestSlicedGzipFailures:
+    def _write(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setattr(dwio, "_GZIP_SLICE", SLICE)
+        monkeypatch.setattr(dwio, "_thread_count", lambda: threads)
+        vol = np.random.default_rng(3).normal(size=(16, 16, 16)).astype(np.float32)  # 4 slices
+        before = threading.active_count()
+        return before, lambda: dwio.write_nifti(str(tmp_path / "vol.nii.gz"), vol)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_slice_deflate_is_raised_leaving_nothing(self, threads, tmp_path, monkeypatch):
+        before, write = self._write(tmp_path, monkeypatch, threads)
+        calls = []
+        real = dwio._deflate_slice
+
+        def fail_second(part, last):
+            calls.append(last)
+            if len(calls) == 2:
+                raise zlib.error("deflate refused")
+            return real(part, last)
+
+        monkeypatch.setattr(dwio, "_deflate_slice", fail_second)
+        with pytest.raises(zlib.error, match="deflate refused"):
+            write()
+        assert list(tmp_path.iterdir()) == []
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_write_is_raised_naming_the_target(self, threads, tmp_path, monkeypatch,
+                                                      full_disk):
+        before, write = self._write(tmp_path, monkeypatch, threads)
+        with pytest.raises(OSError) as info:
+            write()
+        assert info.value.errno == errno.ENOSPC
+        assert info.value.filename == str(tmp_path / "vol.nii.gz")
+        assert list(tmp_path.iterdir()) == []
+        assert threading.active_count() == before
+
+
+class TestAtomicOutputNamesTarget:
+    @pytest.mark.parametrize("name", sorted(ATOMIC_WRITERS))
+    def test_missing_directory_names_the_target(self, name, tmp_path):
+        target = str(tmp_path / "nodir" / name)
+        with pytest.raises(FileNotFoundError) as info:
+            ATOMIC_WRITERS[name](target)
+        assert info.value.filename == target
+        assert ".sphdwi-" not in str(info.value)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMultiMemberGzip:
