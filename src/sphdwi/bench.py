@@ -35,7 +35,7 @@ from .fitting import (
     signal_to_sh,
 )
 from .phantom import _bandlimited_coeffs
-from .shcore import ShBasisSpec, coeff_count, eval_basis, laplace_beltrami_diag
+from .shcore import ShBasisSpec, as_unit_directions, coeff_count, eval_basis, laplace_beltrami_diag
 
 CSV_HEADER = "direction,order,voxels,method,seconds,max_dev"
 
@@ -124,46 +124,41 @@ def _naive_eval(basis, coeffs) -> np.ndarray:
     return out
 
 
+def _naive_per_shell(vol, channels_out: int, kernel) -> np.ndarray:
+    """Run a per-voxel kernel on every subject's and shell's block of a 5-D volume.
+
+    ``vol.data`` (subjects, shells * C, *grid) is viewed as
+    (subjects, shells, C, voxels); kernel maps each (C, voxels) block to
+    (channels_out, voxels). Returns (subjects, shells * channels_out, *grid).
+    """
+    subjects, channels = vol.data.shape[:2]
+    grid = vol.data.shape[2:]
+    nvox = int(np.prod(grid))
+    stacked = vol.data.reshape(subjects, vol.shells, channels // vol.shells, nvox)
+    out = np.empty((subjects, vol.shells, channels_out, nvox))
+    for b in range(subjects):
+        for s in range(vol.shells):
+            out[b, s] = kernel(stacked[b, s])
+    return out.reshape(subjects, vol.shells * channels_out, *grid)
+
+
 def naive_signal_to_sh(vol: DwiVolume, gradients, order: int, lb_lambda: float = 0.0) -> ShVolume:
     """Per-voxel reference fit: solve the normal equations voxel by voxel."""
-    from .shcore import as_unit_directions
-
     dirs = as_unit_directions(gradients)
     basis, _normal, _cond = _normal_system(dirs, order, lb_lambda)
     penalty = laplace_beltrami_diag(order)
-    n = dirs.shape[0]
-    subjects = vol.data.shape[0]
-    grid = vol.data.shape[2:]
-    nvox = int(np.prod(grid))
-    r = coeff_count(order)
-    stacked = vol.data.reshape(subjects, vol.shells, n, nvox)
-    out = np.empty((subjects, vol.shells, r, nvox))
-    for b in range(subjects):
-        for s in range(vol.shells):
-            out[b, s] = _naive_fit(basis, penalty, lb_lambda, stacked[b, s])
-    return ShVolume(
-        data=out.reshape(subjects, vol.shells * r, *grid),
-        basis_spec=ShBasisSpec(order),
-        shells=vol.shells,
+    data = _naive_per_shell(
+        vol, coeff_count(order), lambda signals: _naive_fit(basis, penalty, lb_lambda, signals)
     )
+    return ShVolume(data=data, basis_spec=ShBasisSpec(order), shells=vol.shells)
 
 
 def naive_sh_to_signal(sh: ShVolume, gradients) -> DwiVolume:
     """Per-voxel reference evaluation of an SH volume at target directions."""
-    from .shcore import as_unit_directions
-
     dirs = as_unit_directions(gradients)
     basis = eval_basis(dirs, sh.basis_spec.order)
-    subjects = sh.data.shape[0]
-    grid = sh.data.shape[2:]
-    nvox = int(np.prod(grid))
-    r = sh.basis_spec.coeff_count
-    stacked = sh.data.reshape(subjects, sh.shells, r, nvox)
-    out = np.empty((subjects, sh.shells, dirs.shape[0], nvox))
-    for b in range(subjects):
-        for s in range(sh.shells):
-            out[b, s] = _naive_eval(basis, stacked[b, s])
-    return DwiVolume(data=out.reshape(subjects, sh.shells * dirs.shape[0], *grid), shells=sh.shells)
+    data = _naive_per_shell(sh, dirs.shape[0], lambda coeffs: _naive_eval(basis, coeffs))
+    return DwiVolume(data=data, shells=sh.shells)
 
 
 _scrub_buf = None
@@ -219,19 +214,6 @@ def _synth_inputs(order: int, voxel_count: int, seed: int, n_dirs: int):
     return gradients, vol, shvol
 
 
-def _timed_batched_fit(vol, gradients, order, lb_lambda, out_buf):
-    """One batched signal->SH pass: operator build (the amortized cost) plus
-    the matrix application, written into a reused buffer so allocator page
-    zeroing does not pollute small-volume timings."""
-    op = make_fit_operator(gradients, order, lb_lambda)
-    _apply_affine(op.fit_matrix, vol.data, vol.shells, out=out_buf)
-
-
-def _timed_batched_eval(shvol, gradients, out_buf):
-    basis = eval_basis(gradients, shvol.basis_spec.order)
-    _apply_affine(basis, shvol.data, shvol.shells, out=out_buf)
-
-
 def run_bench(
     orders,
     voxel_count: int,
@@ -243,61 +225,45 @@ def run_bench(
     """Time batched vs naive transforms on seeded synthetic volumes.
 
     Emits one batched and one naive row per (direction, order). Batched
-    timing includes operator construction, which is exactly the cost the
-    precomputation amortizes over the volume.
+    timing includes the stage matrix's construction, which is exactly the
+    cost the precomputation amortizes over the volume. The timed batched
+    result must equal the public API's bit for bit; ``max_dev`` is the
+    API's deviation from the naive oracle.
     """
+    if not orders:
+        raise ValueError("orders must name at least one SH order")
     if repeats < 3:
         raise ValueError(f"repeats must be >= 3, got {repeats}")
     if voxel_count < 1:
         raise ValueError(f"voxel_count must be >= 1, got {voxel_count}")
     rows: list[BenchRow] = []
-    pinned = True
-    for order in orders:
-        gradients, vol, shvol = _synth_inputs(order, voxel_count, seed, n_dirs)
-        r = coeff_count(order)
-        fit_buf = np.empty((1, r, voxel_count, 1, 1))
-        eval_buf = np.empty((1, n_dirs, voxel_count, 1, 1))
-
-        with _single_thread_blas() as ok:
-            pinned &= ok
-            fit_times, fit_results = _interleaved_median_times(
-                {
-                    "batched": lambda: _timed_batched_fit(
-                        vol, gradients, order, lb_lambda, fit_buf
-                    ),
-                    "naive": lambda: naive_signal_to_sh(vol, gradients, order, lb_lambda),
-                },
-                repeats,
+    with _single_thread_blas() as pinned:
+        for order in orders:
+            gradients, vol, shvol = _synth_inputs(order, voxel_count, seed, n_dirs)
+            # (direction, input, output channels, stage matrix, naive oracle, public API);
+            # the sh2signal matrix normalizes the directions once, as sh_to_signal does
+            directions = (
+                ("signal2sh", vol, coeff_count(order),
+                 lambda: make_fit_operator(gradients, order, lb_lambda).fit_matrix,
+                 lambda: naive_signal_to_sh(vol, gradients, order, lb_lambda),
+                 lambda: signal_to_sh(vol, make_fit_operator(gradients, order, lb_lambda))),
+                ("sh2signal", shvol, n_dirs,
+                 lambda: eval_basis(as_unit_directions(gradients), order),
+                 lambda: naive_sh_to_signal(shvol, gradients),
+                 lambda: sh_to_signal(shvol, gradients)),
             )
-        op = make_fit_operator(gradients, order, lb_lambda)
-        fitted = signal_to_sh(vol, op)
-        reference = fit_results["naive"]
-        dev_fit = float(np.max(np.abs(fitted.data - reference.data)))
-        assert np.array_equal(fit_buf, fitted.data)
-        rows.append(
-            BenchRow("signal2sh", order, voxel_count, "batched", fit_times["batched"], dev_fit)
-        )
-        rows.append(
-            BenchRow("signal2sh", order, voxel_count, "naive", fit_times["naive"], dev_fit)
-        )
-
-        with _single_thread_blas() as ok:
-            pinned &= ok
-            eval_times, eval_results = _interleaved_median_times(
-                {
-                    "batched": lambda: _timed_batched_eval(shvol, gradients, eval_buf),
-                    "naive": lambda: naive_sh_to_signal(shvol, gradients),
-                },
-                repeats,
-            )
-        evaluated = sh_to_signal(shvol, gradients)
-        reference_s = eval_results["naive"]
-        dev_eval = float(np.max(np.abs(evaluated.data - reference_s.data)))
-        rows.append(
-            BenchRow("sh2signal", order, voxel_count, "batched", eval_times["batched"], dev_eval)
-        )
-        rows.append(
-            BenchRow("sh2signal", order, voxel_count, "naive", eval_times["naive"], dev_eval)
-        )
-
+            for direction, src, channels, build, naive, api in directions:
+                buf = np.empty((1, channels, voxel_count, 1, 1))
+                times, results = _interleaved_median_times(
+                    {
+                        "batched": lambda: _apply_affine(build(), src.data, src.shells, out=buf),
+                        "naive": naive,
+                    },
+                    repeats,
+                )
+                expected = api().data
+                assert np.array_equal(buf, expected)
+                dev = float(np.max(np.abs(expected - results["naive"].data)))
+                for method in ("batched", "naive"):
+                    rows.append(BenchRow(direction, order, voxel_count, method, times[method], dev))
     return BenchReport(rows=rows, blas_pinned=pinned)

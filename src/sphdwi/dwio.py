@@ -324,6 +324,7 @@ def _affine_from_header(hdr) -> np.ndarray:
     return aff
 
 
+_DIM_MAX = 32767  # the header's dim field is int16
 _IO_CHUNK = 1 << 22  # bytes per read/write call; bounds gzip's temporary buffers
 _GZIP_SLICE = 1 << 20  # uncompressed bytes per independently deflated .gz slice
 
@@ -449,6 +450,7 @@ def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
     ``data`` is stored in X, Y, Z[, volume] order with the given on-disk
     dtype (float32 by default); the affine lands in the sform rows. An
     F-contiguous array of that dtype is written as it is, without a copy.
+    An axis longer than 32,767 raises ValueError before any file exists.
     The file is written to a temporary sibling and renamed into place so
     readers never observe a partial volume. gzip output is one member that
     any gzip reader accepts, compressed with deflate's run-length strategy
@@ -459,6 +461,11 @@ def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
     arr = np.asarray(data)
     if arr.ndim < 1 or arr.ndim > 7:
         raise ValueError(f"cannot store a {arr.ndim}-dimensional array in NIfTI-1")
+    for axis, length in enumerate(arr.shape):
+        if length > _DIM_MAX:
+            raise ValueError(
+                f"axis {axis} has length {length}; NIfTI-1 stores at most {_DIM_MAX} per axis"
+            )
     dtype = np.dtype(dtype)
     if dtype not in _CODE_FOR_DTYPE:
         raise NiftiDatatypeError(f"unsupported on-disk dtype {dtype}")

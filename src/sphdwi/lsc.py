@@ -89,6 +89,14 @@ class LscGeometry:
         return self.refit.basis_spec.order
 
 
+def _kernel_sizes(kernel_sizes) -> tuple[int, ...]:
+    """Ring sizes as a tuple of ints; raises ValueError unless all are positive."""
+    sizes = tuple(int(s) for s in kernel_sizes)
+    if not sizes or any(s < 1 for s in sizes):
+        raise ValueError(f"kernel_sizes must be non-empty positive integers, got {kernel_sizes}")
+    return sizes
+
+
 def build_lsc_geometry(
     gradients,
     kernel_sizes,
@@ -104,9 +112,7 @@ def build_lsc_geometry(
     origin as [origin, ring-1 points in phase order, ring-2 points, ...].
     """
     origins = as_unit_directions(gradients)
-    sizes = tuple(int(s) for s in kernel_sizes)
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError(f"kernel_sizes must be non-empty positive integers, got {kernel_sizes}")
+    sizes = _kernel_sizes(kernel_sizes)
     if alpha <= 0.0 or alpha * len(sizes) >= np.pi / 2.0:
         raise ValueError(
             f"rings must stay inside the hemisphere: need 0 < alpha and "
@@ -134,9 +140,7 @@ def build_lsc_geometry(
 
 def make_moving_average_kernel(kernel_sizes, shells_in: int = 1, shells_out: int = 1) -> LscKernel:
     """Uniform kernel: every weight 1 / (shells_in * K), bias zero."""
-    sizes = tuple(int(s) for s in kernel_sizes)
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError(f"kernel_sizes must be non-empty positive integers, got {kernel_sizes}")
+    sizes = _kernel_sizes(kernel_sizes)
     klen = 1 + sum(sizes)
     weights = np.full((shells_out, shells_in, klen), 1.0 / (shells_in * klen))
     return LscKernel(weights=weights, bias=np.zeros(shells_out))
@@ -144,7 +148,7 @@ def make_moving_average_kernel(kernel_sizes, shells_in: int = 1, shells_out: int
 
 def make_identity_kernel(kernel_sizes, shells: int = 1) -> LscKernel:
     """Kernel that keeps each shell's origin sample and ignores the rings."""
-    sizes = tuple(int(s) for s in kernel_sizes)
+    sizes = _kernel_sizes(kernel_sizes)
     klen = 1 + sum(sizes)
     weights = np.zeros((shells, shells, klen))
     for s in range(shells):

@@ -90,6 +90,14 @@ class TestRunBench:
             assert row_a.max_dev == row_b.max_dev
             assert row_a.max_dev <= 1e-12
 
+    def test_empty_orders_rejected_before_any_input(self, monkeypatch):
+        def no_inputs(*args):
+            raise AssertionError("built an input for no order")
+
+        monkeypatch.setattr(bench, "_synth_inputs", no_inputs)
+        with pytest.raises(ValueError, match="at least one SH order"):
+            run_bench([], voxel_count=10, repeats=3)
+
     def test_repeats_validated(self):
         with pytest.raises(ValueError):
             run_bench([4], voxel_count=10, repeats=2)

@@ -780,6 +780,16 @@ class TestBenchCommand:
     def test_bad_orders_exit_2(self):
         assert main(["bench", "--orders", "two"]) == 2
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_no_orders_exit_2_writing_nothing(self, to_file, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        extra = ["--out", str(out)] if to_file else []
+        assert main(["bench", "--orders", ",", "--voxels", "10", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least one SH order" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestAtomicOutput:
     @pytest.mark.parametrize("command", ["signal2sh", "bench"])
@@ -855,6 +865,12 @@ class TestPhantomCommand:
     def test_bad_grid_exits_2(self, tmp_path):
         assert main(["phantom", "--grid", "4x4x4", "--out-prefix", str(tmp_path / "p")]) == 2
 
+    def test_axis_over_nifti_limit_exits_2_writing_nothing(self, tmp_path, capsys):
+        code = main(["phantom", "--grid", "40000,1,1", "--out-prefix", str(tmp_path / "big")])
+        assert code == 2
+        assert "axis 0 has length 40000" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_constant_phantom_files(self, tmp_path):
         code = main(
             [
@@ -927,3 +943,30 @@ def test_cli_import_loads_no_thread_pool():
         check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+class TestModuleEntryPoint:
+    """``python -m sphdwi`` runs cli.entry, which exits with main()'s code."""
+
+    @staticmethod
+    def run(*args, cwd):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sphdwi.__file__)))
+        return subprocess.run(
+            [sys.executable, "-m", "sphdwi", *args],
+            env={**os.environ, "PYTHONPATH": src},
+            cwd=cwd,
+            capture_output=True,
+            text=True,
+        )
+
+    def test_help_exits_0(self, tmp_path):
+        proc = self.run("--help", cwd=tmp_path)
+        assert proc.returncode == 0
+        assert "usage: sphdwi" in proc.stdout
+
+    def test_bad_axis_phantom_exits_2(self, tmp_path):
+        proc = self.run("phantom", "--grid", "40000,1,1", "--out-prefix", "big", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "axis 0 has length 40000" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []

@@ -266,6 +266,12 @@ class TestNifti:
         with pytest.raises(NiftiMagicError, match="dimensions"):
             dwio.read_nifti(path)
 
+    def test_axis_over_int16_limit_rejected_before_any_file(self, tmp_path):
+        path = str(tmp_path / "long.nii")
+        with pytest.raises(ValueError, match="axis 0 has length 40000; NIfTI-1 stores at most 32767"):
+            dwio.write_nifti(path, np.zeros(40_000, dtype=np.uint8), dtype=np.uint8)
+        assert list(tmp_path.iterdir()) == []
+
     def test_absurd_vox_offset_rejected(self, tmp_path):
         path = str(tmp_path / "off.nii")
         dwio.write_nifti(path, np.zeros((2, 2, 2)))

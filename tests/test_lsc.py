@@ -98,6 +98,20 @@ class TestKernels:
         with pytest.raises(ShapeError):
             LscKernel(weights=np.full((1, 1, 3), np.nan), bias=np.zeros(1))
 
+    @pytest.mark.parametrize("sizes", [[], [0], [-1]])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda sizes: build_lsc_geometry(unit_sphere_directions(30), sizes, 0.3, 4, 4, 0.0),
+            make_moving_average_kernel,
+            make_identity_kernel,
+        ],
+        ids=["geometry", "moving-average", "identity"],
+    )
+    def test_bad_sizes_rejected_alike(self, make, sizes):
+        with pytest.raises(ValueError, match="kernel_sizes must be non-empty positive integers"):
+            make(sizes)
+
 
 class TestForward:
     def test_moving_average_keeps_constant(self, rng):
