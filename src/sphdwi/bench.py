@@ -155,9 +155,8 @@ def naive_signal_to_sh(vol: DwiVolume, gradients, order: int, lb_lambda: float =
 
 def naive_sh_to_signal(sh: ShVolume, gradients) -> DwiVolume:
     """Per-voxel reference evaluation of an SH volume at target directions."""
-    dirs = as_unit_directions(gradients)
-    basis = eval_basis(dirs, sh.basis_spec.order)
-    data = _naive_per_shell(sh, dirs.shape[0], lambda coeffs: _naive_eval(basis, coeffs))
+    basis = eval_basis(gradients, sh.basis_spec.order)
+    data = _naive_per_shell(sh, basis.shape[0], lambda coeffs: _naive_eval(basis, coeffs))
     return DwiVolume(data=data, shells=sh.shells)
 
 
@@ -240,15 +239,14 @@ def run_bench(
     with _single_thread_blas() as pinned:
         for order in orders:
             gradients, vol, shvol = _synth_inputs(order, voxel_count, seed, n_dirs)
-            # (direction, input, output channels, stage matrix, naive oracle, public API);
-            # the sh2signal matrix normalizes the directions once, as sh_to_signal does
+            # (direction, input, output channels, stage matrix, naive oracle, public API)
             directions = (
                 ("signal2sh", vol, coeff_count(order),
                  lambda: make_fit_operator(gradients, order, lb_lambda).fit_matrix,
                  lambda: naive_signal_to_sh(vol, gradients, order, lb_lambda),
                  lambda: signal_to_sh(vol, make_fit_operator(gradients, order, lb_lambda))),
                 ("sh2signal", shvol, n_dirs,
-                 lambda: eval_basis(as_unit_directions(gradients), order),
+                 lambda: eval_basis(gradients, order),
                  lambda: naive_sh_to_signal(shvol, gradients),
                  lambda: sh_to_signal(shvol, gradients)),
             )

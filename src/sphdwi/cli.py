@@ -20,22 +20,13 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import dwio, fitting, lsc, phantom
-from .errors import (
-    GradientParseError,
-    IllPosedFitError,
-    KernelMismatchError,
-    MissingB0Error,
-    NiftiError,
-    ShapeError,
-    SphdwiError,
-)
+from .errors import GradientParseError, ShapeError, SphdwiError
 from .fitting import DwiVolume, ShVolume, make_fit_operator, sh_to_signal, signal_to_sh
 # Not called here; perfbench/spans.py patches this name on this module.
 from .fitting import normalize_b0  # noqa: F401
 from .shcore import ShBasisSpec, as_unit_directions, coeff_count, high_degree_energy_fraction
 
 _EXIT_VALIDATION = 2
-_EXIT_NUMERICAL = 3
 _EXIT_IO = 4
 
 _ORDER_FOR_R = {coeff_count(order): order for order in range(0, 17, 2)}
@@ -167,8 +158,10 @@ def _stream(vol: _Channels, path: str, channels: int, step, rows=None) -> None:
     output payload. Chunks start on fitting._BLOCK boundaries, so
     :func:`sphdwi.fitting._apply_affine` splits a chunk the way it splits
     the whole volume and every voxel's bits match the 5-D API, while the
-    float64 buffers stay a few MiB whatever the volume size.
+    float64 buffers stay a few MiB whatever the volume size. An output
+    shape that NIfTI-1 cannot store raises ValueError before any chunk.
     """
+    dwio._check_nifti_shape((*vol.grid, channels))
     src = vol.src
     nvox = src.shape[1]
     nrows = src.shape[0] if rows is None else len(rows)
@@ -364,18 +357,15 @@ def main(argv=None) -> int:
         if getattr(args, "out", None) is not None:
             _check_out_dir(args.out)
         return _HANDLERS[args.command](args)
-    except (ShapeError, GradientParseError, KernelMismatchError, MissingB0Error, ValueError) as exc:
+    except SphdwiError as exc:
+        _err(str(exc))
+        return exc.exit_code
+    except ValueError as exc:
         _err(str(exc))
         return _EXIT_VALIDATION
-    except IllPosedFitError as exc:
-        _err(str(exc))
-        return _EXIT_NUMERICAL
-    except (NiftiError, OSError) as exc:
+    except OSError as exc:
         _err(str(exc))
         return _EXIT_IO
-    except SphdwiError as exc:  # any remaining package error counts as validation
-        _err(str(exc))
-        return _EXIT_VALIDATION
 
 
 def entry() -> None:

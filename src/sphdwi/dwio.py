@@ -325,7 +325,7 @@ def _affine_from_header(hdr) -> np.ndarray:
 
 
 _DIM_MAX = 32767  # the header's dim field is int16
-_IO_CHUNK = 1 << 22  # bytes per read/write call; bounds gzip's temporary buffers
+_IO_CHUNK = 1 << 22  # bytes per read call; bounds gzip's temporary buffers
 _GZIP_SLICE = 1 << 20  # uncompressed bytes per independently deflated .gz slice
 
 
@@ -376,7 +376,8 @@ def read_nifti_payload(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
             raise NiftiMagicError(f"{path}: implausible dimensions {shape}")
         count = int(np.prod(shape))
         offset_f = float(hdr["vox_offset"])
-        if not np.isfinite(offset_f) or offset_f < HEADER_DTYPE.itemsize:
+        # a single-file NIfTI-1 keeps 4 extension bytes after the header, so data starts at >= 352
+        if not np.isfinite(offset_f) or offset_f < HEADER_DTYPE.itemsize + 4:
             raise NiftiMagicError(f"{path}: implausible vox_offset = {offset_f}")
         offset = int(offset_f)
         expected = count * dtype.itemsize
@@ -444,6 +445,17 @@ def read_nifti(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
     return to_float64(raw, header), affine, header
 
 
+def _check_nifti_shape(shape) -> None:
+    """Raise ValueError unless NIfTI-1 can store ``shape``: 1 to 7 axes of at most 32,767."""
+    if not 1 <= len(shape) <= 7:
+        raise ValueError(f"cannot store a {len(shape)}-dimensional array in NIfTI-1")
+    for axis, length in enumerate(shape):
+        if length > _DIM_MAX:
+            raise ValueError(
+                f"axis {axis} has length {length}; NIfTI-1 stores at most {_DIM_MAX} per axis"
+            )
+
+
 def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
     """Write a single-file NIfTI-1 volume (gzip when path ends in .gz).
 
@@ -459,13 +471,7 @@ def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
     temporary one, and its bytes do not depend on the core count.
     """
     arr = np.asarray(data)
-    if arr.ndim < 1 or arr.ndim > 7:
-        raise ValueError(f"cannot store a {arr.ndim}-dimensional array in NIfTI-1")
-    for axis, length in enumerate(arr.shape):
-        if length > _DIM_MAX:
-            raise ValueError(
-                f"axis {axis} has length {length}; NIfTI-1 stores at most {_DIM_MAX} per axis"
-            )
+    _check_nifti_shape(arr.shape)
     dtype = np.dtype(dtype)
     if dtype not in _CODE_FOR_DTYPE:
         raise NiftiDatatypeError(f"unsupported on-disk dtype {dtype}")
@@ -498,9 +504,7 @@ def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
     hdr["magic"] = b"n+1"
 
     payload = memoryview(arr.astype(dtype, order="F", copy=False).reshape(-1, order="F"))
-    payload = payload.cast("B")
-    pieces = [hdr.tobytes() + b"\x00" * 4]  # pad to vox_offset = 352
-    pieces += (payload[lo : lo + _IO_CHUNK] for lo in range(0, len(payload), _IO_CHUNK))
+    pieces = [hdr.tobytes() + b"\x00" * 4, payload.cast("B")]  # header padded to vox_offset = 352
     with _atomic_output(path) as tmp, open(tmp, "wb") as fh:
         if path.endswith(".gz"):
             _write_gzip_member(fh, os.path.basename(path)[:-3], pieces)

@@ -1,12 +1,15 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: validation/parse problems exit 2,
-numerical failures exit 3, file-level failures exit 4.
+Each class carries the exit code the CLI returns for it in ``exit_code``:
+validation/parse problems exit 2, numerical failures exit 3, file-level
+failures exit 4.
 """
 
 
 class SphdwiError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 2
 
 
 class ShapeError(SphdwiError):
@@ -15,6 +18,8 @@ class ShapeError(SphdwiError):
 
 class IllPosedFitError(SphdwiError):
     """The least-squares system is underdetermined or numerically rank deficient."""
+
+    exit_code = 3
 
 
 class MissingB0Error(SphdwiError):
@@ -31,6 +36,8 @@ class KernelMismatchError(SphdwiError):
 
 class NiftiError(SphdwiError):
     """Base class for NIfTI-1 read/write failures."""
+
+    exit_code = 4
 
 
 class NiftiMagicError(NiftiError):

@@ -237,8 +237,7 @@ def signal_to_sh(vol: DwiVolume, op: FitOperator | Sequence[FitOperator]) -> ShV
 
 def sh_to_signal(sh: ShVolume, gradients) -> DwiVolume:
     """Evaluate an SH volume at arbitrary unit directions (per shell)."""
-    dirs = as_unit_directions(gradients)
-    basis = eval_basis(dirs, sh.basis_spec.order)
+    basis = eval_basis(gradients, sh.basis_spec.order)
     return DwiVolume(data=_apply_affine(basis, sh.data, sh.shells), shells=sh.shells)
 
 
@@ -332,11 +331,8 @@ def normalize_b0(
             bvals=scheme.bvals[keep],
             b0_indices=np.array([], dtype=np.int64),
             shells=tuple(
-                dwio.Shell(s.bvalue, np.arange(off, off + s.indices.size))
-                for off, s in zip(
-                    np.cumsum([0] + [s.indices.size for s in shell_table[:-1]]),
-                    shell_table,
-                )
+                dwio.Shell(s.bvalue, np.arange(k * m, (k + 1) * m))
+                for k, s in enumerate(shell_table)
             ),
         )
     else:

@@ -27,8 +27,6 @@ import numpy as np
 
 SH_C0 = 0.28209479177387814  # Y_0^0 = 1/(2 sqrt(pi))
 
-_UNIT_TOL = 1e-9
-
 
 def coeff_count(order: int) -> int:
     """Number of coefficients R of an even-degrees-only basis of max degree ``order``."""

@@ -24,7 +24,20 @@ from sphdwi import (
     sh_to_signal,
     signal_to_sh,
 )
+from sphdwi import cli
 from sphdwi.cli import main
+from sphdwi.errors import (
+    GradientParseError,
+    IllPosedFitError,
+    KernelMismatchError,
+    MissingB0Error,
+    NiftiDatatypeError,
+    NiftiError,
+    NiftiMagicError,
+    NiftiTruncatedError,
+    ShapeError,
+    SphdwiError,
+)
 from sphdwi.shcore import high_degree_energy_fraction
 
 PI_OVER_5 = "0.6283185307"
@@ -129,6 +142,17 @@ class TestSignal2Sh:
             assert "expected a 4-D volume, got 3-D" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_b0_only_acquisition_exits_2(self, tmp_path, capsys):
+        dwi = str(tmp_path / "b0.nii")
+        dwio.write_nifti(dwi, np.ones((2, 2, 2, 3)))
+        bvals, bvecs = str(tmp_path / "b0.bvals"), str(tmp_path / "b0.bvecs")
+        dwio.write_bvals_bvecs(np.zeros(3), np.zeros((3, 3)), bvals, bvecs)
+        out = tmp_path / "sh.nii"
+        files = {"nifti": dwi, "bvals": bvals, "bvecs": bvecs}
+        assert main(fit_args(files, str(out))) == 2
+        assert "no diffusion-weighted shells selected" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSh2Signal:
     def test_resample_to_sixty_directions(self, phantom_files, tmp_path):
@@ -185,11 +209,30 @@ class TestSh2Signal:
             ([*with_dirs, "--bvals", phantom_files["bvals"]], "does not combine with --bvals"),
             ([*with_dirs, "--bvecs", phantom_files["bvecs"]], "does not combine with --bvecs"),
             ([*with_dirs, "--shell", "1000"], "does not combine with --shell"),
+            (["--bvecs", phantom_files["bvecs"], "--shell", "1000"], "--bvecs needs --bvals"),
         ]
         for extra, message in cases:
             assert main([*command, *extra]) == 2
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+    def test_too_many_dirs_exit_2_before_any_chunk(self, phantom_files, tmp_path, capsys,
+                                                   monkeypatch, rng):
+        sh_path = str(tmp_path / "sh.nii")
+        assert main(fit_args(phantom_files, sh_path)) == 0
+        dirs_path = str(tmp_path / "d.txt")
+        np.savetxt(dirs_path, rng.normal(size=(40_000, 3)))
+
+        def step(*args):
+            raise AssertionError("sh_to_signal ran for an output NIfTI-1 cannot store")
+
+        monkeypatch.setattr(cli, "sh_to_signal", step)
+        before = sorted(tmp_path.iterdir())
+        code = main(["sh2signal", "--sh", sh_path, "--dirs", dirs_path, "--order", "4",
+                     "--out", str(tmp_path / "x.nii")])
+        assert code == 2
+        assert "axis 3 has length 40000" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_missing_order_exits_2_without_output(self, tmp_path, capsys):
         """An order-8 file read without --order is not taken as 3 shells of order 4."""
@@ -405,6 +448,7 @@ class TestLsc:
     @pytest.mark.parametrize(
         "doc, field",
         [
+            ('{"shells_in": 1,', "not valid JSON"),  # a string is the file's text as it is
             (5, "JSON object"),
             ({"kernel_sizes": None}, "kernel_sizes"),
             # truncated to 4, this size would match the 5 weights and run
@@ -422,10 +466,13 @@ class TestLsc:
             ({"angular_distance": float("nan")}, "angular_distance"),
             ({"angular_distance": float("inf")}, "angular_distance"),
             ({"angular_distance": 10**400}, "angular_distance"),
+            # (1, 1, 6) weights for a kernel that declares 2 input shells
+            ({"shells_in": 2}, "weights shape (1, 1, 6) does not match declared shells"),
         ],
-        ids=["not-an-object", "null-sizes", "float-size", "empty-sizes", "zero-shells-in",
-             "float-shells-out", "null-alpha", "list-alpha", "string-alpha", "bool-alpha",
-             "zero-alpha", "negative-alpha", "nan-alpha", "inf-alpha", "huge-int-alpha"],
+        ids=["not-json", "not-an-object", "null-sizes", "float-size", "empty-sizes",
+             "zero-shells-in", "float-shells-out", "null-alpha", "list-alpha", "string-alpha",
+             "bool-alpha", "zero-alpha", "negative-alpha", "nan-alpha", "inf-alpha",
+             "huge-int-alpha", "weights-vs-shells"],
     )
     def test_malformed_kernel_json_exits_2(self, phantom_files, tmp_path, capsys, doc, field):
         sh_path = str(tmp_path / "sh.nii")
@@ -433,13 +480,32 @@ class TestLsc:
         valid = {"shells_in": 1, "shells_out": 1, "kernel_sizes": [5],
                  "angular_distance": float(PI_OVER_5), "weights": [[[1 / 6] * 6]], "bias": [0.0]}
         kernel_path = tmp_path / "kernel.json"
-        kernel_path.write_text(json.dumps({**valid, **doc} if isinstance(doc, dict) else doc))
+        if isinstance(doc, dict):
+            doc = {**valid, **doc}
+        kernel_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         out = tmp_path / "x.nii"
         args = lsc_args(phantom_files, sh_path, str(out))
         at = args.index("--moving-average")
         args[at : at + 2] = ["--kernel", str(kernel_path)]
         assert main(args) == 2
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["5", "5,0.6,0.7", "five,0.6"])
+    def test_malformed_moving_average_exits_2(self, phantom_files, tmp_path, capsys, value):
+        out = tmp_path / "x.nii"
+        args = lsc_args(phantom_files, phantom_files["nifti"], str(out))
+        args[args.index("--moving-average") + 1] = value
+        assert main(args) == 2
+        assert f"--moving-average expects 'N,ALPHA', got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_volume_count_fitting_no_order_exits_2(self, phantom_files, tmp_path, capsys):
+        sh_path = str(tmp_path / "sh16.nii")
+        dwio.write_nifti(sh_path, np.ones((2, 2, 2, 16)))  # R = 16 is no even order's count
+        out = tmp_path / "x.nii"
+        assert main(lsc_args(phantom_files, sh_path, str(out))) == 2
+        assert "cannot infer SH order from 16 volumes and 1 shell(s)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_order_out_writes_the_api_result(self, phantom_files, tmp_path):
@@ -881,6 +947,34 @@ class TestPhantomCommand:
         assert code == 0
         data, _, _ = dwio.read_nifti(str(tmp_path / "c.nii.gz"))
         assert data.shape == (2, 2, 2, 31)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (SphdwiError, 2),
+            (ShapeError, 2),
+            (MissingB0Error, 2),
+            (GradientParseError, 2),
+            (KernelMismatchError, 2),
+            (ValueError, 2),
+            (IllPosedFitError, 3),
+            (NiftiError, 4),
+            (NiftiMagicError, 4),
+            (NiftiDatatypeError, 4),
+            (NiftiTruncatedError, 4),
+            (OSError, 4),
+        ],
+        ids=lambda value: value.__name__ if isinstance(value, type) else str(value),
+    )
+    def test_error_class_sets_the_exit_code(self, error, code, monkeypatch, capsys):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "bench", fail)
+        assert main(["bench"]) == code
+        assert capsys.readouterr().err == "sphdwi: boom\n"
 
 
 class TestUsageErrors:

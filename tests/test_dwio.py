@@ -316,6 +316,60 @@ class TestNifti:
         data, _, _ = dwio.read_nifti(path)
         np.testing.assert_array_equal(data, vol)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("sizeof_hdr", 347, "sizeof_hdr is not 348 in either byte order"),
+            ("dim0", 0, "implausible dim[0] = 0"),
+            ("dim0", 8, "implausible dim[0] = 8"),
+            ("vox_offset", 100.0, "implausible vox_offset = 100.0"),
+            # data read from 348 would start with the 4 extension bytes
+            ("vox_offset", 348.0, "implausible vox_offset = 348.0"),
+        ],
+        ids=["sizeof-hdr", "dim0-zero", "dim0-eight", "vox-offset-in-header",
+             "vox-offset-in-extension"],
+    )
+    def test_implausible_header_rejected(self, tmp_path, field, value, message):
+        path = str(tmp_path / "bad.nii")
+        dwio.write_nifti(path, np.zeros((2, 2, 2)))
+        raw = bytearray(open(path, "rb").read())
+        hdr = np.frombuffer(bytes(raw[:348]), dtype=dwio.HEADER_DTYPE).copy()[0]
+        if field == "dim0":
+            hdr["dim"][0] = value
+        else:
+            hdr[field] = value
+        raw[:348] = hdr.tobytes()
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(NiftiMagicError) as info:
+            dwio.read_nifti_payload(path)
+        assert message in str(info.value)
+
+    def test_qform_affine_follows_the_nifti1_formula(self, tmp_path):
+        path = str(tmp_path / "qform.nii")
+        dwio.write_nifti(path, np.zeros((2, 3, 4)))
+        raw = bytearray(open(path, "rb").read())
+        hdr = np.frombuffer(bytes(raw[:348]), dtype=dwio.HEADER_DTYPE).copy()[0]
+        hdr["sform_code"] = 0
+        hdr["qform_code"] = 1
+        # 90 degrees about z: (a, b, c, d) = (cos 45, 0, 0, sin 45); a is implied
+        hdr["quatern_b"], hdr["quatern_c"], hdr["quatern_d"] = 0.0, 0.0, np.sqrt(0.5)
+        hdr["pixdim"][:4] = [-1.0, 2.0, 3.0, 4.0]  # pixdim[0] = -1: qfac flips the k axis
+        hdr["qoffset_x"], hdr["qoffset_y"], hdr["qoffset_z"] = 10.0, -20.0, 30.0
+        raw[:348] = hdr.tobytes()
+        open(path, "wb").write(bytes(raw))
+        _, affine, _ = dwio.read_nifti_payload(path)
+        # [x y z] = R diag(pixdim[1], pixdim[2], qfac * pixdim[3]) [i j k] + qoffset,
+        # with R = [[0, -1, 0], [1, 0, 0], [0, 0, 1]] for this quaternion
+        expected = np.array(
+            [
+                [0.0, -3.0, 0.0, 10.0],
+                [2.0, 0.0, 0.0, -20.0],
+                [0.0, 0.0, -4.0, 30.0],
+                [0.0, 0.0, 0.0, 1.0],
+            ]
+        )
+        np.testing.assert_allclose(affine, expected, atol=1e-6)
+
 
 ATOMIC_WRITERS = {
     "out.nii": lambda path: dwio.write_nifti(path, np.ones((2, 2, 2, 3))),

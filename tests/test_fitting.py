@@ -6,12 +6,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from sphdwi import (
     DwiVolume,
+    GradientScheme,
     IllPosedFitError,
     MissingB0Error,
     ShBasisSpec,
     ShapeError,
     ShVolume,
     degree_energies,
+    detect_shells,
     eval_basis,
     laplace_beltrami_diag,
     make_fit_operator,
@@ -125,6 +127,21 @@ class TestSignalToSh:
         vol = DwiVolume(data=np.ones((1, 29, 2, 2, 2)))
         with pytest.raises(ShapeError, match="expected"):
             signal_to_sh(vol, op)
+
+    @pytest.mark.parametrize(
+        "ops, message",
+        [
+            ([(30, 4)] * 3, "got 3 fit operators for 2 shells"),
+            ([(30, 4), (30, 2)], "share one SH order"),
+            ([(30, 4), (60, 4)], "share one gradient count"),
+        ],
+        ids=["count", "mixed-order", "mixed-directions"],
+    )
+    def test_operator_list_rejected(self, ops, message):
+        ops = [make_fit_operator(unit_sphere_directions(n), order, 0.006) for n, order in ops]
+        vol = DwiVolume(data=np.ones((1, 60, 2, 1, 1)), shells=2)
+        with pytest.raises(ShapeError, match=message):
+            signal_to_sh(vol, ops)
 
     def test_noisy_fit_matches_independent_lstsq(self, rng):
         # different algorithm (SVD lstsq) and different basis construction
@@ -329,6 +346,25 @@ class TestNormalizeB0:
         vol, _ = normalize_b0(raw, bvals)
         assert vol.shells == 2
         np.testing.assert_allclose(vol.data[0, :, 0, 0, 0], [0.1, 0.3, 0.2, 0.4])
+
+    def test_sub_scheme_shells_index_their_channel_blocks(self, rng):
+        # interleaved acquisition, a b0 in the middle, and a selection of two of three shells
+        bvals = np.array([1000.0, 2000.0, 0.0, 3000.0, 1000.0, 2000.0, 3000.0, 2000.0,
+                          1000.0, 3000.0])
+        dirs = random_unit_vectors(rng, bvals.size)
+        dirs[2] = 0.0
+        b0_idx, shells = detect_shells(bvals)
+        scheme = GradientScheme(directions=dirs, bvals=bvals, b0_indices=b0_idx, shells=shells)
+        raw = rng.uniform(1.0, 2.0, size=(2, 1, 1, bvals.size))
+        vol, _ = normalize_b0(raw, scheme, shells=[3000.0, 1000.0])
+        sub = vol.scheme
+        assert [s.bvalue for s in sub.shells] == [3000.0, 1000.0]
+        for k, shell in enumerate(sub.shells):
+            np.testing.assert_array_equal(shell.indices, np.arange(3 * k, 3 * k + 3))
+            np.testing.assert_array_equal(
+                sub.shell_directions(shell.bvalue), scheme.shell_directions(shell.bvalue)
+            )
+        np.testing.assert_array_equal(sub.bvals, [3000.0] * 3 + [1000.0] * 3)
 
     def test_volume_count_mismatch(self):
         with pytest.raises(ShapeError, match="describes"):
