@@ -14,7 +14,7 @@ import argparse
 import errno
 import os
 import sys
-from collections import namedtuple
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -129,72 +129,148 @@ def _sh_layout(path: str, nvol: int, order: int | None = None, shells: int | Non
 
 # The three volume commands work on the NIfTI payload itself: a single-file
 # NIfTI stores (X, Y, Z, C) in Fortran order, which is a C-order (C, V)
-# channel matrix. _read_channels returns that view of the stored values with
-# the grid, affine and header of its file; _stream converts it to float64
-# chunk by chunk, hands each chunk to the 5-D API as a (1, C, width, 1, 1)
-# volume, casts the result into a float32 output payload and writes that
-# payload as it is.
+# channel matrix (dwio.NiftiRows). _chunks goes through it in chunks of
+# _STREAM voxel columns: it reads a chunk's rows of stored values into one
+# reused staging buffer (positioned reads from an uncompressed file; a
+# .nii.gz input is inflated whole first) and converts them to float64 in a
+# second reused buffer. _stream hands each chunk to the 5-D API as a
+# (1, C, width, 1, 1) volume and casts the result to float32. An
+# uncompressed output gets each chunk's rows written at their offsets in
+# the file (dwio.write_nifti_rows); a .nii.gz output collects the whole
+# float32 payload and deflates it once.
 
-_STREAM = 16 * fitting._BLOCK  # voxel columns per float64 buffer of _stream
-_Channels = namedtuple("_Channels", "src grid affine header")
-
-
-def _read_channels(path: str) -> _Channels:
-    raw, affine, header = dwio.read_nifti_payload(path)
-    if raw.ndim != 4:
-        raise ShapeError(f"{path}: expected a 4-D volume, got {raw.ndim}-D")
-    return _Channels(raw.reshape(-1, raw.shape[3], order="F").T, raw.shape[:3], affine, header)
+_STREAM = 16 * fitting._BLOCK  # voxel columns per chunk of _stream
 
 
-def _stream(vol: _Channels, path: str, channels: int, step, rows=None) -> None:
+@contextmanager
+def _read_channels(path: str):
+    """Open the 4-D NIfTI at ``path`` as a :class:`sphdwi.dwio.NiftiRows`."""
+    with dwio.NiftiRows(path) as vol:
+        if len(vol.shape) != 4:
+            raise ShapeError(f"{path}: expected a 4-D volume, got {len(vol.shape)}-D")
+        yield vol
+
+
+def _check_finite(x: np.ndarray, vol, rows, lo: int, excluded) -> None:
+    """Raise ShapeError naming the file, volume and voxel of a non-finite value of ``x``.
+
+    ``x`` holds rows ``rows`` of voxel columns lo:lo + width; values at
+    ``excluded`` voxels (a mask over all voxels, or None) are not checked.
+    """
+    if np.isfinite(x).all():
+        return
+    bad = ~np.isfinite(x)
+    if excluded is not None:
+        bad[:, excluded[lo : lo + x.shape[1]]] = False
+    if not bad.any():
+        return
+    volume, row = min((int(rows[i]), i) for i in np.flatnonzero(bad.any(axis=1)))
+    voxel = np.unravel_index(lo + int(np.argmax(bad[row])), vol.shape[:3], order="F")
+    raise ShapeError(
+        f"{vol.path}: non-finite value in volume {volume} at voxel "
+        f"({', '.join(str(int(i)) for i in voxel)})"
+    )
+
+
+@contextmanager
+def _output(path: str, shape, affine):
+    """Yield put(block, lo), which stores a (C, width) float64 block at voxel columns lo:.
+
+    A .nii.gz output is collected whole and written by dwio.write_nifti when
+    the ``with`` block ends; any other output is written block by block.
+    """
+    if not path.endswith(".gz"):
+        with dwio.write_nifti_rows(path, shape, affine=affine, dtype=np.float32) as put:
+            yield put
+        return
+    out = np.empty((shape[3], int(np.prod(shape[:3]))), dtype=np.float32)
+
+    def put(block, lo):
+        out[:, lo : lo + block.shape[1]] = block
+
+    yield put
+    dwio.write_nifti(path, out.T.reshape(shape, order="F"), affine=affine, dtype=np.float32)
+
+
+def _stream(vol, path: str, channels: int, step, rows=None, excluded=None) -> None:
     """Write to ``path`` the float32 volume of ``channels`` volumes that ``step`` computes.
 
-    For each chunk of _STREAM voxel columns, the chunk's ``rows`` of
-    ``vol.src`` (all rows by default) are converted with
-    :func:`sphdwi.dwio.to_float64` into ``x``, a C-contiguous
-    (1, rows, width, 1, 1) view of one reused float64 buffer, so the 5-D
-    API takes it without a copy. step(x, voxels) returns the API volume of
-    the voxels in the slice ``voxels``, which is cast into the float32
-    output payload. Chunks start on fitting._BLOCK boundaries, so
-    :func:`sphdwi.fitting._apply_affine` splits a chunk the way it splits
-    the whole volume and every voxel's bits match the 5-D API, while the
-    float64 buffers stay a few MiB whatever the volume size. An output
-    shape that NIfTI-1 cannot store raises ValueError before any chunk.
+    The chunks of :func:`_chunks` hold the ``rows`` of the open
+    :class:`sphdwi.dwio.NiftiRows` ``vol`` (all rows by default) as
+    float64. A non-finite value raises :class:`ShapeError` naming the file,
+    the volume and the voxel, except at the voxels of the ``excluded``
+    mask, whose values are never used. step(x, voxels) gets the chunk as a
+    C-contiguous (1, rows, width, 1, 1) volume, which the 5-D API takes
+    without a copy, and returns the API volume of the voxels in the slice
+    ``voxels``. That is cast to float32 and, for an uncompressed ``path``,
+    written straight to its rows' offsets in the output file. Chunks start
+    on fitting._BLOCK boundaries, so :func:`sphdwi.fitting._apply_affine`
+    splits a chunk the way it splits the whole volume and every voxel's
+    bits match the 5-D API. Memory stays a few MiB whatever the volume
+    size, except for a .nii.gz input or output, which is held whole. An
+    output shape that NIfTI-1 cannot store raises ValueError before any
+    chunk, and a failure leaves no output file.
     """
-    dwio._check_nifti_shape((*vol.grid, channels))
-    src = vol.src
-    nvox = src.shape[1]
-    nrows = src.shape[0] if rows is None else len(rows)
-    out = np.empty((channels, nvox), dtype=np.float32)
-    buf = np.empty(nrows * min(nvox, _STREAM))
-    for lo in range(0, nvox, _STREAM):
-        hi = min(lo + _STREAM, nvox)
-        chunk = src[:, lo:hi] if rows is None else src[rows, lo:hi]
-        x = buf[: nrows * (hi - lo)].reshape(1, nrows, hi - lo, 1, 1)
-        dwio.to_float64(chunk, vol.header, out=x[0, :, :, 0, 0])
-        out[:, lo:hi] = step(x, slice(lo, hi)).data.reshape(channels, hi - lo)
-    volume = out.T.reshape(*vol.grid, channels, order="F")
-    dwio.write_nifti(path, volume, affine=vol.affine, dtype=np.float32)
+    shape = (*vol.shape[:3], channels)
+    dwio._check_nifti_shape(shape)
+    rows = np.arange(vol.channels) if rows is None else rows
+    with _output(path, shape, vol.affine) as put:
+        for lo, hi, x in _chunks(vol, rows):
+            _check_finite(x, vol, rows, lo, excluded)
+            volume = x.reshape(1, len(rows), hi - lo, 1, 1)
+            put(step(volume, slice(lo, hi)).data.reshape(channels, hi - lo), lo)
+
+
+def _chunks(vol, rows):
+    """Yield (lo, hi, x) for each chunk of _STREAM voxel columns of ``vol``.
+
+    ``x`` holds rows ``rows`` of voxel columns lo:hi as float64, scaled by
+    :func:`sphdwi.dwio.to_float64`: a C-contiguous (rows, width) view of
+    one reused buffer, filled from a second reused buffer of the stored
+    dtype, so a chunk costs no allocation. It is valid until the next chunk.
+    """
+    width = min(vol.voxels, _STREAM)
+    stored = np.empty(len(rows) * width, dtype=vol.dtype)
+    buf = np.empty(stored.size)
+    for lo in range(0, vol.voxels, _STREAM):
+        hi = min(lo + _STREAM, vol.voxels)
+        shape = (len(rows), hi - lo)
+        size = shape[0] * shape[1]
+        chunk = vol.read(rows, lo, hi, stored[:size].reshape(shape))
+        yield lo, hi, dwio.to_float64(chunk, vol.header, out=buf[:size].reshape(shape))
+
+
+def _mean_b0(vol, b0_idx) -> np.ndarray:
+    """The per-voxel mean of the ``b0_idx`` rows of ``vol``, read chunk by chunk.
+
+    Each voxel's sum runs over its rows in acquisition order, so the bits
+    are those of :func:`sphdwi.fitting._b0_mean` over the whole volume.
+    """
+    mean = np.empty(vol.voxels)
+    for lo, hi, b0 in _chunks(vol, b0_idx):
+        mean[lo:hi] = fitting._b0_mean(b0)
+    return mean
 
 
 def _cmd_signal2sh(args) -> int:
     scheme = dwio.read_bvals_bvecs(args.bvals, args.bvecs)
-    vol = _read_channels(args.dwi)
-    _, b0_idx, shells = fitting._plan_shells(vol.src.shape[0], scheme, shells=args.shell)
-    excluded, denom = fitting._b0_denominator(dwio.to_float64(vol.src[b0_idx], vol.header))
-    ops = [
-        make_fit_operator(scheme.directions[s.indices], args.order, args.lb_lambda)
-        for s in shells
-    ]
-    _info(f"R={ops[0].basis_spec.coeff_count} cond={max(o.cond for o in ops):.3e}")
+    with _read_channels(args.dwi) as vol:
+        _, b0_idx, shells = fitting._plan_shells(vol.channels, scheme, shells=args.shell)
+        excluded, denom = fitting._b0_denominator(_mean_b0(vol, b0_idx))
+        ops = [
+            make_fit_operator(scheme.directions[s.indices], args.order, args.lb_lambda)
+            for s in shells
+        ]
+        _info(f"R={ops[0].basis_spec.coeff_count} cond={max(o.cond for o in ops):.3e}")
 
-    def fit(x, voxels):
-        flat = x[0, :, :, 0, 0]
-        fitting._normalize_block(flat, denom[voxels], excluded[voxels], out=flat)
-        return signal_to_sh(DwiVolume(x, shells=len(ops)), ops)
+        def fit(x, voxels):
+            flat = x[0, :, :, 0, 0]
+            fitting._normalize_block(flat, denom[voxels], excluded[voxels], out=flat)
+            return signal_to_sh(DwiVolume(x, shells=len(ops)), ops)
 
-    rows = np.concatenate([s.indices for s in shells])
-    _stream(vol, args.out, len(ops) * ops[0].basis_spec.coeff_count, fit, rows=rows)
+        rows = np.concatenate([s.indices for s in shells])
+        _stream(vol, args.out, len(ops) * ops[0].basis_spec.coeff_count, fit, rows=rows,
+                excluded=excluded)
     return 0
 
 
@@ -225,14 +301,14 @@ def _cmd_sh2signal(args) -> int:
             raise ShapeError(f"sh2signal takes one --shell, got {len(args.shell)}")
         scheme = dwio.read_bvals_bvecs(args.bvals, args.bvecs)
         dirs = scheme.shell_directions(args.shell[0])
-    vol = _read_channels(args.sh)
-    order, shells = _sh_layout(args.sh, vol.src.shape[0], order=args.order)
-    spec = ShBasisSpec(order)
+    with _read_channels(args.sh) as vol:
+        order, shells = _sh_layout(args.sh, vol.channels, order=args.order)
+        spec = ShBasisSpec(order)
 
-    def evaluate(x, voxels):
-        return sh_to_signal(ShVolume(x, spec, shells=shells), dirs)
+        def evaluate(x, voxels):
+            return sh_to_signal(ShVolume(x, spec, shells=shells), dirs)
 
-    _stream(vol, args.out, shells * dirs.shape[0], evaluate)
+        _stream(vol, args.out, shells * dirs.shape[0], evaluate)
     return 0
 
 
@@ -263,27 +339,26 @@ def _cmd_lsc(args) -> int:
         raise ShapeError(
             f"kernel expects {kernel.shells_in} input shells, selection has {n_shells}"
         )
-    vol = _read_channels(args.sh)
-    order_in, shells_in = _sh_layout(args.sh, vol.src.shape[0], shells=kernel.shells_in)
-    order_out = args.order_out if args.order_out is not None else order_in
-    geom = lsc.build_lsc_geometry(origins, sizes, alpha, order_in, order_out, args.lb_lambda)
-    spec = ShBasisSpec(order_in)
-    energy = [0.0, 0.0]  # summed l>=2 energy fractions of the input and the output
+    with _read_channels(args.sh) as vol:
+        order_in, shells_in = _sh_layout(args.sh, vol.channels, shells=kernel.shells_in)
+        order_out = args.order_out if args.order_out is not None else order_in
+        geom = lsc.build_lsc_geometry(origins, sizes, alpha, order_in, order_out, args.lb_lambda)
+        spec = ShBasisSpec(order_in)
+        energy = [0.0, 0.0]  # summed l>=2 energy fractions of the input and the output
 
-    def convolve(x, voxels):
-        smooth = lsc.lsc_forward(ShVolume(x, spec, shells=shells_in), kernel, geom)
-        # each side as (shells, R, width): one reduction over every shell of the chunk
-        for side, data, shells, order in ((0, x, shells_in, order_in),
-                                          (1, smooth.data, kernel.shells_out, order_out)):
-            coeffs = data.reshape(shells, -1, x.shape[2])
-            energy[side] += np.sum(high_degree_energy_fraction(coeffs, order, axis=1))
-        return smooth
+        def convolve(x, voxels):
+            smooth = lsc.lsc_forward(ShVolume(x, spec, shells=shells_in), kernel, geom)
+            # each side as (shells, R, width): one reduction over every shell of the chunk
+            for side, data, shells, order in ((0, x, shells_in, order_in),
+                                              (1, smooth.data, kernel.shells_out, order_out)):
+                coeffs = data.reshape(shells, -1, x.shape[2])
+                energy[side] += np.sum(high_degree_energy_fraction(coeffs, order, axis=1))
+            return smooth
 
-    _stream(vol, args.out, kernel.shells_out * coeff_count(order_out), convolve)
-    nvox = vol.src.shape[1]
+        _stream(vol, args.out, kernel.shells_out * coeff_count(order_out), convolve)
     _info(
-        f"mean l>=2 energy fraction: {energy[0] / (shells_in * nvox):.4f} "
-        f"-> {energy[1] / (kernel.shells_out * nvox):.4f}"
+        f"mean l>=2 energy fraction: {energy[0] / (shells_in * vol.voxels):.4f} "
+        f"-> {energy[1] / (kernel.shells_out * vol.voxels):.4f}"
     )
     return 0
 

@@ -329,6 +329,99 @@ _IO_CHUNK = 1 << 22  # bytes per read call; bounds gzip's temporary buffers
 _GZIP_SLICE = 1 << 20  # uncompressed bytes per independently deflated .gz slice
 
 
+def _open_nifti(path: str):
+    try:
+        return _open_maybe_gzip(path)
+    except OSError as exc:
+        raise NiftiError(f"{path}: cannot open ({exc})") from exc
+
+
+def _read_header(fh, path: str):
+    """Read and check the header at the start of ``fh``.
+
+    Returns (hdr, dtype, shape, offset): the header record in its file's
+    byte order, the stored dtype, the array shape and the payload's byte
+    offset. Raises distinct error types for a bad magic number, an
+    unsupported datatype and a truncated header.
+    """
+    try:
+        raw = fh.read(HEADER_DTYPE.itemsize)
+    except (OSError, EOFError) as exc:
+        raise NiftiTruncatedError(f"{path}: unreadable header ({exc})") from exc
+    if len(raw) < HEADER_DTYPE.itemsize:
+        raise NiftiTruncatedError(
+            f"{path}: header is {len(raw)} bytes, expected {HEADER_DTYPE.itemsize}"
+        )
+    hdr = np.frombuffer(raw, dtype=HEADER_DTYPE)[0]
+    if int(hdr["sizeof_hdr"]) != 348:
+        swapped = HEADER_DTYPE.newbyteorder()
+        hdr = np.frombuffer(raw, dtype=swapped)[0]
+        if int(hdr["sizeof_hdr"]) != 348:
+            raise NiftiMagicError(f"{path}: sizeof_hdr is not 348 in either byte order")
+    magic = bytes(hdr["magic"]).rstrip(b"\x00")
+    if magic != b"n+1":
+        raise NiftiMagicError(
+            f"{path}: magic {magic!r} is not 'n+1' (only single-file NIfTI-1 is supported)"
+        )
+    code = int(hdr["datatype"])
+    if code not in _DTYPE_CODES:
+        raise NiftiDatatypeError(f"{path}: unsupported datatype code {code}")
+    dtype = _DTYPE_CODES[code].newbyteorder(hdr["dim"].dtype.byteorder)
+
+    ndim = int(hdr["dim"][0])
+    if not 1 <= ndim <= 7:
+        raise NiftiMagicError(f"{path}: implausible dim[0] = {ndim}")
+    shape = tuple(int(v) for v in hdr["dim"][1 : ndim + 1])
+    if any(d < 1 for d in shape):
+        raise NiftiMagicError(f"{path}: implausible dimensions {shape}")
+    offset_f = float(hdr["vox_offset"])
+    # a single-file NIfTI-1 keeps 4 extension bytes after the header, so data starts at >= 352
+    if not np.isfinite(offset_f) or offset_f < HEADER_DTYPE.itemsize + 4:
+        raise NiftiMagicError(f"{path}: implausible vox_offset = {offset_f}")
+    return hdr, dtype, shape, int(offset_f)
+
+
+def _header_dict(hdr) -> dict:
+    return {name: np.copy(hdr[name]) for name in HEADER_DTYPE.names}
+
+
+def _check_file_size(fh, path: str, end: int) -> None:
+    """Cheap truncation check of an uncompressed file, before allocating anything."""
+    size = os.fstat(fh.fileno()).st_size
+    if end > size:
+        raise NiftiTruncatedError(f"{path}: file has {size} bytes but header promises {end}")
+
+
+def _read_payload(fh, path: str, dtype, shape, offset: int) -> np.ndarray:
+    """The whole payload of an open NIfTI file, as a flat array of ``dtype``."""
+    expected = int(np.prod(shape)) * dtype.itemsize
+    if not isinstance(fh, gzip.GzipFile):
+        _check_file_size(fh, path, offset + expected)
+    try:
+        buf = np.empty(expected, dtype=np.uint8)
+    except MemoryError as exc:
+        raise NiftiError(
+            f"{path}: header promises {expected} bytes of voxel data, "
+            "more than this process can allocate"
+        ) from exc
+    view = memoryview(buf)
+    filled = 0
+    try:
+        fh.seek(offset)
+        while filled < expected:
+            got = fh.readinto(view[filled : filled + _IO_CHUNK])
+            if not got:
+                break
+            filled += got
+    except (OSError, EOFError, ValueError, OverflowError) as exc:
+        raise NiftiTruncatedError(f"{path}: unreadable voxel data ({exc})") from exc
+    if filled < expected:
+        raise NiftiTruncatedError(
+            f"{path}: voxel data is {filled} bytes, expected {expected}"
+        )
+    return buf.view(dtype)
+
+
 def read_nifti_payload(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
     """Read a single-file NIfTI-1 volume's voxels as stored.
 
@@ -339,80 +432,81 @@ def read_nifti_payload(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
     types for a bad magic number, an unsupported datatype and a truncated
     file.
     """
-    try:
-        fh = _open_maybe_gzip(path)
-    except OSError as exc:
-        raise NiftiError(f"{path}: cannot open ({exc})") from exc
-    with fh:
-        try:
-            raw = fh.read(HEADER_DTYPE.itemsize)
-        except (OSError, EOFError) as exc:
-            raise NiftiTruncatedError(f"{path}: unreadable header ({exc})") from exc
-        if len(raw) < HEADER_DTYPE.itemsize:
-            raise NiftiTruncatedError(
-                f"{path}: header is {len(raw)} bytes, expected {HEADER_DTYPE.itemsize}"
-            )
-        hdr = np.frombuffer(raw, dtype=HEADER_DTYPE)[0]
-        if int(hdr["sizeof_hdr"]) != 348:
-            swapped = HEADER_DTYPE.newbyteorder()
-            hdr = np.frombuffer(raw, dtype=swapped)[0]
-            if int(hdr["sizeof_hdr"]) != 348:
-                raise NiftiMagicError(f"{path}: sizeof_hdr is not 348 in either byte order")
-        magic = bytes(hdr["magic"]).rstrip(b"\x00")
-        if magic != b"n+1":
-            raise NiftiMagicError(
-                f"{path}: magic {magic!r} is not 'n+1' (only single-file NIfTI-1 is supported)"
-            )
-        code = int(hdr["datatype"])
-        if code not in _DTYPE_CODES:
-            raise NiftiDatatypeError(f"{path}: unsupported datatype code {code}")
-        dtype = _DTYPE_CODES[code].newbyteorder(hdr["dim"].dtype.byteorder)
+    with _open_nifti(path) as fh:
+        hdr, dtype, shape, offset = _read_header(fh, path)
+        data = _read_payload(fh, path, dtype, shape, offset).reshape(shape, order="F")
+        return data, _affine_from_header(hdr), _header_dict(hdr)
 
-        ndim = int(hdr["dim"][0])
-        if not 1 <= ndim <= 7:
-            raise NiftiMagicError(f"{path}: implausible dim[0] = {ndim}")
-        shape = tuple(int(v) for v in hdr["dim"][1 : ndim + 1])
-        if any(d < 1 for d in shape):
-            raise NiftiMagicError(f"{path}: implausible dimensions {shape}")
-        count = int(np.prod(shape))
-        offset_f = float(hdr["vox_offset"])
-        # a single-file NIfTI-1 keeps 4 extension bytes after the header, so data starts at >= 352
-        if not np.isfinite(offset_f) or offset_f < HEADER_DTYPE.itemsize + 4:
-            raise NiftiMagicError(f"{path}: implausible vox_offset = {offset_f}")
-        offset = int(offset_f)
-        expected = count * dtype.itemsize
-        if not isinstance(fh, gzip.GzipFile):
-            # cheap truncation check before allocating anything
-            size = os.fstat(fh.fileno()).st_size
-            if offset + expected > size:
-                raise NiftiTruncatedError(
-                    f"{path}: file has {size} bytes but header promises {offset + expected}"
-                )
+
+class NiftiRows:
+    """A single-file NIfTI-1 volume's payload as a (C, V) matrix of stored values.
+
+    NIfTI stores X, Y, Z[, volume...] in Fortran order, so the payload is a
+    C-order matrix with one row per volume (C rows) and one column per voxel
+    of the first three axes (V columns): row c at voxel columns lo:hi is one
+    contiguous segment of the file. :meth:`read` fetches such segments.
+
+    An uncompressed file stays open, and each segment is read from disk
+    with a positioned ``readinto``, so memory does not grow with the
+    volume. A gzip file is inflated whole when opened, since a gzip member
+    can only be read from its start. Attributes: ``shape``, ``dtype`` (the
+    stored dtype), ``affine``, ``header`` (as :func:`read_nifti_payload`
+    returns them), ``channels`` (C) and ``voxels`` (V). Close it, or use it
+    as a context manager. Opening raises the errors of
+    :func:`read_nifti_payload`.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        fh = _open_nifti(path)
         try:
-            buf = np.empty(expected, dtype=np.uint8)
-        except MemoryError as exc:
-            raise NiftiError(
-                f"{path}: header promises {expected} bytes of voxel data, "
-                "more than this process can allocate"
-            ) from exc
-        view = memoryview(buf)
-        filled = 0
+            hdr, self.dtype, self.shape, self._offset = _read_header(fh, path)
+            self.voxels = int(np.prod(self.shape[:3]))
+            self.channels = int(np.prod(self.shape[3:]))
+            self.affine = _affine_from_header(hdr)
+            self.header = _header_dict(hdr)
+            if isinstance(fh, gzip.GzipFile):
+                payload = _read_payload(fh, path, self.dtype, self.shape, self._offset)
+                self._matrix = payload.reshape(self.channels, self.voxels)
+                fh.close()
+                self._fh = None
+            else:
+                end = self._offset + self.channels * self.voxels * self.dtype.itemsize
+                _check_file_size(fh, path, end)
+                self._fh = fh
+        except BaseException:
+            fh.close()
+            raise
+
+    def read(self, rows, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with rows ``rows`` of voxel columns lo:hi, and return it.
+
+        ``out`` is a C-contiguous (len(rows), hi - lo) array of the stored
+        dtype; row i of ``out`` receives row ``rows[i]`` of the payload.
+        """
+        if self._fh is None:
+            for row, dest in zip(rows, out):
+                dest[...] = self._matrix[row, lo:hi]
+            return out
+        width = (hi - lo) * self.dtype.itemsize
         try:
-            fh.seek(offset)
-            while filled < expected:
-                got = fh.readinto(view[filled : filled + _IO_CHUNK])
-                if not got:
-                    break
-                filled += got
-        except (OSError, EOFError, ValueError, OverflowError) as exc:
-            raise NiftiTruncatedError(f"{path}: unreadable voxel data ({exc})") from exc
-        if filled < expected:
-            raise NiftiTruncatedError(
-                f"{path}: voxel data is {filled} bytes, expected {expected}"
-            )
-        data = buf.view(dtype).reshape(shape, order="F")
-        header = {name: np.copy(hdr[name]) for name in HEADER_DTYPE.names}
-        return data, _affine_from_header(hdr), header
+            for row, dest in zip(rows, out):
+                self._fh.seek(self._offset + (int(row) * self.voxels + lo) * self.dtype.itemsize)
+                if self._fh.readinto(dest) != width:
+                    raise NiftiTruncatedError(f"{self.path}: voxel data ends early")
+        except (OSError, ValueError) as exc:
+            raise NiftiTruncatedError(f"{self.path}: unreadable voxel data ({exc})") from exc
+        return out
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def to_float64(stored, header: dict, out: np.ndarray | None = None) -> np.ndarray:
@@ -456,22 +550,16 @@ def _check_nifti_shape(shape) -> None:
             )
 
 
-def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
-    """Write a single-file NIfTI-1 volume (gzip when path ends in .gz).
+def _nifti_header(shape, affine, dtype) -> bytes:
+    """The 352 bytes before the payload of a volume that sphdwi writes.
 
-    ``data`` is stored in X, Y, Z[, volume] order with the given on-disk
-    dtype (float32 by default); the affine lands in the sform rows. An
-    F-contiguous array of that dtype is written as it is, without a copy.
-    An axis longer than 32,767 raises ValueError before any file exists.
-    The file is written to a temporary sibling and renamed into place so
-    readers never observe a partial volume. gzip output is one member that
-    any gzip reader accepts, compressed with deflate's run-length strategy
-    in 1 MiB slices on all cores (see :func:`_write_gzip_member`), and
-    reproducible: its header stores mtime 0 and the target's name, not the
-    temporary one, and its bytes do not depend on the core count.
+    The NIfTI-1 header of an array of ``shape`` stored as ``dtype`` with
+    ``affine`` in its sform rows (identity when None), and the 4 zero
+    extension bytes up to vox_offset 352. Raises ValueError, before
+    anything is written, for a shape NIfTI-1 cannot store or an affine that
+    is not 4 x 4, and :class:`NiftiDatatypeError` for an unsupported dtype.
     """
-    arr = np.asarray(data)
-    _check_nifti_shape(arr.shape)
+    _check_nifti_shape(shape)
     dtype = np.dtype(dtype)
     if dtype not in _CODE_FOR_DTYPE:
         raise NiftiDatatypeError(f"unsupported on-disk dtype {dtype}")
@@ -481,17 +569,18 @@ def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
     if affine.shape != (4, 4):
         raise ValueError(f"affine must be 4 x 4, got {affine.shape}")
 
+    ndim = len(shape)
     hdr = np.zeros((), dtype=HEADER_DTYPE)
     hdr["sizeof_hdr"] = 348
     hdr["regular"] = b"r"
-    hdr["dim"][0] = arr.ndim
-    hdr["dim"][1 : arr.ndim + 1] = arr.shape
-    hdr["dim"][arr.ndim + 1 :] = 1
+    hdr["dim"][0] = ndim
+    hdr["dim"][1 : ndim + 1] = shape
+    hdr["dim"][ndim + 1 :] = 1
     hdr["datatype"] = _CODE_FOR_DTYPE[dtype]
     hdr["bitpix"] = dtype.itemsize * 8
     hdr["pixdim"][0] = 1.0
     hdr["pixdim"][1:4] = np.linalg.norm(affine[:3, :3], axis=0)
-    hdr["pixdim"][4 : arr.ndim + 1] = 1.0
+    hdr["pixdim"][4 : ndim + 1] = 1.0
     hdr["vox_offset"] = 352.0
     hdr["scl_slope"] = 1.0
     hdr["scl_inter"] = 0.0
@@ -502,14 +591,63 @@ def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
     hdr["srow_y"] = affine[1, :]
     hdr["srow_z"] = affine[2, :]
     hdr["magic"] = b"n+1"
+    return hdr.tobytes() + b"\x00" * 4
 
+
+def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
+    """Write a single-file NIfTI-1 volume (gzip when path ends in .gz).
+
+    ``data`` is stored in X, Y, Z[, volume] order with the given on-disk
+    dtype (float32 by default); the affine lands in the sform rows. An
+    F-contiguous array of that dtype is written as it is, without a copy,
+    so the whole payload is in memory; :func:`write_nifti_rows` writes an
+    uncompressed volume piece by piece instead, with the same header.
+    An axis longer than 32,767 raises ValueError before any file exists.
+    The file is written to a temporary sibling and renamed into place so
+    readers never observe a partial volume. gzip output is one member that
+    any gzip reader accepts, compressed with deflate's run-length strategy
+    in 1 MiB slices on all cores (see :func:`_write_gzip_member`), and
+    reproducible: its header stores mtime 0 and the target's name, not the
+    temporary one, and its bytes do not depend on the core count.
+    """
+    arr = np.asarray(data)
+    header = _nifti_header(arr.shape, affine, dtype)
     payload = memoryview(arr.astype(dtype, order="F", copy=False).reshape(-1, order="F"))
-    pieces = [hdr.tobytes() + b"\x00" * 4, payload.cast("B")]  # header padded to vox_offset = 352
+    pieces = [header, payload.cast("B")]
     with _atomic_output(path) as tmp, open(tmp, "wb") as fh:
         if path.endswith(".gz"):
             _write_gzip_member(fh, os.path.basename(path)[:-3], pieces)
         else:
             fh.writelines(pieces)
+
+
+@contextmanager
+def write_nifti_rows(path: str, shape, affine=None, dtype=np.float32):
+    """Write an uncompressed single-file NIfTI-1 volume of ``shape`` row segment by row segment.
+
+    The payload is the (C, V) matrix of :class:`NiftiRows`. This yields
+    ``write(block, lo)``, which stores the (C, width) ``block``, cast to
+    ``dtype``, at voxel columns lo:lo + width: each of its rows goes
+    straight to its offset in the file, so only the header and one block
+    are ever in memory. Every column should be written once. The header
+    and the checks are those of :func:`write_nifti`, so a volume written
+    in blocks is byte for byte the one :func:`write_nifti` writes. The
+    file is the temporary sibling of :func:`_atomic_output`, renamed into
+    place when the ``with`` block ends without an error.
+    """
+    header = _nifti_header(shape, affine, dtype)
+    dtype = np.dtype(dtype)
+    voxels = int(np.prod(shape[:3]))
+
+    with _atomic_output(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(header)
+
+        def write(block, lo: int) -> None:
+            for channel, row in enumerate(block):
+                fh.seek(len(header) + (channel * voxels + lo) * dtype.itemsize)
+                fh.write(row.astype(dtype, copy=False))
+
+        yield write
 
 
 def _thread_count() -> int:

@@ -266,20 +266,26 @@ def _plan_shells(
     return scheme, b0_idx, dwio.select_shells(shell_table, shells)
 
 
-def _b0_denominator(b0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The b0 rule: (excluded, denominator) from b0 samples (volumes, voxels...).
+def _b0_mean(b0: np.ndarray) -> np.ndarray:
+    """The per-voxel mean of b0 samples (volumes, voxels...).
 
-    The per-voxel b0 is the mean of the rows, summed one row after another,
-    so its bits do not depend on the memory layout of ``b0``. Voxels whose
-    mean falls at or below 1e-6 times the largest mean are excluded (True)
-    and get a denominator of 1; the others are divided by their mean. A
-    non-finite b0 raises :class:`ShapeError`, as it would make the
-    threshold itself infinite or undefined.
+    The rows are summed one after another, so the bits depend neither on
+    the memory layout of ``b0`` nor on how its voxels are split into parts.
     """
     total = np.array(b0[0], dtype=np.float64)
     for row in b0[1:]:
         total += row
-    mean_b0 = total / b0.shape[0]
+    return total / b0.shape[0]
+
+
+def _b0_denominator(mean_b0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The b0 rule: (excluded, denominator) from the per-voxel mean b0 of :func:`_b0_mean`.
+
+    Voxels whose mean falls at or below 1e-6 times the largest mean are
+    excluded (True) and get a denominator of 1; the others are divided by
+    their mean. A non-finite b0 raises :class:`ShapeError`, as it would
+    make the threshold itself infinite or undefined.
+    """
     if not np.isfinite(mean_b0).all():
         raise ShapeError("b0 volumes contain non-finite values")
     eps = 1e-6 * float(mean_b0.max()) if mean_b0.size else 0.0
@@ -316,7 +322,7 @@ def normalize_b0(
     if arr.ndim != 4:
         raise ShapeError(f"raw acquisition must be 4-D, got shape {arr.shape}")
     scheme, b0_idx, shell_table = _plan_shells(arr.shape[3], bvals_or_scheme, shells)
-    excluded, denom = _b0_denominator(np.moveaxis(arr[..., b0_idx], 3, 0))
+    excluded, denom = _b0_denominator(_b0_mean(np.moveaxis(arr[..., b0_idx], 3, 0)))
 
     m = shell_table[0].indices.size
     data = np.empty((1, len(shell_table) * m, *arr.shape[:3]))

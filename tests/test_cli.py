@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -730,6 +731,76 @@ class TestStreamedCommandsMatchApi:
         _assert_payload_equals(sig_path, signal)
 
 
+class TestStreamedFiles:
+    @pytest.mark.parametrize("command", ["lsc", "sh2signal"])
+    def test_out_equal_to_input_writes_the_same_bytes(self, tmp_path, command):
+        # two chunks: the input is still being read while the output is written
+        acq = two_shell_acquisition(tmp_path / "in")
+        sh_path = str(tmp_path / "sh.nii")
+        assert main(["signal2sh", "--dwi", acq["dwi"], *_grad(acq), "--shell", "1000",
+                     "--order", "4", "--out", sh_path]) == 0
+
+        def args(out):
+            if command == "lsc":
+                return ["lsc", "--sh", sh_path, *_grad(acq), "--shell", "1000",
+                        "--moving-average", f"5,{PI_OVER_5}", "--out", out]
+            return ["sh2signal", "--sh", sh_path, *_grad(acq), "--shell", "1000",
+                    "--order", "4", "--out", out]
+
+        separate = tmp_path / "separate.nii"
+        assert main(args(str(separate))) == 0
+        assert main(args(sh_path)) == 0
+        assert (tmp_path / "sh.nii").read_bytes() == separate.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "separate.nii", "sh.nii"]
+
+    def test_sh2signal_memory_does_not_grow_with_the_volume(self, tmp_path):
+        dirs = tmp_path / "dirs.txt"
+        np.savetxt(dirs, sphdwi.unit_sphere_directions(30))
+        rng = np.random.default_rng(4)
+
+        def peak(grid):
+            sh_path = str(tmp_path / "sh.nii")
+            dwio.write_nifti(sh_path, rng.normal(size=(*grid, 15)).astype(np.float32))
+            args = ["sh2signal", "--sh", sh_path, "--dirs", str(dirs), "--order", "4",
+                    "--out", str(tmp_path / "signal.nii")]
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak((32, 32, 16))  # first use: imports and caches
+        one_chunk = peak((32, 32, 16))  # 16,384 voxels
+        four_chunks = peak((64, 64, 16))
+        assert four_chunks < 1.5 * one_chunk, (one_chunk, four_chunks)
+
+    def test_signal2sh_memory_does_not_grow_with_the_b0_count(self, tmp_path):
+        dirs = sphdwi.unit_sphere_directions(30)
+        rng = np.random.default_rng(5)
+
+        def peak(n_b0):
+            prefix = str(tmp_path / f"b0x{n_b0}")
+            bvals = np.array([0.0] * n_b0 + [1000.0] * 30)
+            dwio.write_bvals_bvecs(bvals, np.vstack([np.zeros((n_b0, 3)), dirs]),
+                                   prefix + ".bvals", prefix + ".bvecs")
+            dwio.write_nifti(prefix + ".nii",
+                             rng.uniform(100.0, 200.0, size=(64, 64, 16, bvals.size)))
+            args = ["signal2sh", "--dwi", prefix + ".nii", "--bvals", prefix + ".bvals",
+                    "--bvecs", prefix + ".bvecs", "--out", str(tmp_path / "sh.nii")]
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first use: imports and caches
+        one = peak(1)
+        twenty = peak(20)  # whole-volume b0 rows would add 20 x 65,536 x 12 bytes
+        assert twenty < 1.05 * one, (one, twenty)
+
+
 class TestNonFiniteInput:
     def test_nan_in_selected_shell_exits_2(self, tmp_path, capsys):
         acq = two_shell_acquisition(tmp_path, stored=np.float32, slope=1.0, inter=0.0,
@@ -778,6 +849,55 @@ class TestNonFiniteInput:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("command", ["lsc", "sh2signal"])
+    def test_non_finite_sh_exits_2_naming_file_volume_and_voxel(self, phantom_files, tmp_path,
+                                                                  capsys, command, value):
+        sh_path = str(tmp_path / "sh.nii")
+        assert main(fit_args(phantom_files, sh_path)) == 0
+        raw, affine, _ = dwio.read_nifti_payload(sh_path)
+        raw = raw.copy()
+        raw[3, 2, 1, 7] = value
+        raw[0, 3, 2, 9] = value  # an earlier voxel of a later volume
+        dwio.write_nifti(sh_path, raw, affine=affine)
+        out = tmp_path / "out.nii"
+        args = (lsc_args(phantom_files, sh_path, str(out)) if command == "lsc"
+                else eval_args(phantom_files, sh_path, str(out)))
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{sh_path}: non-finite value in volume 7 at voxel (3, 2, 1)" in err
+        assert "energy fraction" not in err
+        assert not out.exists()
+
+    def test_non_finite_dwi_message_names_file_volume_and_voxel(self, tmp_path, capsys):
+        volume = TWO_SHELL_BVALS.index(2000.0)
+        acq = two_shell_acquisition(tmp_path, stored=np.float32, slope=1.0, inter=0.0,
+                                    poison=[(volume, np.inf)])
+        assert main(["signal2sh", "--dwi", acq["dwi"], *_grad(acq),
+                     "--out", str(tmp_path / "sh.nii")]) == 2
+        voxel = ", ".join(str(i) for i in POISONED_VOXEL)
+        assert (f"{acq['dwi']}: non-finite value in volume {volume} at voxel ({voxel})"
+                in capsys.readouterr().err)
+
+    def test_nan_at_excluded_voxel_is_ignored(self, tmp_path):
+        # the b0 rule zeroes an excluded voxel, so its diffusion values are never used
+        outputs = []
+        volume = TWO_SHELL_BVALS.index(1000.0)
+        for name, poison in (("clean", []), ("nan", [(volume, np.nan)])):
+            acq = two_shell_acquisition(tmp_path / name, stored=np.float32, slope=1.0,
+                                        inter=0.0)
+            raw, _, _ = dwio.read_nifti_payload(acq["dwi"])
+            raw = raw.copy()
+            for vol_index, value in poison:
+                raw[(*EXCLUDED_VOXEL, vol_index)] = value
+            dwio.write_nifti(acq["dwi"], raw, dtype=np.float32)
+            out = tmp_path / name / "sh.nii"
+            assert main(["signal2sh", "--dwi", acq["dwi"], *_grad(acq), "--shell", "1000",
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 def lsc_args(files, sh, out):
@@ -898,6 +1018,7 @@ class TestAtomicOutput:
             raise AssertionError(f"read {path} although --out cannot be written")
 
         monkeypatch.setattr(dwio, "read_nifti_payload", no_read)
+        monkeypatch.setattr(dwio, "NiftiRows", no_read)
         monkeypatch.setattr(sphdwi.bench, "run_bench", no_read)
         before = sorted(tmp_path.iterdir())
         assert main(args) == 4
@@ -911,6 +1032,22 @@ class TestAtomicOutput:
         out_dir.mkdir()
         out = str(out_dir / "sh.nii.gz")
         assert main(fit_args(phantom_files, out)) == 4
+        assert f"{os.strerror(errno.ENOSPC)}: '{out}'" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["signal2sh", "lsc", "sh2signal"])
+    def test_failed_row_write_exits_4_leaving_no_file(self, command, phantom_files, tmp_path,
+                                                      capsys, request):
+        sh_path = str(tmp_path / "sh.nii")
+        assert main(fit_args(phantom_files, sh_path)) == 0
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = str(out_dir / "x.nii")
+        args = {"signal2sh": fit_args(phantom_files, out),
+                "lsc": lsc_args(phantom_files, sh_path, out),
+                "sh2signal": eval_args(phantom_files, sh_path, out)}[command]
+        request.getfixturevalue("full_disk")  # from here on, the disk is full
+        assert main(args) == 4
         assert f"{os.strerror(errno.ENOSPC)}: '{out}'" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
 

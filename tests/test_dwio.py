@@ -14,6 +14,7 @@ from sphdwi import dwio, lsc, make_identity_kernel
 from sphdwi.errors import (
     GradientParseError,
     NiftiDatatypeError,
+    NiftiError,
     NiftiMagicError,
     NiftiTruncatedError,
 )
@@ -371,9 +372,24 @@ class TestNifti:
         np.testing.assert_allclose(affine, expected, atol=1e-6)
 
 
+def _channel_matrix(volume):
+    """The (C, V) matrix of a 4-D volume: one row per volume, voxels in Fortran order."""
+    return volume.reshape(-1, volume.shape[3], order="F").T
+
+
+def _write_in_blocks(path, volume, widths, affine=None, dtype=np.float32):
+    matrix = _channel_matrix(volume)
+    with dwio.write_nifti_rows(path, volume.shape, affine=affine, dtype=dtype) as write:
+        lo = 0
+        for width in widths:
+            write(matrix[:, lo : lo + width], lo)
+            lo += width
+
+
 ATOMIC_WRITERS = {
     "out.nii": lambda path: dwio.write_nifti(path, np.ones((2, 2, 2, 3))),
     "out.nii.gz": lambda path: dwio.write_nifti(path, np.ones((2, 2, 2, 3))),
+    "rows.nii": lambda path: _write_in_blocks(path, np.ones((2, 2, 2, 3)), [3, 5]),
     "kernel.json": lambda path: lsc.save_kernel_json(path, make_identity_kernel([5]), [5], 0.6),
 }
 
@@ -693,3 +709,102 @@ class TestNiftiRoundTripProperty:
         np.testing.assert_array_equal(got_affine, affine)
         np.testing.assert_array_equal(raw_affine, affine)
         assert int(header["datatype"]) == dwio._CODE_FOR_DTYPE[np.dtype(dtype)]
+
+
+class TestNiftiRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dtype=st.sampled_from(STORED_DTYPES),
+        byteorder=st.sampled_from("<>"),
+        shape=st.lists(st.integers(1, 4), min_size=4, max_size=4).map(tuple),
+        gz=st.booleans(),
+        scaling=st.sampled_from(SCALINGS),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_row_segments_are_the_payload_matrix(
+        self, tmp_path_factory, dtype, byteorder, shape, gz, scaling, seed, data
+    ):
+        stored = _stored_values(np.random.default_rng(seed), dtype, shape)
+        affine = np.diag([2.0, 0.5, 2.5, 1.0])
+        path = str(tmp_path_factory.mktemp("rows") / ("vol.nii.gz" if gz else "vol.nii"))
+        dwio.write_nifti(path, stored, affine=affine, dtype=dtype)
+        _restore_header(path, *scaling, byteorder)
+        raw, want_affine, want_header = dwio.read_nifti_payload(path)
+        matrix = _channel_matrix(raw)
+        nvox = matrix.shape[1]
+        rows = data.draw(st.lists(st.integers(0, shape[3] - 1), min_size=1, max_size=6))
+        lo = data.draw(st.integers(0, nvox - 1))
+        hi = data.draw(st.integers(lo + 1, nvox))
+        with dwio.NiftiRows(path) as vol:
+            assert vol.shape == shape and vol.dtype == raw.dtype
+            assert (vol.channels, vol.voxels) == matrix.shape
+            np.testing.assert_array_equal(vol.affine, want_affine)
+            assert vol.header.keys() == want_header.keys()
+            for name, value in want_header.items():
+                np.testing.assert_array_equal(vol.header[name], value)
+            out = np.full((len(rows), hi - lo), 77, dtype=vol.dtype)
+            assert vol.read(rows, lo, hi, out) is out
+        np.testing.assert_array_equal(out, matrix[rows, lo:hi])
+
+    def test_truncated_file_rejected_on_open(self, tmp_path):
+        path = str(tmp_path / "short.nii")
+        dwio.write_nifti(path, np.zeros((4, 4, 4, 2)))
+        raw = open(path, "rb").read()
+        open(path, "wb").write(raw[: len(raw) - 64])
+        with pytest.raises(NiftiTruncatedError, match="header promises"):
+            dwio.NiftiRows(path)
+
+    def test_file_cut_after_open_raises_truncated(self, tmp_path):
+        path = str(tmp_path / "cut.nii")
+        dwio.write_nifti(path, np.ones((32, 32, 16, 2)))  # rows of 64 KiB: past any read buffer
+        with dwio.NiftiRows(path) as vol:
+            os.truncate(path, 352 + 4 * vol.voxels + 8)
+            out = np.empty((2, vol.voxels), dtype=np.float32)
+            vol.read([0], 0, vol.voxels, out[:1])  # still on disk
+            with pytest.raises(NiftiTruncatedError, match="ends early"):
+                vol.read([0, 1], 0, vol.voxels, out)
+
+    def test_open_errors_are_those_of_read_nifti_payload(self, tmp_path):
+        missing = str(tmp_path / "missing.nii")
+        with pytest.raises(NiftiError, match="cannot open"):
+            dwio.NiftiRows(missing)
+        bad = tmp_path / "bad.nii"
+        bad.write_bytes(b"\x00" * 100)
+        with pytest.raises(NiftiTruncatedError):
+            dwio.NiftiRows(str(bad))
+
+
+class TestWriteNiftiRows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16])
+    @pytest.mark.parametrize("widths", [[60], [1, 59], [16, 16, 16, 12], [7] * 8 + [4]])
+    def test_blocks_give_the_bytes_of_write_nifti(self, tmp_path, rng, widths, dtype):
+        volume = rng.normal(size=(5, 4, 3, 6)) * 100
+        affine = np.diag([1.5, 2.0, 2.5, 1.0])
+        affine[:3, 3] = (-3.0, 4.0, 5.5)
+        whole, blocks = str(tmp_path / "whole.nii"), str(tmp_path / "blocks.nii")
+        dwio.write_nifti(whole, volume, affine=affine, dtype=dtype)
+        _write_in_blocks(blocks, volume, widths, affine=affine, dtype=dtype)
+        assert (tmp_path / "blocks.nii").read_bytes() == (tmp_path / "whole.nii").read_bytes()
+
+    def test_axis_over_limit_rejected_before_any_file(self, tmp_path):
+        with pytest.raises(ValueError, match="axis 3 has length 40000"):
+            with dwio.write_nifti_rows(str(tmp_path / "big.nii"), (1, 1, 1, 40000)):
+                pass
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_inside_the_block_leaves_no_file(self, tmp_path):
+        volume = np.ones((2, 2, 2, 3))
+        with pytest.raises(RuntimeError, match="step failed"):
+            with dwio.write_nifti_rows(str(tmp_path / "x.nii"), volume.shape) as write:
+                write(_channel_matrix(volume)[:, :4], 0)
+                raise RuntimeError("step failed")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_full_disk_is_raised_naming_the_target(self, tmp_path, full_disk):
+        target = str(tmp_path / "x.nii")
+        with pytest.raises(OSError) as info:
+            _write_in_blocks(target, np.ones((4, 4, 4, 3)), [64])
+        assert info.value.errno == errno.ENOSPC
+        assert info.value.filename == target
+        assert list(tmp_path.iterdir()) == []
