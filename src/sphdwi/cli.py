@@ -180,7 +180,7 @@ def _output(path: str, shape, affine):
     the ``with`` block ends; any other output is written block by block.
     """
     if not path.endswith(".gz"):
-        with dwio.write_nifti_rows(path, shape, affine=affine, dtype=np.float32) as put:
+        with dwio.write_nifti_rows(path, shape, affine=affine) as put:
             yield put
         return
     out = np.empty((shape[3], int(np.prod(shape[:3]))), dtype=np.float32)

@@ -622,12 +622,12 @@ def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
 
 
 @contextmanager
-def write_nifti_rows(path: str, shape, affine=None, dtype=np.float32):
-    """Write an uncompressed single-file NIfTI-1 volume of ``shape`` row segment by row segment.
+def write_nifti_rows(path: str, shape, affine=None):
+    """Write an uncompressed float32 NIfTI-1 volume of ``shape`` row segment by row segment.
 
     The payload is the (C, V) matrix of :class:`NiftiRows`. This yields
     ``write(block, lo)``, which stores the (C, width) ``block``, cast to
-    ``dtype``, at voxel columns lo:lo + width: each of its rows goes
+    float32, at voxel columns lo:lo + width: each of its rows goes
     straight to its offset in the file, so only the header and one block
     are ever in memory. Every column should be written once. The header
     and the checks are those of :func:`write_nifti`, so a volume written
@@ -635,8 +635,8 @@ def write_nifti_rows(path: str, shape, affine=None, dtype=np.float32):
     file is the temporary sibling of :func:`_atomic_output`, renamed into
     place when the ``with`` block ends without an error.
     """
-    header = _nifti_header(shape, affine, dtype)
-    dtype = np.dtype(dtype)
+    header = _nifti_header(shape, affine, np.float32)
+    itemsize = np.dtype(np.float32).itemsize
     voxels = int(np.prod(shape[:3]))
 
     with _atomic_output(path) as tmp, open(tmp, "wb") as fh:
@@ -644,8 +644,8 @@ def write_nifti_rows(path: str, shape, affine=None, dtype=np.float32):
 
         def write(block, lo: int) -> None:
             for channel, row in enumerate(block):
-                fh.seek(len(header) + (channel * voxels + lo) * dtype.itemsize)
-                fh.write(row.astype(dtype, copy=False))
+                fh.seek(len(header) + (channel * voxels + lo) * itemsize)
+                fh.write(row.astype(np.float32))
 
         yield write
 

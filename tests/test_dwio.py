@@ -377,9 +377,9 @@ def _channel_matrix(volume):
     return volume.reshape(-1, volume.shape[3], order="F").T
 
 
-def _write_in_blocks(path, volume, widths, affine=None, dtype=np.float32):
+def _write_in_blocks(path, volume, widths, affine=None):
     matrix = _channel_matrix(volume)
-    with dwio.write_nifti_rows(path, volume.shape, affine=affine, dtype=dtype) as write:
+    with dwio.write_nifti_rows(path, volume.shape, affine=affine) as write:
         lo = 0
         for width in widths:
             write(matrix[:, lo : lo + width], lo)
@@ -776,15 +776,14 @@ class TestNiftiRows:
 
 
 class TestWriteNiftiRows:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16])
     @pytest.mark.parametrize("widths", [[60], [1, 59], [16, 16, 16, 12], [7] * 8 + [4]])
-    def test_blocks_give_the_bytes_of_write_nifti(self, tmp_path, rng, widths, dtype):
+    def test_blocks_give_the_bytes_of_write_nifti(self, tmp_path, rng, widths):
         volume = rng.normal(size=(5, 4, 3, 6)) * 100
         affine = np.diag([1.5, 2.0, 2.5, 1.0])
         affine[:3, 3] = (-3.0, 4.0, 5.5)
         whole, blocks = str(tmp_path / "whole.nii"), str(tmp_path / "blocks.nii")
-        dwio.write_nifti(whole, volume, affine=affine, dtype=dtype)
-        _write_in_blocks(blocks, volume, widths, affine=affine, dtype=dtype)
+        dwio.write_nifti(whole, volume, affine=affine)
+        _write_in_blocks(blocks, volume, widths, affine=affine)
         assert (tmp_path / "blocks.nii").read_bytes() == (tmp_path / "whole.nii").read_bytes()
 
     def test_axis_over_limit_rejected_before_any_file(self, tmp_path):
