@@ -134,10 +134,10 @@ def _sh_layout(path: str, nvol: int, order: int | None = None, shells: int | Non
 # reused staging buffer (positioned reads from an uncompressed file; a
 # .nii.gz input is inflated whole first) and converts them to float64 in a
 # second reused buffer. _stream hands each chunk to the 5-D API as a
-# (1, C, width, 1, 1) volume and casts the result to float32. An
-# uncompressed output gets each chunk's rows written at their offsets in
-# the file (dwio.write_nifti_rows); a .nii.gz output collects the whole
-# float32 payload and deflates it once.
+# (1, C, width, 1, 1) volume and hands the result to one writer,
+# dwio.write_nifti_rows, which casts it to float32. An uncompressed output
+# gets each chunk's rows written at their offsets in the file; a .nii.gz
+# output is collected whole and deflated once, when the last chunk is in.
 
 _STREAM = 16 * fitting._BLOCK  # voxel columns per chunk of _stream
 
@@ -172,26 +172,6 @@ def _check_finite(x: np.ndarray, vol, rows, lo: int, excluded) -> None:
     )
 
 
-@contextmanager
-def _output(path: str, shape, affine):
-    """Yield put(block, lo), which stores a (C, width) float64 block at voxel columns lo:.
-
-    A .nii.gz output is collected whole and written by dwio.write_nifti when
-    the ``with`` block ends; any other output is written block by block.
-    """
-    if not path.endswith(".gz"):
-        with dwio.write_nifti_rows(path, shape, affine=affine) as put:
-            yield put
-        return
-    out = np.empty((shape[3], int(np.prod(shape[:3]))), dtype=np.float32)
-
-    def put(block, lo):
-        out[:, lo : lo + block.shape[1]] = block
-
-    yield put
-    dwio.write_nifti(path, out.T.reshape(shape, order="F"), affine=affine, dtype=np.float32)
-
-
 def _stream(vol, path: str, channels: int, step, rows=None, excluded=None) -> None:
     """Write to ``path`` the float32 volume of ``channels`` volumes that ``step`` computes.
 
@@ -202,23 +182,22 @@ def _stream(vol, path: str, channels: int, step, rows=None, excluded=None) -> No
     mask, whose values are never used. step(x, voxels) gets the chunk as a
     C-contiguous (1, rows, width, 1, 1) volume, which the 5-D API takes
     without a copy, and returns the API volume of the voxels in the slice
-    ``voxels``. That is cast to float32 and, for an uncompressed ``path``,
-    written straight to its rows' offsets in the output file. Chunks start
-    on fitting._BLOCK boundaries, so :func:`sphdwi.fitting._apply_affine`
-    splits a chunk the way it splits the whole volume and every voxel's
-    bits match the 5-D API. Memory stays a few MiB whatever the volume
-    size, except for a .nii.gz input or output, which is held whole. An
-    output shape that NIfTI-1 cannot store raises ValueError before any
-    chunk, and a failure leaves no output file.
+    ``voxels``. That goes to :func:`sphdwi.dwio.write_nifti_rows`, which
+    casts it to float32 and writes it straight to its rows' offsets in an
+    uncompressed ``path``. Chunks start on fitting._BLOCK boundaries, so
+    :func:`sphdwi.fitting._apply_affine` splits a chunk the way it splits
+    the whole volume and every voxel's bits match the 5-D API. Memory stays
+    a few MiB whatever the volume size, except for a .nii.gz input or
+    output, which is held whole. An output shape that NIfTI-1 cannot store
+    raises ValueError before any chunk, and a failure leaves no output file.
     """
     shape = (*vol.shape[:3], channels)
-    dwio._check_nifti_shape(shape)
     rows = np.arange(vol.channels) if rows is None else rows
-    with _output(path, shape, vol.affine) as put:
+    with dwio.write_nifti_rows(path, shape, affine=vol.affine) as write:
         for lo, hi, x in _chunks(vol, rows):
             _check_finite(x, vol, rows, lo, excluded)
             volume = x.reshape(1, len(rows), hi - lo, 1, 1)
-            put(step(volume, slice(lo, hi)).data.reshape(channels, hi - lo), lo)
+            write(step(volume, slice(lo, hi)).data.reshape(channels, hi - lo), lo)
 
 
 def _chunks(vol, rows):

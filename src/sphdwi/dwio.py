@@ -287,13 +287,6 @@ def write_bvals_bvecs(bvals, directions, bvals_path: str, bvecs_path: str) -> No
 # NIfTI-1
 # ---------------------------------------------------------------------------
 
-def _open_maybe_gzip(path: str):
-    """Open ``path`` for reading, through gzip when it starts with the gzip magic."""
-    with open(path, "rb") as probe:
-        magic = probe.read(2)
-    return gzip.open(path, "rb") if magic == b"\x1f\x8b" else open(path, "rb")
-
-
 def _affine_from_header(hdr) -> np.ndarray:
     if int(hdr["sform_code"]) > 0:
         aff = np.eye(4)
@@ -330,8 +323,11 @@ _GZIP_SLICE = 1 << 20  # uncompressed bytes per independently deflated .gz slice
 
 
 def _open_nifti(path: str):
+    """Open ``path`` for reading, through gzip when it starts with the gzip magic."""
     try:
-        return _open_maybe_gzip(path)
+        with open(path, "rb") as probe:
+            magic = probe.read(2)
+        return gzip.open(path, "rb") if magic == b"\x1f\x8b" else open(path, "rb")
     except OSError as exc:
         raise NiftiError(f"{path}: cannot open ({exc})") from exc
 
@@ -539,8 +535,16 @@ def read_nifti(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
     return to_float64(raw, header), affine, header
 
 
-def _check_nifti_shape(shape) -> None:
-    """Raise ValueError unless NIfTI-1 can store ``shape``: 1 to 7 axes of at most 32,767."""
+def _nifti_header(shape, affine, dtype) -> bytes:
+    """The 352 bytes before the payload of a volume that sphdwi writes.
+
+    The NIfTI-1 header of an array of ``shape`` stored as ``dtype`` with
+    ``affine`` in its sform rows (identity when None), and the 4 zero
+    extension bytes up to vox_offset 352. Raises ValueError, before
+    anything is written, for a shape NIfTI-1 cannot store (it takes 1 to 7
+    axes of at most 32,767) or an affine that is not 4 x 4, and
+    :class:`NiftiDatatypeError` for an unsupported dtype.
+    """
     if not 1 <= len(shape) <= 7:
         raise ValueError(f"cannot store a {len(shape)}-dimensional array in NIfTI-1")
     for axis, length in enumerate(shape):
@@ -548,18 +552,6 @@ def _check_nifti_shape(shape) -> None:
             raise ValueError(
                 f"axis {axis} has length {length}; NIfTI-1 stores at most {_DIM_MAX} per axis"
             )
-
-
-def _nifti_header(shape, affine, dtype) -> bytes:
-    """The 352 bytes before the payload of a volume that sphdwi writes.
-
-    The NIfTI-1 header of an array of ``shape`` stored as ``dtype`` with
-    ``affine`` in its sform rows (identity when None), and the 4 zero
-    extension bytes up to vox_offset 352. Raises ValueError, before
-    anything is written, for a shape NIfTI-1 cannot store or an affine that
-    is not 4 x 4, and :class:`NiftiDatatypeError` for an unsupported dtype.
-    """
-    _check_nifti_shape(shape)
     dtype = np.dtype(dtype)
     if dtype not in _CODE_FOR_DTYPE:
         raise NiftiDatatypeError(f"unsupported on-disk dtype {dtype}")
@@ -600,8 +592,8 @@ def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
     ``data`` is stored in X, Y, Z[, volume] order with the given on-disk
     dtype (float32 by default); the affine lands in the sform rows. An
     F-contiguous array of that dtype is written as it is, without a copy,
-    so the whole payload is in memory; :func:`write_nifti_rows` writes an
-    uncompressed volume piece by piece instead, with the same header.
+    so the whole payload is in memory; :func:`write_nifti_rows` takes a
+    float32 volume in blocks and writes the same bytes.
     An axis longer than 32,767 raises ValueError before any file exists.
     The file is written to a temporary sibling and renamed into place so
     readers never observe a partial volume. gzip output is one member that
@@ -623,22 +615,33 @@ def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
 
 @contextmanager
 def write_nifti_rows(path: str, shape, affine=None):
-    """Write an uncompressed float32 NIfTI-1 volume of ``shape`` row segment by row segment.
+    """Write a float32 NIfTI-1 volume of ``shape`` in blocks (gzip when path ends in .gz).
 
     The payload is the (C, V) matrix of :class:`NiftiRows`. This yields
     ``write(block, lo)``, which stores the (C, width) ``block``, cast to
-    float32, at voxel columns lo:lo + width: each of its rows goes
-    straight to its offset in the file, so only the header and one block
-    are ever in memory. Every column should be written once. The header
-    and the checks are those of :func:`write_nifti`, so a volume written
-    in blocks is byte for byte the one :func:`write_nifti` writes. The
-    file is the temporary sibling of :func:`_atomic_output`, renamed into
-    place when the ``with`` block ends without an error.
+    float32, at voxel columns lo:lo + width; every column should be written
+    once. The header is built on entry, so its checks raise before any
+    block or file. An uncompressed volume's rows go straight to their
+    offsets in the :func:`_atomic_output` temporary file, so only one block
+    is in memory; a .nii.gz volume is collected whole and handed to
+    :func:`write_nifti` when the ``with`` block ends. The file is byte for
+    byte the one :func:`write_nifti` writes, and appears at ``path`` only
+    when the ``with`` block ends without an error.
     """
     header = _nifti_header(shape, affine, np.float32)
-    itemsize = np.dtype(np.float32).itemsize
     voxels = int(np.prod(shape[:3]))
 
+    if path.endswith(".gz"):
+        payload = np.empty((int(np.prod(shape[3:])), voxels), dtype=np.float32)
+
+        def write(block, lo: int) -> None:
+            payload[:, lo : lo + block.shape[1]] = block
+
+        yield write
+        write_nifti(path, payload.T.reshape(shape, order="F"), affine=affine)
+        return
+
+    itemsize = np.dtype(np.float32).itemsize
     with _atomic_output(path) as tmp, open(tmp, "wb") as fh:
         fh.write(header)
 

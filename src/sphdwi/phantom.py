@@ -44,8 +44,10 @@ class PhantomSpec:
             raise ValueError(f"unknown phantom kind {self.kind!r}")
         if len(self.grid) != 3 or any(int(g) < 1 for g in self.grid):
             raise ValueError(f"grid must be three positive dimensions, got {self.grid}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not np.isfinite(self.value):
+            raise ValueError(f"value must be finite, got {self.value}")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)
@@ -59,9 +61,21 @@ class PhantomResult:
 
 
 def make_scheme(n_directions: int, bvalue: float = 1000.0, n_b0: int = 1) -> dwio.GradientScheme:
-    """Scheme with ``n_b0`` leading b=0 rows and one shell from a shipped table."""
+    """Scheme with ``n_b0`` leading b=0 rows and one shell from a shipped table.
+
+    Raises ValueError for an ``n_b0`` below 1, since the signal is scaled by
+    its b0, and for a ``bvalue`` that is not finite or not above the b0
+    cutoff (dwio.B0_THRESHOLD, 50 s/mm^2), since that would leave no shell.
+    """
     from .directions import unit_sphere_directions
 
+    if n_b0 < 1:
+        raise ValueError(f"n_b0 must be at least 1, got {n_b0}")
+    if not (np.isfinite(bvalue) and bvalue > dwio.B0_THRESHOLD):
+        raise ValueError(
+            f"bvalue must be finite and above the b0 cutoff of {dwio.B0_THRESHOLD:g} "
+            f"s/mm^2, got {bvalue:g}"
+        )
     dirs = unit_sphere_directions(n_directions)
     total = n_b0 + n_directions
     directions = np.zeros((total, 3))

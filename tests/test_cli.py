@@ -229,11 +229,12 @@ class TestSh2Signal:
 
         monkeypatch.setattr(cli, "sh_to_signal", step)
         before = sorted(tmp_path.iterdir())
-        code = main(["sh2signal", "--sh", sh_path, "--dirs", dirs_path, "--order", "4",
-                     "--out", str(tmp_path / "x.nii")])
-        assert code == 2
-        assert "axis 3 has length 40000" in capsys.readouterr().err
-        assert sorted(tmp_path.iterdir()) == before
+        for out in ("x.nii", "x.nii.gz"):
+            code = main(["sh2signal", "--sh", sh_path, "--dirs", dirs_path, "--order", "4",
+                         "--out", str(tmp_path / out)])
+            assert code == 2
+            assert "axis 3 has length 40000" in capsys.readouterr().err
+            assert sorted(tmp_path.iterdir()) == before
 
     def test_missing_order_exits_2_without_output(self, tmp_path, capsys):
         """An order-8 file read without --order is not taken as 3 shells of order 4."""
@@ -1072,6 +1073,17 @@ class TestPhantomCommand:
         code = main(["phantom", "--grid", "40000,1,1", "--out-prefix", str(tmp_path / "big")])
         assert code == 2
         assert "axis 0 has length 40000" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--bvalue", "30"], "got 30"),
+        (["--noise", "nan"], "noise_sigma must be finite and >= 0, got nan"),
+        (["--value", "nan", "--kind", "constant"], "value must be finite, got nan"),
+        (["--n-b0", "-1"], "n_b0 must be at least 1, got -1"),
+    ], ids=["bvalue", "noise", "value", "n-b0"])
+    def test_bad_value_exits_2_writing_nothing(self, tmp_path, capsys, extra, message):
+        assert main(["phantom", *extra, "--grid", "2,2,2", "--out-prefix", str(tmp_path / "p")]) == 2
+        assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_constant_phantom_files(self, tmp_path):

@@ -390,6 +390,7 @@ ATOMIC_WRITERS = {
     "out.nii": lambda path: dwio.write_nifti(path, np.ones((2, 2, 2, 3))),
     "out.nii.gz": lambda path: dwio.write_nifti(path, np.ones((2, 2, 2, 3))),
     "rows.nii": lambda path: _write_in_blocks(path, np.ones((2, 2, 2, 3)), [3, 5]),
+    "rows.nii.gz": lambda path: _write_in_blocks(path, np.ones((2, 2, 2, 3)), [3, 5]),
     "kernel.json": lambda path: lsc.save_kernel_json(path, make_identity_kernel([5]), [5], 0.6),
 }
 
@@ -781,10 +782,14 @@ class TestWriteNiftiRows:
         volume = rng.normal(size=(5, 4, 3, 6)) * 100
         affine = np.diag([1.5, 2.0, 2.5, 1.0])
         affine[:3, 3] = (-3.0, 4.0, 5.5)
-        whole, blocks = str(tmp_path / "whole.nii"), str(tmp_path / "blocks.nii")
-        dwio.write_nifti(whole, volume, affine=affine)
-        _write_in_blocks(blocks, volume, widths, affine=affine)
-        assert (tmp_path / "blocks.nii").read_bytes() == (tmp_path / "whole.nii").read_bytes()
+        (tmp_path / "whole").mkdir()
+        (tmp_path / "blocks").mkdir()
+        # one file name in two directories, since a gzip header stores the name
+        for name in ("vol.nii", "vol.nii.gz"):
+            whole, blocks = tmp_path / "whole" / name, tmp_path / "blocks" / name
+            dwio.write_nifti(str(whole), volume, affine=affine)
+            _write_in_blocks(str(blocks), volume, widths, affine=affine)
+            assert blocks.read_bytes() == whole.read_bytes()
 
     def test_axis_over_limit_rejected_before_any_file(self, tmp_path):
         with pytest.raises(ValueError, match="axis 3 has length 40000"):
@@ -794,11 +799,12 @@ class TestWriteNiftiRows:
 
     def test_failure_inside_the_block_leaves_no_file(self, tmp_path):
         volume = np.ones((2, 2, 2, 3))
-        with pytest.raises(RuntimeError, match="step failed"):
-            with dwio.write_nifti_rows(str(tmp_path / "x.nii"), volume.shape) as write:
-                write(_channel_matrix(volume)[:, :4], 0)
-                raise RuntimeError("step failed")
-        assert list(tmp_path.iterdir()) == []
+        for name in ("x.nii", "x.nii.gz"):
+            with pytest.raises(RuntimeError, match="step failed"):
+                with dwio.write_nifti_rows(str(tmp_path / name), volume.shape) as write:
+                    write(_channel_matrix(volume)[:, :4], 0)
+                    raise RuntimeError("step failed")
+            assert list(tmp_path.iterdir()) == []
 
     def test_full_disk_is_raised_naming_the_target(self, tmp_path, full_disk):
         target = str(tmp_path / "x.nii")

@@ -99,6 +99,25 @@ class TestGenerators:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             PhantomSpec(grid=(2, 2, 2), kind="wiggly")
+        # inputs that would otherwise give a wrong or unusable phantom without an error
+        bad_specs = [
+            ({"value": float("nan"), "kind": "constant"}, "value must be finite, got nan"),
+            ({"noise_sigma": float("nan")}, "noise_sigma must be finite and >= 0, got nan"),
+            ({"noise_sigma": -0.1}, "got -0.1"),
+        ]
+        for kwargs, message in bad_specs:
+            with pytest.raises(ValueError, match=message):
+                PhantomSpec(grid=(2, 2, 2), **kwargs)
+        bad_schemes = [
+            ({"bvalue": 30.0}, r"above the b0 cutoff of 50 s/mm\^2, got 30"),
+            ({"bvalue": float("nan")}, "got nan"),
+            ({"bvalue": float("inf")}, "got inf"),
+            ({"n_b0": -1}, "n_b0 must be at least 1, got -1"),
+            ({"n_b0": 0}, "got 0"),
+        ]
+        for kwargs, message in bad_schemes:
+            with pytest.raises(ValueError, match=message):
+                make_scheme(30, **kwargs)
 
 
 class TestFileEmission:
