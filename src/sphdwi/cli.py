@@ -131,21 +131,28 @@ def _sh_layout(path: str, nvol: int, order: int | None = None, shells: int | Non
 # NIfTI stores (X, Y, Z, C) in Fortran order, which is a C-order (C, V)
 # channel matrix (dwio.NiftiRows). _chunks goes through it in chunks of
 # _STREAM voxel columns: it reads a chunk's rows of stored values into one
-# reused staging buffer (positioned reads from an uncompressed file; a
-# .nii.gz input is inflated whole first) and converts them to float64 in a
-# second reused buffer. _stream hands each chunk to the 5-D API as a
-# (1, C, width, 1, 1) volume and hands the result to one writer,
-# dwio.write_nifti_rows, which casts it to float32. An uncompressed output
-# gets each chunk's rows written at their offsets in the file; a .nii.gz
-# output is collected whole and deflated once, when the last chunk is in.
+# reused staging buffer, with positioned reads, and converts them to float64
+# in a second reused buffer. A .nii.gz input is first inflated once into an
+# unnamed spill file in the --out directory and read from there. _stream
+# hands each chunk to the 5-D API as a (1, C, width, 1, 1) volume and hands
+# the result to one writer, dwio.write_nifti_rows, which casts it to float32
+# and writes its rows at their offsets: in the output file itself, or, for
+# a .nii.gz output, in a second spill file that is deflated once the last
+# chunk is in. So memory stays bounded for both suffixes, and a .nii.gz
+# needs about one uncompressed payload of free disk in the --out directory.
 
 _STREAM = 16 * fitting._BLOCK  # voxel columns per chunk of _stream
 
 
 @contextmanager
-def _read_channels(path: str):
-    """Open the 4-D NIfTI at ``path`` as a :class:`sphdwi.dwio.NiftiRows`."""
-    with dwio.NiftiRows(path) as vol:
+def _read_channels(path: str, out: str):
+    """Open the 4-D NIfTI at ``path`` as a :class:`sphdwi.dwio.NiftiRows`.
+
+    A .nii.gz input spills into the directory of ``out``, which
+    :func:`_check_out_dir` has checked, never into the platform's
+    temporary directory: that may be a tmpfs, whose pages are memory.
+    """
+    with dwio.NiftiRows(path, spill_dir=os.path.dirname(os.path.abspath(out))) as vol:
         if len(vol.shape) != 4:
             raise ShapeError(f"{path}: expected a 4-D volume, got {len(vol.shape)}-D")
         yield vol
@@ -183,13 +190,14 @@ def _stream(vol, path: str, channels: int, step, rows=None, excluded=None) -> No
     C-contiguous (1, rows, width, 1, 1) volume, which the 5-D API takes
     without a copy, and returns the API volume of the voxels in the slice
     ``voxels``. That goes to :func:`sphdwi.dwio.write_nifti_rows`, which
-    casts it to float32 and writes it straight to its rows' offsets in an
-    uncompressed ``path``. Chunks start on fitting._BLOCK boundaries, so
-    :func:`sphdwi.fitting._apply_affine` splits a chunk the way it splits
-    the whole volume and every voxel's bits match the 5-D API. Memory stays
-    a few MiB whatever the volume size, except for a .nii.gz input or
-    output, which is held whole. An output shape that NIfTI-1 cannot store
-    raises ValueError before any chunk, and a failure leaves no output file.
+    casts it to float32 and writes its rows at their offsets. Chunks start
+    on fitting._BLOCK boundaries, so :func:`sphdwi.fitting._apply_affine`
+    splits a chunk the way it splits the whole volume and every voxel's
+    bits match the 5-D API. Memory stays a few MiB whatever the volume
+    size, for .nii and .nii.gz files alike: a .nii.gz input or output goes
+    through an unnamed spill file on disk (see the comment above
+    _STREAM). An output shape that NIfTI-1 cannot store raises ValueError
+    before any chunk, and a failure leaves no output file.
     """
     shape = (*vol.shape[:3], channels)
     rows = np.arange(vol.channels) if rows is None else rows
@@ -233,7 +241,7 @@ def _mean_b0(vol, b0_idx) -> np.ndarray:
 
 def _cmd_signal2sh(args) -> int:
     scheme = dwio.read_bvals_bvecs(args.bvals, args.bvecs)
-    with _read_channels(args.dwi) as vol:
+    with _read_channels(args.dwi, args.out) as vol:
         _, b0_idx, shells = fitting._plan_shells(vol.channels, scheme, shells=args.shell)
         excluded, denom = fitting._b0_denominator(_mean_b0(vol, b0_idx))
         ops = [
@@ -280,7 +288,7 @@ def _cmd_sh2signal(args) -> int:
             raise ShapeError(f"sh2signal takes one --shell, got {len(args.shell)}")
         scheme = dwio.read_bvals_bvecs(args.bvals, args.bvecs)
         dirs = scheme.shell_directions(args.shell[0])
-    with _read_channels(args.sh) as vol:
+    with _read_channels(args.sh, args.out) as vol:
         order, shells = _sh_layout(args.sh, vol.channels, order=args.order)
         spec = ShBasisSpec(order)
 
@@ -318,7 +326,7 @@ def _cmd_lsc(args) -> int:
         raise ShapeError(
             f"kernel expects {kernel.shells_in} input shells, selection has {n_shells}"
         )
-    with _read_channels(args.sh) as vol:
+    with _read_channels(args.sh, args.out) as vol:
         order_in, shells_in = _sh_layout(args.sh, vol.channels, shells=kernel.shells_in)
         order_out = args.order_out if args.order_out is not None else order_in
         geom = lsc.build_lsc_geometry(origins, sizes, alpha, order_in, order_out, args.lb_lambda)

@@ -15,7 +15,7 @@ import os
 import struct
 import tempfile
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -388,50 +388,39 @@ def _check_file_size(fh, path: str, end: int) -> None:
         raise NiftiTruncatedError(f"{path}: file has {size} bytes but header promises {end}")
 
 
-def _read_payload(fh, path: str, dtype, shape, offset: int) -> np.ndarray:
-    """The whole payload of an open NIfTI file, as a flat array of ``dtype``."""
-    expected = int(np.prod(shape)) * dtype.itemsize
-    if not isinstance(fh, gzip.GzipFile):
-        _check_file_size(fh, path, offset + expected)
-    try:
-        buf = np.empty(expected, dtype=np.uint8)
-    except MemoryError as exc:
-        raise NiftiError(
-            f"{path}: header promises {expected} bytes of voxel data, "
-            "more than this process can allocate"
-        ) from exc
-    view = memoryview(buf)
+def _read_pieces(fh, path: str, offset: int, size: int, dest: memoryview):
+    """Read the ``size`` payload bytes at ``offset`` of ``fh`` into ``dest``, piece by piece.
+
+    This is the one loop that reads or inflates a payload in order. Each
+    piece is at most _IO_CHUNK bytes, so gzip's temporary buffers stay
+    bounded, and this yields the view of ``dest`` it filled. A ``dest`` of ``size`` bytes receives the payload
+    whole; a shorter one is reused, so the caller must take each piece
+    before asking for the next. Raises :class:`NiftiTruncatedError` when
+    the data ends early or cannot be read.
+    """
     filled = 0
     try:
         fh.seek(offset)
-        while filled < expected:
-            got = fh.readinto(view[filled : filled + _IO_CHUNK])
+        while filled < size:
+            lo = filled % len(dest)  # 0 for a reused buffer
+            got = fh.readinto(dest[lo : lo + min(_IO_CHUNK, len(dest) - lo, size - filled)])
             if not got:
                 break
             filled += got
+            yield dest[lo : lo + got]
     except (OSError, EOFError, ValueError, OverflowError) as exc:
         raise NiftiTruncatedError(f"{path}: unreadable voxel data ({exc})") from exc
-    if filled < expected:
-        raise NiftiTruncatedError(
-            f"{path}: voxel data is {filled} bytes, expected {expected}"
-        )
-    return buf.view(dtype)
+    if filled < size:
+        raise NiftiTruncatedError(f"{path}: voxel data is {filled} bytes, expected {size}")
 
 
-def read_nifti_payload(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Read a single-file NIfTI-1 volume's voxels as stored.
+def _spill(dirname: str | None):
+    """A read-write temporary file in ``dirname`` that has no name.
 
-    Returns (raw, affine, header) with raw in the on-disk datatype and byte
-    order, shape X, Y, Z[, volume] in Fortran order and no scaling applied
-    (see :func:`to_float64`). The payload is read straight into one
-    preallocated array, in bounded chunks for gzip. Raises distinct error
-    types for a bad magic number, an unsupported datatype and a truncated
-    file.
+    It vanishes when closed, or when the process dies. It holds a payload
+    whole on disk, so ``dirname`` needs about one payload of free space.
     """
-    with _open_nifti(path) as fh:
-        hdr, dtype, shape, offset = _read_header(fh, path)
-        data = _read_payload(fh, path, dtype, shape, offset).reshape(shape, order="F")
-        return data, _affine_from_header(hdr), _header_dict(hdr)
+    return tempfile.TemporaryFile(prefix=".sphdwi-", dir=dirname)
 
 
 class NiftiRows:
@@ -440,19 +429,23 @@ class NiftiRows:
     NIfTI stores X, Y, Z[, volume...] in Fortran order, so the payload is a
     C-order matrix with one row per volume (C rows) and one column per voxel
     of the first three axes (V columns): row c at voxel columns lo:hi is one
-    contiguous segment of the file. :meth:`read` fetches such segments.
+    contiguous segment of the file. :meth:`read` fetches such segments with
+    positioned ``readinto`` calls, so memory does not grow with the volume.
 
-    An uncompressed file stays open, and each segment is read from disk
-    with a positioned ``readinto``, so memory does not grow with the
-    volume. A gzip file is inflated whole when opened, since a gzip member
-    can only be read from its start. Attributes: ``shape``, ``dtype`` (the
-    stored dtype), ``affine``, ``header`` (as :func:`read_nifti_payload`
-    returns them), ``channels`` (C) and ``voxels`` (V). Close it, or use it
-    as a context manager. Opening raises the errors of
-    :func:`read_nifti_payload`.
+    An uncompressed file is read where it is. A gzip member can only be
+    read from its start, and no chunk of the channel-major payload can
+    start before most of the member is inflated. So a gzip file is inflated
+    once, when opened, in _IO_CHUNK pieces into a :func:`_spill` file in
+    ``spill_dir`` (the platform's temporary directory when None), and read
+    from there. Attributes: ``shape``, ``dtype`` (the stored dtype),
+    ``affine``, ``header`` (as :func:`read_nifti` returns them),
+    ``channels`` (C) and ``voxels`` (V). Close it, or use it as a context
+    manager. Opening raises the errors of :func:`read_nifti`, and a
+    :class:`NiftiError` naming ``path`` when the spill file cannot be
+    written.
     """
 
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str, spill_dir: str | None = None) -> None:
         self.path = path
         fh = _open_nifti(path)
         try:
@@ -461,18 +454,36 @@ class NiftiRows:
             self.channels = int(np.prod(self.shape[3:]))
             self.affine = _affine_from_header(hdr)
             self.header = _header_dict(hdr)
+            size = self.channels * self.voxels * self.dtype.itemsize
             if isinstance(fh, gzip.GzipFile):
-                payload = _read_payload(fh, path, self.dtype, self.shape, self._offset)
-                self._matrix = payload.reshape(self.channels, self.voxels)
-                fh.close()
-                self._fh = None
+                fh = self._inflate(fh, size, spill_dir)
+                self._offset = 0
             else:
-                end = self._offset + self.channels * self.voxels * self.dtype.itemsize
-                _check_file_size(fh, path, end)
-                self._fh = fh
+                _check_file_size(fh, path, self._offset + size)
+            self._fh = fh
         except BaseException:
             fh.close()
             raise
+
+    def _inflate(self, member, size: int, spill_dir: str | None):
+        """The payload of the open gzip ``member``, inflated into a new spill file."""
+        buf = memoryview(np.empty(min(size, _IO_CHUNK), dtype=np.uint8))
+        try:
+            spill = _spill(spill_dir)
+            try:
+                for piece in _read_pieces(member, self.path, self._offset, size, buf):
+                    spill.write(piece)
+                spill.flush()
+            except BaseException:
+                spill.close()
+                raise
+        except OSError as exc:  # the spill's, not the member's: those are NiftiErrors
+            where = spill_dir or tempfile.gettempdir()
+            raise NiftiError(
+                f"{self.path}: cannot inflate into a temporary file in {where} ({exc.strerror})"
+            ) from exc
+        member.close()
+        return spill
 
     def read(self, rows, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` with rows ``rows`` of voxel columns lo:hi, and return it.
@@ -480,10 +491,6 @@ class NiftiRows:
         ``out`` is a C-contiguous (len(rows), hi - lo) array of the stored
         dtype; row i of ``out`` receives row ``rows[i]`` of the payload.
         """
-        if self._fh is None:
-            for row, dest in zip(rows, out):
-                dest[...] = self._matrix[row, lo:hi]
-            return out
         width = (hi - lo) * self.dtype.itemsize
         try:
             for row, dest in zip(rows, out):
@@ -495,8 +502,7 @@ class NiftiRows:
         return out
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
+        self._fh.close()
 
     def __enter__(self):
         return self
@@ -515,11 +521,13 @@ def to_float64(stored, header: dict, out: np.ndarray | None = None) -> np.ndarra
     """
     slope = float(header["scl_slope"])
     inter = float(header["scl_inter"])
-    scaled = bool(np.isfinite(slope) and slope != 0.0)
-    # multiplying by 1 is exact, so unscaled values convert unchanged
-    out = np.multiply(stored, slope if scaled else 1.0, out=out, dtype=np.float64)
-    if scaled:
-        out += inter if np.isfinite(inter) else 0.0
+    if out is None:
+        out = np.empty(np.shape(stored))
+    if not (np.isfinite(slope) and slope != 0.0):
+        np.copyto(out, stored)  # widening to float64 is exact
+        return out
+    np.multiply(stored, slope, out=out, dtype=np.float64)
+    out += inter if np.isfinite(inter) else 0.0
     return out
 
 
@@ -527,12 +535,28 @@ def read_nifti(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
     """Read a single-file NIfTI-1 volume.
 
     Returns (data, affine, header) with data as float64 in X, Y, Z[, volume]
-    order and scl_slope/scl_inter already applied. Raises distinct error
-    types for a bad magic number, an unsupported datatype and a truncated
-    file.
+    order and scl_slope/scl_inter already applied. The stored payload is
+    read, or inflated, straight into one preallocated array, in bounded
+    pieces. Raises distinct error types for a bad magic number, an
+    unsupported datatype and a truncated file.
     """
-    raw, affine, header = read_nifti_payload(path)
-    return to_float64(raw, header), affine, header
+    with _open_nifti(path) as fh:
+        hdr, dtype, shape, offset = _read_header(fh, path)
+        size = int(np.prod(shape)) * dtype.itemsize
+        if not isinstance(fh, gzip.GzipFile):
+            _check_file_size(fh, path, offset + size)
+        try:
+            buf = np.empty(size, dtype=np.uint8)
+        except MemoryError as exc:
+            raise NiftiError(
+                f"{path}: header promises {size} bytes of voxel data, "
+                "more than this process can allocate"
+            ) from exc
+        for _ in _read_pieces(fh, path, offset, size, memoryview(buf)):
+            pass
+        header = _header_dict(hdr)
+        raw = buf.view(dtype).reshape(shape, order="F")
+        return to_float64(raw, header), _affine_from_header(hdr), header
 
 
 def _nifti_header(shape, affine, dtype) -> bytes:
@@ -592,25 +616,26 @@ def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
     ``data`` is stored in X, Y, Z[, volume] order with the given on-disk
     dtype (float32 by default); the affine lands in the sform rows. An
     F-contiguous array of that dtype is written as it is, without a copy,
-    so the whole payload is in memory; :func:`write_nifti_rows` takes a
-    float32 volume in blocks and writes the same bytes.
-    An axis longer than 32,767 raises ValueError before any file exists.
-    The file is written to a temporary sibling and renamed into place so
-    readers never observe a partial volume. gzip output is one member that
-    any gzip reader accepts, compressed with deflate's run-length strategy
-    in 1 MiB slices on all cores (see :func:`_write_gzip_member`), and
-    reproducible: its header stores mtime 0 and the target's name, not the
-    temporary one, and its bytes do not depend on the core count.
+    so this is for a caller that holds the whole volume anyway;
+    :func:`write_nifti_rows` takes a float32 volume in blocks and writes
+    the same bytes. An axis longer than 32,767 raises ValueError before any
+    file exists. The file is written to a temporary sibling and renamed
+    into place so readers never observe a partial volume. gzip output is
+    one member that any gzip reader accepts, compressed with deflate's
+    run-length strategy in 1 MiB slices on all cores (see
+    :func:`_write_gzip_member`), and reproducible: its header stores mtime
+    0 and the target's name, not the temporary one, and its bytes do not
+    depend on the core count.
     """
     arr = np.asarray(data)
     header = _nifti_header(arr.shape, affine, dtype)
-    payload = memoryview(arr.astype(dtype, order="F", copy=False).reshape(-1, order="F"))
-    pieces = [header, payload.cast("B")]
+    payload = memoryview(arr.astype(dtype, order="F", copy=False).reshape(-1, order="F")).cast("B")
     with _atomic_output(path) as tmp, open(tmp, "wb") as fh:
         if path.endswith(".gz"):
-            _write_gzip_member(fh, os.path.basename(path)[:-3], pieces)
+            _write_gzip_member(fh, os.path.basename(path)[:-3], [header, payload],
+                               len(header) + payload.nbytes)
         else:
-            fh.writelines(pieces)
+            fh.writelines([header, payload])
 
 
 @contextmanager
@@ -618,39 +643,42 @@ def write_nifti_rows(path: str, shape, affine=None):
     """Write a float32 NIfTI-1 volume of ``shape`` in blocks (gzip when path ends in .gz).
 
     The payload is the (C, V) matrix of :class:`NiftiRows`. This yields
-    ``write(block, lo)``, which stores the (C, width) ``block``, cast to
-    float32, at voxel columns lo:lo + width; every column should be written
-    once. The header is built on entry, so its checks raise before any
-    block or file. An uncompressed volume's rows go straight to their
-    offsets in the :func:`_atomic_output` temporary file, so only one block
-    is in memory; a .nii.gz volume is collected whole and handed to
-    :func:`write_nifti` when the ``with`` block ends. The file is byte for
-    byte the one :func:`write_nifti` writes, and appears at ``path`` only
-    when the ``with`` block ends without an error.
+    ``write(block, lo)``, which writes each row of the (C, width)
+    ``block``, cast to float32, at its offset, as voxel columns
+    lo:lo + width; every column should be written once. Only one block is
+    in memory. The header is built on entry, so its checks raise before
+    any block or file. An uncompressed volume's rows go straight into the
+    :func:`_atomic_output` temporary file. A .nii.gz volume's rows go into
+    a :func:`_spill` file in the same directory, which
+    :func:`_write_gzip_member` deflates when the ``with`` block ends, in
+    _GZIP_SLICE pieces read back from it; so the directory needs about one
+    uncompressed payload of free space. The file is byte for byte the one
+    :func:`write_nifti` writes, and appears at ``path`` only when the
+    ``with`` block ends without an error.
     """
     header = _nifti_header(shape, affine, np.float32)
     voxels = int(np.prod(shape[:3]))
-
-    if path.endswith(".gz"):
-        payload = np.empty((int(np.prod(shape[3:])), voxels), dtype=np.float32)
-
-        def write(block, lo: int) -> None:
-            payload[:, lo : lo + block.shape[1]] = block
-
-        yield write
-        write_nifti(path, payload.T.reshape(shape, order="F"), affine=affine)
-        return
-
     itemsize = np.dtype(np.float32).itemsize
-    with _atomic_output(path) as tmp, open(tmp, "wb") as fh:
-        fh.write(header)
+    size = len(header) + int(np.prod(shape)) * itemsize
+    gz = path.endswith(".gz")
+    with (
+        _atomic_output(path) as tmp,
+        open(tmp, "wb") as fh,
+        _spill(os.path.dirname(tmp)) if gz else nullcontext(fh) as out,
+    ):
+        out.write(header)
 
         def write(block, lo: int) -> None:
             for channel, row in enumerate(block):
-                fh.seek(len(header) + (channel * voxels + lo) * itemsize)
-                fh.write(row.astype(np.float32))
+                out.seek(len(header) + (channel * voxels + lo) * itemsize)
+                # a row at a time: the cast stays in cache, and costs no block-sized buffer
+                out.write(row.astype(np.float32))
 
         yield write
+        if gz:
+            out.seek(0)
+            pieces = iter(lambda: out.read(_GZIP_SLICE), b"")
+            _write_gzip_member(fh, os.path.basename(path)[:-3], pieces, size)
 
 
 def _thread_count() -> int:
@@ -694,8 +722,14 @@ def _deflate_slice(part, last: bool) -> list:
     return out
 
 
-def _write_gzip_member(fh, name: str, pieces) -> None:
-    """Write the bytes of ``pieces`` to ``fh`` as one gzip member (RFC 1952).
+def _write_gzip_member(fh, name: str, pieces, size: int) -> None:
+    """Write the ``size`` bytes of ``pieces`` to ``fh`` as one gzip member (RFC 1952).
+
+    ``pieces`` is any iterable of bytes-like objects, taken once and in
+    order, so a caller can stream them from a file: nothing here holds
+    more than the slices in flight. The caller gives ``size`` up front,
+    since the final slice must end the stream; a stream of another size
+    raises ValueError.
 
     The header is the one ``gzip.GzipFile(name, mtime=0)`` writes: FNAME
     set, mtime 0, XFL 0 (no level claimed), OS 255, then ``name`` and a
@@ -728,22 +762,23 @@ def _write_gzip_member(fh, name: str, pieces) -> None:
     fh.write(b"\x1f\x8b\x08" + bytes([flags]) + b"\x00\x00\x00\x00\x00\xff")
     if fname:
         fh.write(fname + b"\x00")
-    pieces = list(pieces)
-    total = sum(memoryview(piece).nbytes for piece in pieces)
-    last = max(0, total - 1) // _GZIP_SLICE  # index of the final slice
+    last = max(0, size - 1) // _GZIP_SLICE  # index of the final slice
     threads = _thread_count()
-    crc = 0
+    crc = count = 0
     with ThreadPoolExecutor(threads) as pool:
         pending = collections.deque()
         for index, part in enumerate(_slices(pieces, _GZIP_SLICE)):
             pending.append(pool.submit(_deflate_slice, part, index == last))
             for view in part:
                 crc = zlib.crc32(view, crc)
+                count += len(view)
             if len(pending) == threads:
                 fh.writelines(pending.popleft().result())
         while pending:
             fh.writelines(pending.popleft().result())
-    fh.write(struct.pack("<II", crc, total & 0xFFFFFFFF))
+    if count != size:
+        raise ValueError(f"{name}: {count} bytes to deflate, expected {size}")
+    fh.write(struct.pack("<II", crc, size & 0xFFFFFFFF))
 
 
 @contextmanager

@@ -1,6 +1,7 @@
 import errno
 import io
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -24,12 +25,20 @@ class _FullDisk(io.FileIO):
 
 @pytest.fixture
 def full_disk(monkeypatch):
-    """Make every file dwio opens for "wb" fail with ENOSPC past 100 bytes."""
+    """Make every file dwio writes fail with ENOSPC past 100 bytes.
+
+    Those are the files it opens for "wb" and its unnamed spill files.
+    """
 
     def full_disk_open(path, mode="r"):
         return _FullDisk(path, "w") if mode == "wb" else open(path, mode)
 
+    def full_disk_spill(dirname):
+        with tempfile.TemporaryFile(dir=dirname) as spill:
+            return _FullDisk(os.dup(spill.fileno()), "r+")
+
     monkeypatch.setattr(dwio, "open", full_disk_open, raising=False)
+    monkeypatch.setattr(dwio, "_spill", full_disk_spill)
 
 
 def random_unit_vectors(rng, n):

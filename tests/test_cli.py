@@ -660,9 +660,12 @@ def _bits(arr):
 
 def _assert_payload_equals(path, vol):
     """The file's float32 payload is exactly the float32 cast of a 5-D API volume."""
-    raw, _, _ = dwio.read_nifti_payload(path)
-    assert raw.dtype == np.float32
-    np.testing.assert_array_equal(_bits(raw), _bits(np.moveaxis(vol.data[0], 0, 3)))
+    with dwio.NiftiRows(path) as rows:
+        assert rows.dtype == np.float32
+        raw = rows.read(range(rows.channels), 0, rows.voxels,
+                        np.empty((rows.channels, rows.voxels), dtype=np.float32))
+    # vol.data[0] is (C, X, Y, Z): its F-order (C, V) reshape is the payload matrix
+    np.testing.assert_array_equal(_bits(raw), _bits(vol.data[0].reshape(len(raw), -1, order="F")))
 
 
 def _load_sh(path, order, shells):
@@ -733,11 +736,14 @@ class TestStreamedCommandsMatchApi:
 
 
 class TestStreamedFiles:
-    @pytest.mark.parametrize("command", ["lsc", "sh2signal"])
-    def test_out_equal_to_input_writes_the_same_bytes(self, tmp_path, command):
+    @pytest.mark.parametrize("command, ext", [
+        *[pytest.param(command, ".nii", id=command) for command in ("lsc", "sh2signal")],
+        *[pytest.param(command, ".nii.gz", id=f"{command}-gz") for command in ("lsc", "sh2signal")],
+    ])
+    def test_out_equal_to_input_writes_the_same_bytes(self, tmp_path, command, ext):
         # two chunks: the input is still being read while the output is written
         acq = two_shell_acquisition(tmp_path / "in")
-        sh_path = str(tmp_path / "sh.nii")
+        sh_path = str(tmp_path / f"sh{ext}")
         assert main(["signal2sh", "--dwi", acq["dwi"], *_grad(acq), "--shell", "1000",
                      "--order", "4", "--out", sh_path]) == 0
 
@@ -748,22 +754,40 @@ class TestStreamedFiles:
             return ["sh2signal", "--sh", sh_path, *_grad(acq), "--shell", "1000",
                     "--order", "4", "--out", out]
 
-        separate = tmp_path / "separate.nii"
+        # the same name in another directory, since a gzip header stores the name
+        separate = tmp_path / "separate" / f"sh{ext}"
+        separate.parent.mkdir()
         assert main(args(str(separate))) == 0
         assert main(args(sh_path)) == 0
-        assert (tmp_path / "sh.nii").read_bytes() == separate.read_bytes()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "separate.nii", "sh.nii"]
+        assert (tmp_path / f"sh{ext}").read_bytes() == separate.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "separate", f"sh{ext}"]
+        assert [p.name for p in separate.parent.iterdir()] == [f"sh{ext}"]
 
-    def test_sh2signal_memory_does_not_grow_with_the_volume(self, tmp_path):
+    @staticmethod
+    def _small_pieces(monkeypatch, ext):
+        """Inflate and deflate in 64 KiB pieces on two threads when ``ext`` is .nii.gz.
+
+        The pieces are bounded whatever the volume, but the real ones (4 and
+        1 MiB per thread) outweigh these small volumes, which would then not
+        show whether a .nii.gz payload is held whole.
+        """
+        if ext == ".nii.gz":
+            monkeypatch.setattr(dwio, "_IO_CHUNK", 1 << 16)
+            monkeypatch.setattr(dwio, "_GZIP_SLICE", 1 << 16)
+            monkeypatch.setattr(dwio, "_thread_count", lambda: 2)
+
+    @pytest.mark.parametrize("ext", [".nii", ".nii.gz"], ids=["nii", "gz"])
+    def test_sh2signal_memory_does_not_grow_with_the_volume(self, tmp_path, monkeypatch, ext):
+        self._small_pieces(monkeypatch, ext)
         dirs = tmp_path / "dirs.txt"
         np.savetxt(dirs, sphdwi.unit_sphere_directions(30))
         rng = np.random.default_rng(4)
 
         def peak(grid):
-            sh_path = str(tmp_path / "sh.nii")
+            sh_path = str(tmp_path / f"sh{ext}")
             dwio.write_nifti(sh_path, rng.normal(size=(*grid, 15)).astype(np.float32))
             args = ["sh2signal", "--sh", sh_path, "--dirs", str(dirs), "--order", "4",
-                    "--out", str(tmp_path / "signal.nii")]
+                    "--out", str(tmp_path / f"signal{ext}")]
             tracemalloc.start()
             try:
                 assert main(args) == 0
@@ -776,7 +800,9 @@ class TestStreamedFiles:
         four_chunks = peak((64, 64, 16))
         assert four_chunks < 1.5 * one_chunk, (one_chunk, four_chunks)
 
-    def test_signal2sh_memory_does_not_grow_with_the_b0_count(self, tmp_path):
+    @pytest.mark.parametrize("ext", [".nii", ".nii.gz"], ids=["nii", "gz"])
+    def test_signal2sh_memory_does_not_grow_with_the_b0_count(self, tmp_path, monkeypatch, ext):
+        self._small_pieces(monkeypatch, ext)
         dirs = sphdwi.unit_sphere_directions(30)
         rng = np.random.default_rng(5)
 
@@ -785,10 +811,10 @@ class TestStreamedFiles:
             bvals = np.array([0.0] * n_b0 + [1000.0] * 30)
             dwio.write_bvals_bvecs(bvals, np.vstack([np.zeros((n_b0, 3)), dirs]),
                                    prefix + ".bvals", prefix + ".bvecs")
-            dwio.write_nifti(prefix + ".nii",
+            dwio.write_nifti(prefix + ext,
                              rng.uniform(100.0, 200.0, size=(64, 64, 16, bvals.size)))
-            args = ["signal2sh", "--dwi", prefix + ".nii", "--bvals", prefix + ".bvals",
-                    "--bvecs", prefix + ".bvecs", "--out", str(tmp_path / "sh.nii")]
+            args = ["signal2sh", "--dwi", prefix + ext, "--bvals", prefix + ".bvals",
+                    "--bvecs", prefix + ".bvecs", "--out", str(tmp_path / f"sh{ext}")]
             tracemalloc.start()
             try:
                 assert main(args) == 0
@@ -858,8 +884,7 @@ class TestNonFiniteInput:
                                                                   capsys, command, value):
         sh_path = str(tmp_path / "sh.nii")
         assert main(fit_args(phantom_files, sh_path)) == 0
-        raw, affine, _ = dwio.read_nifti_payload(sh_path)
-        raw = raw.copy()
+        raw, affine, _ = dwio.read_nifti(sh_path)
         raw[3, 2, 1, 7] = value
         raw[0, 3, 2, 9] = value  # an earlier voxel of a later volume
         dwio.write_nifti(sh_path, raw, affine=affine)
@@ -889,8 +914,7 @@ class TestNonFiniteInput:
         for name, poison in (("clean", []), ("nan", [(volume, np.nan)])):
             acq = two_shell_acquisition(tmp_path / name, stored=np.float32, slope=1.0,
                                         inter=0.0)
-            raw, _, _ = dwio.read_nifti_payload(acq["dwi"])
-            raw = raw.copy()
+            raw, _, _ = dwio.read_nifti(acq["dwi"])
             for vol_index, value in poison:
                 raw[(*EXCLUDED_VOXEL, vol_index)] = value
             dwio.write_nifti(acq["dwi"], raw, dtype=np.float32)
@@ -978,6 +1002,9 @@ class TestBenchCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+ROW_WRITERS = ("signal2sh", "lsc", "sh2signal")
+
+
 class TestAtomicOutput:
     @pytest.mark.parametrize("command", ["signal2sh", "bench"])
     def test_failed_rename_exits_4_leaving_no_file(self, command, phantom_files, tmp_path,
@@ -1015,10 +1042,9 @@ class TestAtomicOutput:
                       "--out", out],
         }[command]
 
-        def no_read(path):
+        def no_read(path, *args, **kwargs):
             raise AssertionError(f"read {path} although --out cannot be written")
 
-        monkeypatch.setattr(dwio, "read_nifti_payload", no_read)
         monkeypatch.setattr(dwio, "NiftiRows", no_read)
         monkeypatch.setattr(sphdwi.bench, "run_bench", no_read)
         before = sorted(tmp_path.iterdir())
@@ -1036,20 +1062,35 @@ class TestAtomicOutput:
         assert f"{os.strerror(errno.ENOSPC)}: '{out}'" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["signal2sh", "lsc", "sh2signal"])
-    def test_failed_row_write_exits_4_leaving_no_file(self, command, phantom_files, tmp_path,
-                                                      capsys, request):
+    @pytest.mark.parametrize("command, ext", [
+        *[pytest.param(command, ".nii", id=command) for command in ROW_WRITERS],
+        *[pytest.param(command, ".nii.gz", id=f"{command}-gz") for command in ROW_WRITERS],
+    ])
+    def test_failed_row_write_exits_4_leaving_no_file(self, command, ext, phantom_files,
+                                                      tmp_path, capsys, request):
         sh_path = str(tmp_path / "sh.nii")
         assert main(fit_args(phantom_files, sh_path)) == 0
         out_dir = tmp_path / "out"
         out_dir.mkdir()
-        out = str(out_dir / "x.nii")
+        out = str(out_dir / f"x{ext}")  # a .nii.gz fails writing its rows to the spill file
         args = {"signal2sh": fit_args(phantom_files, out),
                 "lsc": lsc_args(phantom_files, sh_path, out),
                 "sh2signal": eval_args(phantom_files, sh_path, out)}[command]
         request.getfixturevalue("full_disk")  # from here on, the disk is full
         assert main(args) == 4
         assert f"{os.strerror(errno.ENOSPC)}: '{out}'" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    def test_failed_input_spill_exits_4_naming_the_input(self, phantom_files, tmp_path,
+                                                          monkeypatch, capsys, full_disk):
+        # 64-byte inflate pieces, so the spill of this small .nii.gz meets the full disk
+        monkeypatch.setattr(dwio, "_IO_CHUNK", 64)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(fit_args(phantom_files, str(out_dir / "sh.nii"))) == 4
+        err = capsys.readouterr().err
+        assert f"{phantom_files['nifti']}: cannot inflate into a temporary file in {out_dir}" in err
+        assert os.strerror(errno.ENOSPC) in err and ".sphdwi-" not in err
         assert list(out_dir.iterdir()) == []
 
     def test_csv_mode_follows_umask(self, tmp_path):

@@ -255,6 +255,9 @@ class TestNifti:
         open(path, "wb").write(packed)
         with pytest.raises(NiftiTruncatedError):
             dwio.read_nifti(path)
+        with pytest.raises(NiftiTruncatedError):
+            dwio.NiftiRows(path, spill_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == ["short.nii.gz"]
 
     def test_negative_dim_rejected(self, tmp_path):
         path = str(tmp_path / "neg.nii")
@@ -342,7 +345,7 @@ class TestNifti:
         raw[:348] = hdr.tobytes()
         open(path, "wb").write(bytes(raw))
         with pytest.raises(NiftiMagicError) as info:
-            dwio.read_nifti_payload(path)
+            dwio.read_nifti(path)
         assert message in str(info.value)
 
     def test_qform_affine_follows_the_nifti1_formula(self, tmp_path):
@@ -358,7 +361,7 @@ class TestNifti:
         hdr["qoffset_x"], hdr["qoffset_y"], hdr["qoffset_z"] = 10.0, -20.0, 30.0
         raw[:348] = hdr.tobytes()
         open(path, "wb").write(bytes(raw))
-        _, affine, _ = dwio.read_nifti_payload(path)
+        _, affine, _ = dwio.read_nifti(path)
         # [x y z] = R diag(pixdim[1], pixdim[2], qfac * pixdim[3]) [i j k] + qoffset,
         # with R = [[0, -1, 0], [1, 0, 0], [0, 0, 1]] for this quaternion
         expected = np.array(
@@ -375,6 +378,13 @@ class TestNifti:
 def _channel_matrix(volume):
     """The (C, V) matrix of a 4-D volume: one row per volume, voxels in Fortran order."""
     return volume.reshape(-1, volume.shape[3], order="F").T
+
+
+def _stored_matrix(path):
+    """The whole (C, V) payload matrix of the file at ``path``, as stored."""
+    with dwio.NiftiRows(path) as vol:
+        out = np.empty((vol.channels, vol.voxels), dtype=vol.dtype)
+        return vol.read(range(vol.channels), 0, vol.voxels, out)
 
 
 def _write_in_blocks(path, volume, widths, affine=None):
@@ -509,8 +519,7 @@ class TestSlicedGzip:
         blob = (tmp_path / "vol.nii.gz").read_bytes()
         assert _one_member(blob) == plain
         assert gzip.decompress(blob) == plain
-        raw, _, _ = dwio.read_nifti_payload(str(tmp_path / "vol.nii.gz"))
-        np.testing.assert_array_equal(raw, vol)
+        np.testing.assert_array_equal(dwio.read_nifti(str(tmp_path / "vol.nii.gz"))[0], vol)
         assert _deflate_body(blob) == _sliced_reference(plain, SLICE)
         assert _deflate_body(blob) != _rle_deflate(plain)  # the slices show in the bytes
 
@@ -547,7 +556,7 @@ class TestSlicedGzip:
         monkeypatch.setattr(dwio, "_GZIP_SLICE", 16)
         monkeypatch.setattr(dwio, "_thread_count", lambda: threads)
         out = Sink()
-        dwio._write_gzip_member(out, "s", [b"z" * 200])
+        dwio._write_gzip_member(out, "s", [b"z" * 200], 200)
         assert len(in_flight) == len(submitted) == 13
         assert max(in_flight) == threads
         assert gzip.decompress(out.getvalue()) == b"z" * 200
@@ -571,8 +580,8 @@ class TestSlicedGzip:
         monkeypatch.setattr(dwio, "_GZIP_SLICE", 4)
         for pieces in ([], [b""], [b"ab", b"", b"c"], [b"x" * 10, memoryview(b"y" * 7)]):
             out = io.BytesIO()
-            dwio._write_gzip_member(out, "s", pieces)
             stream = b"".join(bytes(p) for p in pieces)
+            dwio._write_gzip_member(out, "s", pieces, len(stream))
             assert gzip.decompress(out.getvalue()) == stream
             assert out.getvalue()[12:-8] == _sliced_reference(stream, 4)
 
@@ -637,12 +646,11 @@ class TestMultiMemberGzip:
         bounds = (0, 100, 352 + 1001, len(blob))  # cuts in the header and the payload
         packed = tmp_path / "vol.nii.gz"
         packed.write_bytes(b"".join(gzip.compress(blob[a:b]) for a, b in zip(bounds, bounds[1:])))
-        for reader in (dwio.read_nifti_payload, dwio.read_nifti):
-            want, want_affine, _ = reader(plain)
-            got, got_affine, _ = reader(str(packed))
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(got_affine, want_affine)
+        want, want_affine, _ = dwio.read_nifti(plain)
+        got, got_affine, _ = dwio.read_nifti(str(packed))
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_affine, want_affine)
+        np.testing.assert_array_equal(_stored_matrix(str(packed)), _stored_matrix(plain))
 
 
 # float32-exact scale factors, as the header stores them as float32
@@ -697,9 +705,12 @@ class TestNiftiRoundTripProperty:
         slope, inter = scaling
         _restore_header(path, slope, inter, byteorder)
 
-        raw, raw_affine, _ = dwio.read_nifti_payload(path)
-        assert raw.dtype == np.dtype(dtype).newbyteorder(byteorder)
-        np.testing.assert_array_equal(raw, stored)
+        with dwio.NiftiRows(path) as vol:
+            assert vol.dtype == np.dtype(dtype).newbyteorder(byteorder)
+            raw_affine = vol.affine
+        payload = stored.reshape(-1, order="F")  # the file's order
+        np.testing.assert_array_equal(_stored_matrix(path),
+                                      payload.reshape(vol.channels, vol.voxels))
 
         data, got_affine, header = dwio.read_nifti(path)
         expected = stored.astype(np.float64)
@@ -731,14 +742,14 @@ class TestNiftiRows:
         path = str(tmp_path_factory.mktemp("rows") / ("vol.nii.gz" if gz else "vol.nii"))
         dwio.write_nifti(path, stored, affine=affine, dtype=dtype)
         _restore_header(path, *scaling, byteorder)
-        raw, want_affine, want_header = dwio.read_nifti_payload(path)
-        matrix = _channel_matrix(raw)
+        _, want_affine, want_header = dwio.read_nifti(path)
+        matrix = _channel_matrix(stored)
         nvox = matrix.shape[1]
         rows = data.draw(st.lists(st.integers(0, shape[3] - 1), min_size=1, max_size=6))
         lo = data.draw(st.integers(0, nvox - 1))
         hi = data.draw(st.integers(lo + 1, nvox))
         with dwio.NiftiRows(path) as vol:
-            assert vol.shape == shape and vol.dtype == raw.dtype
+            assert vol.shape == shape and vol.dtype == np.dtype(dtype).newbyteorder(byteorder)
             assert (vol.channels, vol.voxels) == matrix.shape
             np.testing.assert_array_equal(vol.affine, want_affine)
             assert vol.header.keys() == want_header.keys()
@@ -766,14 +777,15 @@ class TestNiftiRows:
             with pytest.raises(NiftiTruncatedError, match="ends early"):
                 vol.read([0, 1], 0, vol.voxels, out)
 
-    def test_open_errors_are_those_of_read_nifti_payload(self, tmp_path):
+    def test_open_errors_are_those_of_read_nifti(self, tmp_path):
         missing = str(tmp_path / "missing.nii")
-        with pytest.raises(NiftiError, match="cannot open"):
-            dwio.NiftiRows(missing)
         bad = tmp_path / "bad.nii"
         bad.write_bytes(b"\x00" * 100)
-        with pytest.raises(NiftiTruncatedError):
-            dwio.NiftiRows(str(bad))
+        for reader in (dwio.NiftiRows, dwio.read_nifti):
+            with pytest.raises(NiftiError, match="cannot open"):
+                reader(missing)
+            with pytest.raises(NiftiTruncatedError):
+                reader(str(bad))
 
 
 class TestWriteNiftiRows:
