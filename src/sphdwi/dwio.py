@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import collections
 import gzip
+import itertools
 import os
 import struct
 import tempfile
@@ -566,12 +567,14 @@ def _nifti_header(shape, affine, dtype) -> bytes:
     ``affine`` in its sform rows (identity when None), and the 4 zero
     extension bytes up to vox_offset 352. Raises ValueError, before
     anything is written, for a shape NIfTI-1 cannot store (it takes 1 to 7
-    axes of at most 32,767) or an affine that is not 4 x 4, and
+    axes of 1 to 32,767) or an affine that is not 4 x 4, and
     :class:`NiftiDatatypeError` for an unsupported dtype.
     """
     if not 1 <= len(shape) <= 7:
         raise ValueError(f"cannot store a {len(shape)}-dimensional array in NIfTI-1")
     for axis, length in enumerate(shape):
+        if length < 1:  # _read_header, like other readers, refuses such a file
+            raise ValueError(f"axis {axis} has length {length}; NIfTI-1 stores no empty axis")
         if length > _DIM_MAX:
             raise ValueError(
                 f"axis {axis} has length {length}; NIfTI-1 stores at most {_DIM_MAX} per axis"
@@ -614,51 +617,45 @@ def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
     """Write a single-file NIfTI-1 volume (gzip when path ends in .gz).
 
     ``data`` is stored in X, Y, Z[, volume] order with the given on-disk
-    dtype (float32 by default); the affine lands in the sform rows. An
-    F-contiguous array of that dtype is written as it is, without a copy,
-    so this is for a caller that holds the whole volume anyway;
-    :func:`write_nifti_rows` takes a float32 volume in blocks and writes
-    the same bytes. An axis longer than 32,767 raises ValueError before any
-    file exists. The file is written to a temporary sibling and renamed
-    into place so readers never observe a partial volume. gzip output is
-    one member that any gzip reader accepts, compressed with deflate's
-    run-length strategy in 1 MiB slices on all cores (see
-    :func:`_write_gzip_member`), and reproducible: its header stores mtime
-    0 and the target's name, not the temporary one, and its bytes do not
-    depend on the core count.
+    dtype (float32 by default); the affine lands in the sform rows. The
+    array is cast to that dtype in Fortran order, without a copy when it
+    already is one, and written as one (C, V) block of
+    :func:`write_nifti_rows`, so this holds at most that one copy and a
+    row. An empty axis, or one longer than 32,767, raises ValueError before
+    any file exists; the file appears at ``path`` only once it is whole.
     """
     arr = np.asarray(data)
-    header = _nifti_header(arr.shape, affine, dtype)
-    payload = memoryview(arr.astype(dtype, order="F", copy=False).reshape(-1, order="F")).cast("B")
-    with _atomic_output(path) as tmp, open(tmp, "wb") as fh:
-        if path.endswith(".gz"):
-            _write_gzip_member(fh, os.path.basename(path)[:-3], [header, payload],
-                               len(header) + payload.nbytes)
-        else:
-            fh.writelines([header, payload])
+    with write_nifti_rows(path, arr.shape, affine, dtype) as write:
+        stored = arr.astype(dtype, order="F", copy=False)
+        write(stored.reshape(int(np.prod(arr.shape[:3])), -1, order="F").T, 0)
 
 
 @contextmanager
-def write_nifti_rows(path: str, shape, affine=None):
-    """Write a float32 NIfTI-1 volume of ``shape`` in blocks (gzip when path ends in .gz).
+def write_nifti_rows(path: str, shape, affine=None, dtype=np.float32):
+    """Write a NIfTI-1 volume of ``shape`` in blocks (gzip when path ends in .gz).
 
-    The payload is the (C, V) matrix of :class:`NiftiRows`. This yields
+    This is the one code that writes NIfTI files. The payload is the
+    (C, V) matrix of :class:`NiftiRows`, stored as ``dtype`` (float32 by
+    default), and ``affine`` lands in the sform rows. This yields
     ``write(block, lo)``, which writes each row of the (C, width)
-    ``block``, cast to float32, at its offset, as voxel columns
-    lo:lo + width; every column should be written once. Only one block is
-    in memory. The header is built on entry, so its checks raise before
-    any block or file. An uncompressed volume's rows go straight into the
+    ``block``, cast to ``dtype``, at its offset, as voxel columns
+    lo:lo + width. Every column should be written once: blocks that end
+    short of the last column, or past it, raise ValueError naming ``path``
+    when the ``with`` block ends. The header is built on entry, so its
+    checks (see :func:`_nifti_header`) raise before any block or file.
+
+    An uncompressed volume's rows go straight into the
     :func:`_atomic_output` temporary file. A .nii.gz volume's rows go into
     a :func:`_spill` file in the same directory, which
-    :func:`_write_gzip_member` deflates when the ``with`` block ends, in
-    _GZIP_SLICE pieces read back from it; so the directory needs about one
-    uncompressed payload of free space. The file is byte for byte the one
-    :func:`write_nifti` writes, and appears at ``path`` only when the
-    ``with`` block ends without an error.
+    :func:`_write_gzip_member` deflates when the ``with`` block ends; so
+    the directory needs about one uncompressed payload of free space.
+    Either way only the caller's block and one row are in memory, and the
+    file appears at ``path`` only when the ``with`` block ends without an
+    error.
     """
-    header = _nifti_header(shape, affine, np.float32)
+    header = _nifti_header(shape, affine, dtype)
     voxels = int(np.prod(shape[:3]))
-    itemsize = np.dtype(np.float32).itemsize
+    itemsize = np.dtype(dtype).itemsize
     size = len(header) + int(np.prod(shape)) * itemsize
     gz = path.endswith(".gz")
     with (
@@ -672,13 +669,15 @@ def write_nifti_rows(path: str, shape, affine=None):
             for channel, row in enumerate(block):
                 out.seek(len(header) + (channel * voxels + lo) * itemsize)
                 # a row at a time: the cast stays in cache, and costs no block-sized buffer
-                out.write(row.astype(np.float32))
+                out.write(np.ascontiguousarray(row, dtype=dtype))
 
         yield write
+        end = out.seek(0, os.SEEK_END)
+        if end != size:
+            raise ValueError(f"{path}: the blocks end at byte {end}; the header promises {size}")
         if gz:
             out.seek(0)
-            pieces = iter(lambda: out.read(_GZIP_SLICE), b"")
-            _write_gzip_member(fh, os.path.basename(path)[:-3], pieces, size)
+            _write_gzip_member(fh, os.path.basename(path)[:-3], out, size)
 
 
 def _thread_count() -> int:
@@ -689,58 +688,37 @@ def _thread_count() -> int:
         return os.cpu_count() or 1
 
 
-def _slices(pieces, size: int):
-    """Cut the bytes of ``pieces`` into lists of memoryviews of ``size`` bytes each.
-
-    The last list holds the remainder; a stream of no bytes gives one empty
-    list. Nothing is copied: each view is a slice of one of the pieces.
-    """
-    part, room, cut = [], size, 0
-    for piece in pieces:
-        view = memoryview(piece).cast("B")
-        while len(view):
-            part.append(view[:room])
-            room -= len(part[-1])
-            view = view[len(part[-1]) :]
-            if not room:
-                yield part
-                part, room, cut = [], size, cut + 1
-    if part or not cut:
-        yield part
-
-
-def _deflate_slice(part, last: bool) -> list:
-    """Raw run-length deflate of one slice, ending the stream when ``last``.
+def _deflate_slice(data, last: bool) -> list:
+    """Raw run-length deflate of the bytes ``data``, ending the stream when ``last``.
 
     A slice that is not the last ends with a sync flush: an empty stored
     block that byte-aligns the output, so the next slice's own deflate
     stream can follow it as part of one stream.
     """
     deflate = zlib.compressobj(9, zlib.DEFLATED, -zlib.MAX_WBITS, 9, zlib.Z_RLE)
-    out = [deflate.compress(view) for view in part]
-    out.append(deflate.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH))
-    return out
+    return [deflate.compress(data), deflate.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH)]
 
 
-def _write_gzip_member(fh, name: str, pieces, size: int) -> None:
-    """Write the ``size`` bytes of ``pieces`` to ``fh`` as one gzip member (RFC 1952).
+def _write_gzip_member(fh, name: str, src, size: int) -> None:
+    """Write the ``size`` bytes of the file ``src`` to ``fh`` as one gzip member (RFC 1952).
 
-    ``pieces`` is any iterable of bytes-like objects, taken once and in
-    order, so a caller can stream them from a file: nothing here holds
-    more than the slices in flight. The caller gives ``size`` up front,
-    since the final slice must end the stream; a stream of another size
-    raises ValueError.
+    ``src`` is a binary file positioned at the start of the uncompressed
+    stream; it is read to its end in _GZIP_SLICE pieces, so nothing here
+    holds more than the slices in flight. The caller gives ``size`` up
+    front, since the final slice must end the stream; a source of another
+    size raises ValueError before the trailer is written.
 
     The header is the one ``gzip.GzipFile(name, mtime=0)`` writes: FNAME
     set, mtime 0, XFL 0 (no level claimed), OS 255, then ``name`` and a
     NUL; like CPython's gzip, FNAME is left out when the name does not
-    encode as latin-1. The body is one raw deflate stream with the Z_RLE
-    strategy, which only matches runs of the previous byte. On the
-    noise-like float32 payloads of diffusion volumes, LZ77 string search
-    does a lot of work and finds almost nothing, so this is 4-5x faster
-    than the gzip module's default and slightly smaller, and zero
-    background compresses to almost nothing. Under Z_RLE the level has no
-    effect, so there is none to choose.
+    encode as latin-1. So the output is reproducible: it stores the
+    target's name, not a temporary one, and no time. The body is one raw
+    deflate stream with the Z_RLE strategy, which only matches runs of the
+    previous byte. On the noise-like float32 payloads of diffusion volumes,
+    LZ77 string search does a lot of work and finds almost nothing, so
+    this is 4-5x faster than the gzip module's default and slightly
+    smaller, and zero background compresses to almost nothing. Under Z_RLE
+    the level has no effect, so there is none to choose.
 
     The stream is cut into _GZIP_SLICE (1 MiB) slices, each deflated on
     its own as pigz does (see :func:`_deflate_slice`), on a pool of one
@@ -767,11 +745,13 @@ def _write_gzip_member(fh, name: str, pieces, size: int) -> None:
     crc = count = 0
     with ThreadPoolExecutor(threads) as pool:
         pending = collections.deque()
-        for index, part in enumerate(_slices(pieces, _GZIP_SLICE)):
-            pending.append(pool.submit(_deflate_slice, part, index == last))
-            for view in part:
-                crc = zlib.crc32(view, crc)
-                count += len(view)
+        for index in itertools.count():
+            data = src.read(_GZIP_SLICE)
+            if index and not data:  # an empty stream is still one slice
+                break
+            pending.append(pool.submit(_deflate_slice, data, index == last))
+            crc = zlib.crc32(data, crc)
+            count += len(data)
             if len(pending) == threads:
                 fh.writelines(pending.popleft().result())
         while pending:

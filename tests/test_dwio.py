@@ -2,7 +2,9 @@ import errno
 import gzip
 import io
 import os
+import re
 import stat
+import struct
 import threading
 import zlib
 
@@ -556,7 +558,7 @@ class TestSlicedGzip:
         monkeypatch.setattr(dwio, "_GZIP_SLICE", 16)
         monkeypatch.setattr(dwio, "_thread_count", lambda: threads)
         out = Sink()
-        dwio._write_gzip_member(out, "s", [b"z" * 200], 200)
+        dwio._write_gzip_member(out, "s", io.BytesIO(b"z" * 200), 200)
         assert len(in_flight) == len(submitted) == 13
         assert max(in_flight) == threads
         assert gzip.decompress(out.getvalue()) == b"z" * 200
@@ -578,12 +580,25 @@ class TestSlicedGzip:
     def test_empty_and_short_streams(self, threads, monkeypatch):
         monkeypatch.setattr(dwio, "_thread_count", lambda: threads)
         monkeypatch.setattr(dwio, "_GZIP_SLICE", 4)
-        for pieces in ([], [b""], [b"ab", b"", b"c"], [b"x" * 10, memoryview(b"y" * 7)]):
+        for stream in (b"", b"abc", b"x" * 10 + b"y" * 7):
             out = io.BytesIO()
-            stream = b"".join(bytes(p) for p in pieces)
-            dwio._write_gzip_member(out, "s", pieces, len(stream))
+            dwio._write_gzip_member(out, "s", io.BytesIO(stream), len(stream))
             assert gzip.decompress(out.getvalue()) == stream
             assert out.getvalue()[12:-8] == _sliced_reference(stream, 4)
+
+    # 8 bytes are two whole slices: one byte more is a third slice, past the final one
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_source_of_another_size_raises_before_the_trailer(self, threads, monkeypatch):
+        monkeypatch.setattr(dwio, "_thread_count", lambda: threads)
+        monkeypatch.setattr(dwio, "_GZIP_SLICE", 4)
+        for stream in (b"", b"abc", b"x" * 8, b"x" * 10 + b"y" * 7):
+            for source in (stream[:-1], stream + b"!") if stream else (b"!",):
+                out = io.BytesIO()
+                with pytest.raises(ValueError, match=f"s: {len(source)} bytes to deflate, "
+                                                     f"expected {len(stream)}"):
+                    dwio._write_gzip_member(out, "s", io.BytesIO(source), len(stream))
+                trailer = struct.pack("<II", zlib.crc32(source), len(stream))
+                assert not out.getvalue().endswith(trailer)
 
 
 class TestSlicedGzipFailures:
@@ -689,19 +704,24 @@ class TestNiftiRoundTripProperty:
         byteorder=st.sampled_from("<>"),
         shape=st.lists(st.integers(1, 4), min_size=1, max_size=5).map(tuple),
         gz=st.booleans(),
+        fortran=st.booleans(),
         scaling=st.sampled_from(SCALINGS),
         scales=st.tuples(*[st.sampled_from([0.5, 1.0, 2.0, 2.5]) for _ in range(3)]),
         offset=st.tuples(*[st.sampled_from([-90.5, 0.0, 12.25]) for _ in range(3)]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_values_scaling_and_affine_round_trip(
-        self, tmp_path_factory, dtype, byteorder, shape, gz, scaling, scales, offset, seed
+        self, tmp_path_factory, dtype, byteorder, shape, gz, fortran, scaling, scales, offset, seed
     ):
         stored = _stored_values(np.random.default_rng(seed), dtype, shape)
         affine = np.diag([*scales, 1.0])
         affine[:3, 3] = offset
         path = str(tmp_path_factory.mktemp("rt") / ("vol.nii.gz" if gz else "vol.nii"))
-        dwio.write_nifti(path, stored, affine=affine, dtype=dtype)
+        dwio.write_nifti(path, np.asfortranarray(stored) if fortran else stored, affine=affine,
+                         dtype=dtype)
+        # the layout, checked without dwio's reader: the payload follows the 352 header bytes
+        raw = open(path, "rb").read()
+        assert (gzip.decompress(raw) if gz else raw)[352:] == stored.astype(dtype).tobytes(order="F")
         slope, inter = scaling
         _restore_header(path, slope, inter, byteorder)
 
@@ -804,9 +824,16 @@ class TestWriteNiftiRows:
             assert blocks.read_bytes() == whole.read_bytes()
 
     def test_axis_over_limit_rejected_before_any_file(self, tmp_path):
-        with pytest.raises(ValueError, match="axis 3 has length 40000"):
-            with dwio.write_nifti_rows(str(tmp_path / "big.nii"), (1, 1, 1, 40000)):
-                pass
+        for shape in ((1, 1, 1, 40000), (3, 3, 3, 0)):  # an empty axis is refused as well
+            message = f"axis 3 has length {shape[3]};"
+            with pytest.raises(ValueError, match=message):
+                with dwio.write_nifti_rows(str(tmp_path / "big.nii"), shape):
+                    pass
+            with pytest.raises(ValueError, match=message):
+                dwio.write_nifti(str(tmp_path / "big.nii.gz"), np.zeros(shape, dtype=np.uint8),
+                                 dtype=np.uint8)
+        with pytest.raises(ValueError, match="axis 0 has length 0;"):
+            dwio.write_nifti(str(tmp_path / "empty.nii"), np.zeros((0, 3, 3)))
         assert list(tmp_path.iterdir()) == []
 
     def test_failure_inside_the_block_leaves_no_file(self, tmp_path):
@@ -817,6 +844,13 @@ class TestWriteNiftiRows:
                     write(_channel_matrix(volume)[:, :4], 0)
                     raise RuntimeError("step failed")
             assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["short.nii", "short.nii.gz"])
+    def test_unwritten_trailing_columns_raise_naming_the_target(self, name, tmp_path):
+        target = str(tmp_path / name)
+        with pytest.raises(ValueError, match=f"^{re.escape(target)}: .* byte 436; .* promises 448"):
+            _write_in_blocks(target, np.ones((2, 2, 2, 3)), [5])  # columns 5-7 never written
+        assert list(tmp_path.iterdir()) == []
 
     def test_full_disk_is_raised_naming_the_target(self, tmp_path, full_disk):
         target = str(tmp_path / "x.nii")
