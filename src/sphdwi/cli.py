@@ -136,7 +136,7 @@ def _sh_layout(path: str, nvol: int, order: int | None = None, shells: int | Non
 # unnamed spill file in the --out directory and read from there. _stream
 # hands each chunk to the 5-D API as a (1, C, width, 1, 1) volume and hands
 # the result to one writer, dwio.write_nifti_rows, which casts it to float32
-# and writes its rows at their offsets: in the output file itself, or, for
+# and writes its rows, chunk after chunk: in the output file itself, or, for
 # a .nii.gz output, in a second spill file that is deflated once the last
 # chunk is in. So memory stays bounded for both suffixes, and a .nii.gz
 # needs about one uncompressed payload of free disk in the --out directory.
@@ -189,8 +189,8 @@ def _stream(vol, path: str, channels: int, step, rows=None, excluded=None) -> No
     mask, whose values are never used. step(x, voxels) gets the chunk as a
     C-contiguous (1, rows, width, 1, 1) volume, which the 5-D API takes
     without a copy, and returns the API volume of the voxels in the slice
-    ``voxels``. That goes to :func:`sphdwi.dwio.write_nifti_rows`, which
-    casts it to float32 and writes its rows at their offsets. Chunks start
+    ``voxels``. That goes to :func:`sphdwi.dwio.write_nifti_rows` as the
+    next block, which it casts to float32 and writes. Chunks start
     on fitting._BLOCK boundaries, so :func:`sphdwi.fitting._apply_affine`
     splits a chunk the way it splits the whole volume and every voxel's
     bits match the 5-D API. Memory stays a few MiB whatever the volume
@@ -205,7 +205,7 @@ def _stream(vol, path: str, channels: int, step, rows=None, excluded=None) -> No
         for lo, hi, x in _chunks(vol, rows):
             _check_finite(x, vol, rows, lo, excluded)
             volume = x.reshape(1, len(rows), hi - lo, 1, 1)
-            write(step(volume, slice(lo, hi)).data.reshape(channels, hi - lo), lo)
+            write(step(volume, slice(lo, hi)).data.reshape(channels, hi - lo))
 
 
 def _chunks(vol, rows):

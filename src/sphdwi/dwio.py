@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import collections
 import gzip
-import itertools
 import os
 import struct
 import tempfile
@@ -619,15 +618,19 @@ def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
     ``data`` is stored in X, Y, Z[, volume] order with the given on-disk
     dtype (float32 by default); the affine lands in the sform rows. The
     array is cast to that dtype in Fortran order, without a copy when it
-    already is one, and written as one (C, V) block of
+    already is one, and written as the one (C, V) block of
     :func:`write_nifti_rows`, so this holds at most that one copy and a
     row. An empty axis, or one longer than 32,767, raises ValueError before
-    any file exists; the file appears at ``path`` only once it is whole.
+    any file exists, and so does an integer dtype that cannot hold every
+    value exactly (out of range, fractional or NaN): a cast would wrap
+    them silently. The file appears at ``path`` only once it is whole.
     """
     arr = np.asarray(data)
     with write_nifti_rows(path, arr.shape, affine, dtype) as write:
         stored = arr.astype(dtype, order="F", copy=False)
-        write(stored.reshape(int(np.prod(arr.shape[:3])), -1, order="F").T, 0)
+        if np.dtype(dtype).kind in "iu" and not np.array_equal(stored, arr):
+            raise ValueError(f"{path}: the values do not all fit on-disk dtype {np.dtype(dtype)}")
+        write(stored.reshape(int(np.prod(arr.shape[:3])), -1, order="F").T)
 
 
 @contextmanager
@@ -637,12 +640,14 @@ def write_nifti_rows(path: str, shape, affine=None, dtype=np.float32):
     This is the one code that writes NIfTI files. The payload is the
     (C, V) matrix of :class:`NiftiRows`, stored as ``dtype`` (float32 by
     default), and ``affine`` lands in the sform rows. This yields
-    ``write(block, lo)``, which writes each row of the (C, width)
-    ``block``, cast to ``dtype``, at its offset, as voxel columns
-    lo:lo + width. Every column should be written once: blocks that end
-    short of the last column, or past it, raise ValueError naming ``path``
-    when the ``with`` block ends. The header is built on entry, so its
-    checks (see :func:`_nifti_header`) raise before any block or file.
+    ``write(block)``, which writes each row of the (C, width) ``block``,
+    cast to ``dtype``, as the next ``width`` voxel columns: blocks are
+    written in order, from column 0, each with one row per channel. A
+    block with another row count, or one that runs past the last column,
+    raises ValueError naming ``path``; so do blocks that end short of the
+    last column, when the ``with`` block ends. The header is built on
+    entry, so its checks (see :func:`_nifti_header`) raise before any block
+    or file.
 
     An uncompressed volume's rows go straight into the
     :func:`_atomic_output` temporary file. A .nii.gz volume's rows go into
@@ -655,8 +660,9 @@ def write_nifti_rows(path: str, shape, affine=None, dtype=np.float32):
     """
     header = _nifti_header(shape, affine, dtype)
     voxels = int(np.prod(shape[:3]))
+    channels = int(np.prod(shape[3:]))
     itemsize = np.dtype(dtype).itemsize
-    size = len(header) + int(np.prod(shape)) * itemsize
+    lo = 0  # the next voxel column to write
     gz = path.endswith(".gz")
     with (
         _atomic_output(path) as tmp,
@@ -665,19 +671,26 @@ def write_nifti_rows(path: str, shape, affine=None, dtype=np.float32):
     ):
         out.write(header)
 
-        def write(block, lo: int) -> None:
+        def write(block) -> None:
+            nonlocal lo
+            rows, width = block.shape
+            if rows != channels or lo + width > voxels:
+                raise ValueError(
+                    f"{path}: a ({rows}, {width}) block at column {lo} does not fit "
+                    f"the ({channels}, {voxels}) payload"
+                )
             for channel, row in enumerate(block):
                 out.seek(len(header) + (channel * voxels + lo) * itemsize)
                 # a row at a time: the cast stays in cache, and costs no block-sized buffer
                 out.write(np.ascontiguousarray(row, dtype=dtype))
+            lo += width
 
         yield write
-        end = out.seek(0, os.SEEK_END)
-        if end != size:
-            raise ValueError(f"{path}: the blocks end at byte {end}; the header promises {size}")
+        if lo != voxels:
+            raise ValueError(f"{path}: the blocks end at column {lo}; the volume has {voxels}")
         if gz:
             out.seek(0)
-            _write_gzip_member(fh, os.path.basename(path)[:-3], out, size)
+            _write_gzip_member(fh, os.path.basename(path)[:-3], out)
 
 
 def _thread_count() -> int:
@@ -699,14 +712,13 @@ def _deflate_slice(data, last: bool) -> list:
     return [deflate.compress(data), deflate.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH)]
 
 
-def _write_gzip_member(fh, name: str, src, size: int) -> None:
-    """Write the ``size`` bytes of the file ``src`` to ``fh`` as one gzip member (RFC 1952).
+def _write_gzip_member(fh, name: str, src) -> None:
+    """Write the file ``src`` to ``fh`` as one gzip member (RFC 1952).
 
     ``src`` is a binary file positioned at the start of the uncompressed
-    stream; it is read to its end in _GZIP_SLICE pieces, so nothing here
-    holds more than the slices in flight. The caller gives ``size`` up
-    front, since the final slice must end the stream; a source of another
-    size raises ValueError before the trailer is written.
+    stream, which runs to its end. Its size is measured first, since the
+    final slice must end the stream; then it is read in _GZIP_SLICE
+    pieces, so nothing here holds more than the slices in flight.
 
     The header is the one ``gzip.GzipFile(name, mtime=0)`` writes: FNAME
     set, mtime 0, XFL 0 (no level claimed), OS 255, then ``name`` and a
@@ -727,8 +739,8 @@ def _write_gzip_member(fh, name: str, src, size: int) -> None:
     order, so the output depends on the slice size only, never on the
     thread count. Since run-length matching looks back one byte, the cuts
     cost almost nothing: about 16 bytes per slice. A stream of at most one
-    slice gives the bytes of one unsliced deflate. The CRC32 and size are
-    computed here, in order, while the pool compresses.
+    slice gives the bytes of one unsliced deflate. The CRC32 is computed
+    here, in order, while the pool compresses.
     """
     from concurrent.futures import ThreadPoolExecutor  # about 12 ms, paid by .gz writes only
 
@@ -740,24 +752,22 @@ def _write_gzip_member(fh, name: str, src, size: int) -> None:
     fh.write(b"\x1f\x8b\x08" + bytes([flags]) + b"\x00\x00\x00\x00\x00\xff")
     if fname:
         fh.write(fname + b"\x00")
-    last = max(0, size - 1) // _GZIP_SLICE  # index of the final slice
+    start = src.tell()
+    size = src.seek(0, os.SEEK_END) - start
+    src.seek(start)
+    last = max(0, size - 1) // _GZIP_SLICE  # index of the final slice; an empty stream is one
     threads = _thread_count()
-    crc = count = 0
+    crc = 0
     with ThreadPoolExecutor(threads) as pool:
         pending = collections.deque()
-        for index in itertools.count():
+        for index in range(last + 1):
             data = src.read(_GZIP_SLICE)
-            if index and not data:  # an empty stream is still one slice
-                break
             pending.append(pool.submit(_deflate_slice, data, index == last))
             crc = zlib.crc32(data, crc)
-            count += len(data)
             if len(pending) == threads:
                 fh.writelines(pending.popleft().result())
         while pending:
             fh.writelines(pending.popleft().result())
-    if count != size:
-        raise ValueError(f"{name}: {count} bytes to deflate, expected {size}")
     fh.write(struct.pack("<II", crc, size & 0xFFFFFFFF))
 
 

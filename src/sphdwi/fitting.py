@@ -159,15 +159,16 @@ _BLOCK = 1024  # voxel columns per BLAS call
 def _apply_affine(
     matrix: np.ndarray,
     data: np.ndarray,
-    groups: int = 1,
     offset: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Apply a linear stage, plus an optional offset, to every voxel of a 5-D volume.
 
     ``data`` is (B, groups * C_in, X, Y, Z). ``matrix`` is one (C_out, C_in)
-    matrix shared by every channel group, or a (groups, C_out, C_in) stack
-    with one matrix per group; ``offset`` has shape (groups * C_out,). The
+    matrix shared by every channel group, so that groups is the channel
+    count over C_in, or a (groups, C_out, C_in) stack with one matrix per
+    group; a channel count that is not groups * C_in raises
+    :class:`ShapeError`. ``offset`` has shape (groups * C_out,). The
     result, written into ``out`` when given (a C-contiguous buffer), is
     (B, groups * C_out, X, Y, Z): group g of the output is matrix[g] times
     group g of the input, plus its slice of ``offset``.
@@ -182,8 +183,10 @@ def _apply_affine(
     itself.
     """
     cout, cin = matrix.shape[-2:]
-    mats = [matrix] * groups if matrix.ndim == 2 else matrix
     nb, nch = data.shape[:2]
+    # at least one group, so that a volume of fewer than C_in channels is refused
+    mats = [matrix] * max(1, nch // cin) if matrix.ndim == 2 else matrix
+    groups = len(mats)
     if nch != groups * cin:
         raise ShapeError(
             f"volume has {nch} channels, expected groups ({groups}) * C_in ({cin}) "
@@ -231,14 +234,14 @@ def signal_to_sh(vol: DwiVolume, op: FitOperator | Sequence[FitOperator]) -> ShV
     per shell with a common order and direction count.
     """
     ops = _as_operator_list(op, vol.shells)
-    coeffs = _apply_affine(np.stack([o.fit_matrix for o in ops]), vol.data, vol.shells)
+    coeffs = _apply_affine(np.stack([o.fit_matrix for o in ops]), vol.data)
     return ShVolume(data=coeffs, basis_spec=ops[0].basis_spec, shells=vol.shells)
 
 
 def sh_to_signal(sh: ShVolume, gradients) -> DwiVolume:
     """Evaluate an SH volume at arbitrary unit directions (per shell)."""
     basis = eval_basis(gradients, sh.basis_spec.order)
-    return DwiVolume(data=_apply_affine(basis, sh.data, sh.shells), shells=sh.shells)
+    return DwiVolume(data=_apply_affine(basis, sh.data), shells=sh.shells)
 
 
 def _plan_shells(

@@ -50,7 +50,7 @@ class ShBasisSpec:
 
     @property
     def coeff_count(self) -> int:
-        return (self.order + 1) * (self.order + 2) // 2
+        return coeff_count(self.order)
 
 
 def sh_index(l: int, m: int) -> int:

@@ -137,6 +137,17 @@ class TestRunBench:
         assert report.blas_pinned is False
         assert report.to_csv().splitlines()[0] == CSV_HEADER
 
+    def test_batched_result_unlike_the_api_raises(self, monkeypatch):
+        real = bench.signal_to_sh
+
+        def perturbed(*args):
+            sh = real(*args)
+            return ShVolume(data=sh.data + 1e-12, basis_spec=sh.basis_spec, shells=sh.shells)
+
+        monkeypatch.setattr(bench, "signal_to_sh", perturbed)
+        with pytest.raises(RuntimeError, match="signal2sh, order 2: "):
+            run_bench([2], voxel_count=50, repeats=3)
+
     def test_sixteen_rows_for_four_orders(self):
         report = run_bench([2, 4, 6, 8], voxel_count=120, repeats=3, seed=2)
         assert len(report.rows) == 16

@@ -394,7 +394,7 @@ def _write_in_blocks(path, volume, widths, affine=None):
     with dwio.write_nifti_rows(path, volume.shape, affine=affine) as write:
         lo = 0
         for width in widths:
-            write(matrix[:, lo : lo + width], lo)
+            write(matrix[:, lo : lo + width])
             lo += width
 
 
@@ -558,7 +558,7 @@ class TestSlicedGzip:
         monkeypatch.setattr(dwio, "_GZIP_SLICE", 16)
         monkeypatch.setattr(dwio, "_thread_count", lambda: threads)
         out = Sink()
-        dwio._write_gzip_member(out, "s", io.BytesIO(b"z" * 200), 200)
+        dwio._write_gzip_member(out, "s", io.BytesIO(b"z" * 200))
         assert len(in_flight) == len(submitted) == 13
         assert max(in_flight) == threads
         assert gzip.decompress(out.getvalue()) == b"z" * 200
@@ -582,23 +582,23 @@ class TestSlicedGzip:
         monkeypatch.setattr(dwio, "_GZIP_SLICE", 4)
         for stream in (b"", b"abc", b"x" * 10 + b"y" * 7):
             out = io.BytesIO()
-            dwio._write_gzip_member(out, "s", io.BytesIO(stream), len(stream))
+            dwio._write_gzip_member(out, "s", io.BytesIO(stream))
             assert gzip.decompress(out.getvalue()) == stream
             assert out.getvalue()[12:-8] == _sliced_reference(stream, 4)
 
-    # 8 bytes are two whole slices: one byte more is a third slice, past the final one
+    # 8 bytes are two whole slices; the prefix must count toward neither the size nor the CRC
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_source_of_another_size_raises_before_the_trailer(self, threads, monkeypatch):
+    def test_source_is_deflated_from_its_position(self, threads, monkeypatch):
         monkeypatch.setattr(dwio, "_thread_count", lambda: threads)
         monkeypatch.setattr(dwio, "_GZIP_SLICE", 4)
         for stream in (b"", b"abc", b"x" * 8, b"x" * 10 + b"y" * 7):
-            for source in (stream[:-1], stream + b"!") if stream else (b"!",):
-                out = io.BytesIO()
-                with pytest.raises(ValueError, match=f"s: {len(source)} bytes to deflate, "
-                                                     f"expected {len(stream)}"):
-                    dwio._write_gzip_member(out, "s", io.BytesIO(source), len(stream))
-                trailer = struct.pack("<II", zlib.crc32(source), len(stream))
-                assert not out.getvalue().endswith(trailer)
+            src = io.BytesIO(b"prefix!" + stream)
+            src.seek(7)
+            out = io.BytesIO()
+            dwio._write_gzip_member(out, "s", src)
+            assert gzip.decompress(out.getvalue()) == stream
+            assert out.getvalue()[12:-8] == _sliced_reference(stream, 4)
+            assert out.getvalue()[-8:] == struct.pack("<II", zlib.crc32(stream), len(stream))
 
 
 class TestSlicedGzipFailures:
@@ -841,16 +841,54 @@ class TestWriteNiftiRows:
         for name in ("x.nii", "x.nii.gz"):
             with pytest.raises(RuntimeError, match="step failed"):
                 with dwio.write_nifti_rows(str(tmp_path / name), volume.shape) as write:
-                    write(_channel_matrix(volume)[:, :4], 0)
+                    write(_channel_matrix(volume)[:, :4])
                     raise RuntimeError("step failed")
             assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name", ["short.nii", "short.nii.gz"])
     def test_unwritten_trailing_columns_raise_naming_the_target(self, name, tmp_path):
         target = str(tmp_path / name)
-        with pytest.raises(ValueError, match=f"^{re.escape(target)}: .* byte 436; .* promises 448"):
+        with pytest.raises(ValueError, match=f"^{re.escape(target)}: .* column 5; .* has 8$"):
             _write_in_blocks(target, np.ones((2, 2, 2, 3)), [5])  # columns 5-7 never written
         assert list(tmp_path.iterdir()) == []
+
+    # a block of 2 rows in a 3-channel volume, and one that runs 2 columns past the last
+    @pytest.mark.parametrize("name", ["bad.nii", "bad.nii.gz"])
+    @pytest.mark.parametrize("block", [(2, 2), (3, 7)], ids=["short-rows", "past-the-end"])
+    def test_block_that_does_not_fit_raises_naming_the_target(self, name, block, tmp_path):
+        target = str(tmp_path / name)
+        matrix = _channel_matrix(np.ones((2, 2, 2, 3)))
+        message = rf"^{re.escape(target)}: a \({block[0]}, {block[1]}\) block at column 3 "
+        with pytest.raises(ValueError, match=message):
+            with dwio.write_nifti_rows(target, (2, 2, 2, 3)) as write:
+                write(matrix[:, :3])
+                write(np.ones(block))
+                write(matrix[:, 5:])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["int.nii", "int.nii.gz"])
+    @pytest.mark.parametrize(
+        "dtype, value",
+        [(np.int16, 70000.0), (np.uint8, -1.0), (np.uint8, np.nan), (np.int16, 1.5)],
+        ids=["int16-range", "uint8-negative", "uint8-nan", "int16-fraction"],
+    )
+    def test_value_an_integer_dtype_cannot_hold_raises(self, name, dtype, value, tmp_path):
+        target = str(tmp_path / name)
+        volume = np.zeros((2, 2, 2, 3))
+        volume[1, 0, 1, 2] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(target)}: .* {np.dtype(dtype)}$"):
+            with np.errstate(invalid="ignore"):  # numpy's own warning about the cast
+                dwio.write_nifti(target, volume, dtype=dtype)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["int.nii", "int.nii.gz"])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16])
+    def test_integral_values_in_range_are_stored(self, name, dtype, tmp_path):
+        info = np.iinfo(dtype)
+        volume = np.linspace(info.min, info.max, 24).round().reshape(2, 2, 2, 3)
+        dwio.write_nifti(str(tmp_path / name), volume, dtype=dtype)
+        np.testing.assert_array_equal(_stored_matrix(str(tmp_path / name)),
+                                      _channel_matrix(volume.astype(dtype)))
 
     def test_full_disk_is_raised_naming_the_target(self, tmp_path, full_disk):
         target = str(tmp_path / "x.nii")

@@ -22,6 +22,7 @@ from sphdwi import (
     signal_to_sh,
     unit_sphere_directions,
 )
+from sphdwi.fitting import _apply_affine
 
 from conftest import fibonacci_sphere, random_unit_vectors
 
@@ -427,6 +428,25 @@ class TestVolumeTypes:
     def test_dwi_shell_divisibility(self):
         with pytest.raises(ShapeError):
             DwiVolume(data=np.ones((1, 7, 1, 1, 1)), shells=2)
+
+
+class TestApplyAffine:
+    def test_shared_matrix_takes_its_groups_from_the_channel_count(self, rng):
+        matrix, data = rng.normal(size=(2, 3)), rng.normal(size=(1, 6, 2, 1, 1))
+        out = _apply_affine(matrix, data)
+        for g in range(2):
+            group = data[0, 3 * g : 3 * g + 3].reshape(3, -1)
+            np.testing.assert_allclose(out[0, 2 * g : 2 * g + 2].reshape(2, -1), matrix @ group)
+
+    @pytest.mark.parametrize("channels", [0, 2, 7])
+    def test_channels_not_a_multiple_of_c_in_raise(self, channels):
+        with pytest.raises(ShapeError, match=f"volume has {channels} channels"):
+            _apply_affine(np.ones((2, 3)), np.ones((1, channels, 2, 1, 1)))
+
+    def test_stack_of_another_group_count_raises(self):
+        # two matrices for three channel groups: no matrix would fill the third
+        with pytest.raises(ShapeError, match=r"expected groups \(2\) \* C_in \(3\) = 6"):
+            _apply_affine(np.ones((2, 2, 3)), np.ones((1, 9, 2, 1, 1)))
 
 
 @lru_cache(maxsize=None)
