@@ -130,16 +130,16 @@ def _sh_layout(path: str, nvol: int, order: int | None = None, shells: int | Non
 # The three volume commands work on the NIfTI payload itself: a single-file
 # NIfTI stores (X, Y, Z, C) in Fortran order, which is a C-order (C, V)
 # channel matrix (dwio.NiftiRows). _chunks goes through it in chunks of
-# _STREAM voxel columns: it reads a chunk's rows of stored values into one
-# reused staging buffer, with positioned reads, and converts them to float64
-# in a second reused buffer. A .nii.gz input is first inflated once into an
-# unnamed spill file in the --out directory and read from there. _stream
-# hands each chunk to the 5-D API as a (1, C, width, 1, 1) volume and hands
-# the result to one writer, dwio.write_nifti_rows, which casts it to float32
-# and writes its rows, chunk after chunk: in the output file itself, or, for
-# a .nii.gz output, in a second spill file that is deflated once the last
-# chunk is in. So memory stays bounded for both suffixes, and a .nii.gz
-# needs about one uncompressed payload of free disk in the --out directory.
+# _STREAM voxel columns: NiftiRows reads a chunk's rows, with positioned
+# reads, and fills one reused float64 buffer with their scaled values. A
+# .nii.gz input is first inflated once into an unnamed spill file in the
+# --out directory and read from there. _stream hands each chunk to the 5-D
+# API as a (1, C, width, 1, 1) volume and hands the result to one writer,
+# dwio.write_nifti_rows, which casts it to float32 and writes its rows,
+# chunk after chunk: in the output file itself, or, for a .nii.gz output,
+# in a second spill file that is deflated once the last chunk is in. So
+# memory stays bounded for both suffixes, and a .nii.gz needs about one
+# uncompressed payload of free disk in the --out directory.
 
 _STREAM = 16 * fitting._BLOCK  # voxel columns per chunk of _stream
 
@@ -211,20 +211,16 @@ def _stream(vol, path: str, channels: int, step, rows=None, excluded=None) -> No
 def _chunks(vol, rows):
     """Yield (lo, hi, x) for each chunk of _STREAM voxel columns of ``vol``.
 
-    ``x`` holds rows ``rows`` of voxel columns lo:hi as float64, scaled by
-    :func:`sphdwi.dwio.to_float64`: a C-contiguous (rows, width) view of
-    one reused buffer, filled from a second reused buffer of the stored
-    dtype, so a chunk costs no allocation. It is valid until the next chunk.
+    ``x`` holds rows ``rows`` of voxel columns lo:hi as float64, scaled as
+    :meth:`sphdwi.dwio.NiftiRows.read` scales them: a C-contiguous
+    (rows, width) view of one reused buffer, so a chunk costs no
+    allocation. It is valid until the next chunk.
     """
-    width = min(vol.voxels, _STREAM)
-    stored = np.empty(len(rows) * width, dtype=vol.dtype)
-    buf = np.empty(stored.size)
+    buf = np.empty(len(rows) * min(vol.voxels, _STREAM))
     for lo in range(0, vol.voxels, _STREAM):
         hi = min(lo + _STREAM, vol.voxels)
         shape = (len(rows), hi - lo)
-        size = shape[0] * shape[1]
-        chunk = vol.read(rows, lo, hi, stored[:size].reshape(shape))
-        yield lo, hi, dwio.to_float64(chunk, vol.header, out=buf[:size].reshape(shape))
+        yield lo, hi, vol.read(rows, lo, buf[: shape[0] * shape[1]].reshape(shape))
 
 
 def _mean_b0(vol, b0_idx) -> np.ndarray:
@@ -241,14 +237,15 @@ def _mean_b0(vol, b0_idx) -> np.ndarray:
 
 def _cmd_signal2sh(args) -> int:
     scheme = dwio.read_bvals_bvecs(args.bvals, args.bvecs)
+    # the operators need only the table and the flags, so a bad flag exits before any input read
+    ops = [
+        make_fit_operator(scheme.directions[s.indices], args.order, args.lb_lambda)
+        for s in dwio.select_shells(scheme.shells, args.shell)
+    ]
+    _info(f"R={ops[0].basis_spec.coeff_count} cond={max(o.cond for o in ops):.3e}")
     with _read_channels(args.dwi, args.out) as vol:
         _, b0_idx, shells = fitting._plan_shells(vol.channels, scheme, shells=args.shell)
         excluded, denom = fitting._b0_denominator(_mean_b0(vol, b0_idx))
-        ops = [
-            make_fit_operator(scheme.directions[s.indices], args.order, args.lb_lambda)
-            for s in shells
-        ]
-        _info(f"R={ops[0].basis_spec.coeff_count} cond={max(o.cond for o in ops):.3e}")
 
         def fit(x, voxels):
             flat = x[0, :, :, 0, 0]
@@ -288,9 +285,9 @@ def _cmd_sh2signal(args) -> int:
             raise ShapeError(f"sh2signal takes one --shell, got {len(args.shell)}")
         scheme = dwio.read_bvals_bvecs(args.bvals, args.bvecs)
         dirs = scheme.shell_directions(args.shell[0])
+    spec = ShBasisSpec(args.order)
     with _read_channels(args.sh, args.out) as vol:
-        order, shells = _sh_layout(args.sh, vol.channels, order=args.order)
-        spec = ShBasisSpec(order)
+        _, shells = _sh_layout(args.sh, vol.channels, order=args.order)
 
         def evaluate(x, voxels):
             return sh_to_signal(ShVolume(x, spec, shells=shells), dirs)
@@ -326,6 +323,9 @@ def _cmd_lsc(args) -> int:
         raise ShapeError(
             f"kernel expects {kernel.shells_in} input shells, selection has {n_shells}"
         )
+    if args.order_out is not None:  # checked, like --lambda, before any input read
+        ShBasisSpec(args.order_out)
+    fitting._check_weight(args.lb_lambda)
     with _read_channels(args.sh, args.out) as vol:
         order_in, shells_in = _sh_layout(args.sh, vol.channels, shells=kernel.shells_in)
         order_out = args.order_out if args.order_out is not None else order_in

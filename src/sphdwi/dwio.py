@@ -381,33 +381,24 @@ def _header_dict(hdr) -> dict:
     return {name: np.copy(hdr[name]) for name in HEADER_DTYPE.names}
 
 
-def _check_file_size(fh, path: str, end: int) -> None:
-    """Cheap truncation check of an uncompressed file, before allocating anything."""
-    size = os.fstat(fh.fileno()).st_size
-    if end > size:
-        raise NiftiTruncatedError(f"{path}: file has {size} bytes but header promises {end}")
+def _read_pieces(fh, path: str, offset: int, size: int, buf: memoryview):
+    """Read the ``size`` payload bytes at ``offset`` of ``fh`` through ``buf``, piece by piece.
 
-
-def _read_pieces(fh, path: str, offset: int, size: int, dest: memoryview):
-    """Read the ``size`` payload bytes at ``offset`` of ``fh`` into ``dest``, piece by piece.
-
-    This is the one loop that reads or inflates a payload in order. Each
-    piece is at most _IO_CHUNK bytes, so gzip's temporary buffers stay
-    bounded, and this yields the view of ``dest`` it filled. A ``dest`` of ``size`` bytes receives the payload
-    whole; a shorter one is reused, so the caller must take each piece
-    before asking for the next. Raises :class:`NiftiTruncatedError` when
-    the data ends early or cannot be read.
+    This is the loop that inflates a payload in order. Each piece is at
+    most ``len(buf)`` bytes, so gzip's temporary buffers stay bounded, and
+    this yields the view of the reused ``buf`` it filled: the caller must
+    take each piece before asking for the next. Raises
+    :class:`NiftiTruncatedError` when the data ends early or cannot be read.
     """
     filled = 0
     try:
         fh.seek(offset)
         while filled < size:
-            lo = filled % len(dest)  # 0 for a reused buffer
-            got = fh.readinto(dest[lo : lo + min(_IO_CHUNK, len(dest) - lo, size - filled)])
+            got = fh.readinto(buf[: min(len(buf), size - filled)])
             if not got:
                 break
             filled += got
-            yield dest[lo : lo + got]
+            yield buf[:got]
     except (OSError, EOFError, ValueError, OverflowError) as exc:
         raise NiftiTruncatedError(f"{path}: unreadable voxel data ({exc})") from exc
     if filled < size:
@@ -424,23 +415,27 @@ def _spill(dirname: str | None):
 
 
 class NiftiRows:
-    """A single-file NIfTI-1 volume's payload as a (C, V) matrix of stored values.
+    """A single-file NIfTI-1 volume's payload as a (C, V) matrix, read as float64.
 
-    NIfTI stores X, Y, Z[, volume...] in Fortran order, so the payload is a
-    C-order matrix with one row per volume (C rows) and one column per voxel
-    of the first three axes (V columns): row c at voxel columns lo:hi is one
-    contiguous segment of the file. :meth:`read` fetches such segments with
-    positioned ``readinto`` calls, so memory does not grow with the volume.
+    This is the one code that reads a NIfTI payload, and the one that knows
+    the stored dtypes and the scaling rule. NIfTI stores X, Y, Z[, volume...]
+    in Fortran order, so the payload is a C-order matrix with one row per
+    volume (C rows) and one column per voxel of the first three axes (V
+    columns): row c at voxel columns lo:lo + width is one contiguous segment
+    of the file. :meth:`read` fetches such segments with positioned
+    ``readinto`` calls into one reused staging buffer of the stored dtype,
+    and converts them to float64 with :func:`to_float64`, so memory does not
+    grow with the volume.
 
     An uncompressed file is read where it is. A gzip member can only be
     read from its start, and no chunk of the channel-major payload can
     start before most of the member is inflated. So a gzip file is inflated
     once, when opened, in _IO_CHUNK pieces into a :func:`_spill` file in
-    ``spill_dir`` (the platform's temporary directory when None), and read
-    from there. Attributes: ``shape``, ``dtype`` (the stored dtype),
-    ``affine``, ``header`` (as :func:`read_nifti` returns them),
-    ``channels`` (C) and ``voxels`` (V). Close it, or use it as a context
-    manager. Opening raises the errors of :func:`read_nifti`, and a
+    ``spill_dir`` (the platform's temporary directory when None, which may
+    be a tmpfs), and read from there. Attributes: ``shape``, ``dtype`` (the
+    stored dtype), ``affine``, ``header`` (as :func:`read_nifti` returns
+    them), ``channels`` (C) and ``voxels`` (V). Close it, or use it as a
+    context manager. Opening raises the errors of :func:`read_nifti`, and a
     :class:`NiftiError` naming ``path`` when the spill file cannot be
     written.
     """
@@ -458,9 +453,12 @@ class NiftiRows:
             if isinstance(fh, gzip.GzipFile):
                 fh = self._inflate(fh, size, spill_dir)
                 self._offset = 0
-            else:
-                _check_file_size(fh, path, self._offset + size)
+            elif self._offset + size > (have := os.fstat(fh.fileno()).st_size):
+                raise NiftiTruncatedError(
+                    f"{path}: file has {have} bytes but header promises {self._offset + size}"
+                )
             self._fh = fh
+            self._staged = np.empty(0, dtype=self.dtype)
         except BaseException:
             fh.close()
             raise
@@ -485,21 +483,28 @@ class NiftiRows:
         member.close()
         return spill
 
-    def read(self, rows, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` with rows ``rows`` of voxel columns lo:hi, and return it.
+    def read(self, rows, lo: int, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with rows ``rows`` of voxel columns lo:lo + width, and return it.
 
-        ``out`` is a C-contiguous (len(rows), hi - lo) array of the stored
-        dtype; row i of ``out`` receives row ``rows[i]`` of the payload.
+        ``out`` is a float64 (len(rows), width) array whose rows are each
+        contiguous; row i of ``out`` receives row ``rows[i]`` of the payload,
+        scaled by :func:`to_float64`. The stored values pass through the
+        staging buffer, one ``readinto`` per row, and are converted in one
+        pass over the chunk.
         """
-        width = (hi - lo) * self.dtype.itemsize
+        count, width = out.shape
+        if self._staged.size < count * width:
+            self._staged = np.empty(count * width, dtype=self.dtype)
+        staged = self._staged[: count * width].reshape(count, width)
+        nbytes = width * self.dtype.itemsize
         try:
-            for row, dest in zip(rows, out):
+            for row, dest in zip(rows, staged):
                 self._fh.seek(self._offset + (int(row) * self.voxels + lo) * self.dtype.itemsize)
-                if self._fh.readinto(dest) != width:
+                if self._fh.readinto(dest) != nbytes:
                     raise NiftiTruncatedError(f"{self.path}: voxel data ends early")
         except (OSError, ValueError) as exc:
             raise NiftiTruncatedError(f"{self.path}: unreadable voxel data ({exc})") from exc
-        return out
+        return to_float64(staged, self.header, out)
 
     def close(self) -> None:
         self._fh.close()
@@ -511,18 +516,15 @@ class NiftiRows:
         self.close()
 
 
-def to_float64(stored, header: dict, out: np.ndarray | None = None) -> np.ndarray:
-    """Stored voxel values as float64, with scl_slope/scl_inter applied.
+def to_float64(stored, header: dict, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the stored voxel values as float64, scl_slope/scl_inter applied.
 
     The rule is ``x * slope + inter`` when the slope is finite and nonzero
     (a non-finite intercept counts as 0); otherwise the values are taken as
-    they are. ``out`` receives the result when given (same shape as
-    ``stored``), so a caller can convert block by block into one buffer.
+    they are. ``out`` has the shape of ``stored``; it is returned.
     """
     slope = float(header["scl_slope"])
     inter = float(header["scl_inter"])
-    if out is None:
-        out = np.empty(np.shape(stored))
     if not (np.isfinite(slope) and slope != 0.0):
         np.copyto(out, stored)  # widening to float64 is exact
         return out
@@ -535,28 +537,26 @@ def read_nifti(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
     """Read a single-file NIfTI-1 volume.
 
     Returns (data, affine, header) with data as float64 in X, Y, Z[, volume]
-    order and scl_slope/scl_inter already applied. The stored payload is
-    read, or inflated, straight into one preallocated array, in bounded
-    pieces. Raises distinct error types for a bad magic number, an
-    unsupported datatype and a truncated file.
+    order and scl_slope/scl_inter already applied. This is one whole-volume
+    read of :class:`NiftiRows`: the (C, V) result is filled in column
+    pieces of at most _IO_CHUNK stored bytes, so no stored copy of the
+    payload is held, and ``data`` is its Fortran-order view, not a
+    C-contiguous array. A .nii.gz is inflated into an unnamed spill file in
+    the platform's temporary directory. Raises distinct error types for a
+    bad magic number, an unsupported datatype and a truncated file.
     """
-    with _open_nifti(path) as fh:
-        hdr, dtype, shape, offset = _read_header(fh, path)
-        size = int(np.prod(shape)) * dtype.itemsize
-        if not isinstance(fh, gzip.GzipFile):
-            _check_file_size(fh, path, offset + size)
+    with NiftiRows(path) as vol:
         try:
-            buf = np.empty(size, dtype=np.uint8)
+            data = np.empty((vol.channels, vol.voxels))
         except MemoryError as exc:
             raise NiftiError(
-                f"{path}: header promises {size} bytes of voxel data, "
-                "more than this process can allocate"
+                f"{path}: header promises {vol.channels * vol.voxels * vol.dtype.itemsize} "
+                "bytes of voxel data, more than this process can allocate"
             ) from exc
-        for _ in _read_pieces(fh, path, offset, size, memoryview(buf)):
-            pass
-        header = _header_dict(hdr)
-        raw = buf.view(dtype).reshape(shape, order="F")
-        return to_float64(raw, header), _affine_from_header(hdr), header
+        width = max(1, _IO_CHUNK // (vol.channels * vol.dtype.itemsize))
+        for lo in range(0, vol.voxels, width):
+            vol.read(range(vol.channels), lo, data[:, lo : lo + width])
+        return data.reshape(-1).reshape(vol.shape, order="F"), vol.affine, vol.header
 
 
 def _nifti_header(shape, affine, dtype) -> bytes:
@@ -643,11 +643,11 @@ def write_nifti_rows(path: str, shape, affine=None, dtype=np.float32):
     ``write(block)``, which writes each row of the (C, width) ``block``,
     cast to ``dtype``, as the next ``width`` voxel columns: blocks are
     written in order, from column 0, each with one row per channel. A
-    block with another row count, or one that runs past the last column,
-    raises ValueError naming ``path``; so do blocks that end short of the
-    last column, when the ``with`` block ends. The header is built on
-    entry, so its checks (see :func:`_nifti_header`) raise before any block
-    or file.
+    block that is not 2-D, has another row count, or runs past the last
+    column raises ValueError naming ``path`` and the block's shape; so do
+    blocks that end short of the last column, when the ``with`` block
+    ends. The header is built on entry, so its checks (see
+    :func:`_nifti_header`) raise before any block or file.
 
     An uncompressed volume's rows go straight into the
     :func:`_atomic_output` temporary file. A .nii.gz volume's rows go into
@@ -673,17 +673,16 @@ def write_nifti_rows(path: str, shape, affine=None, dtype=np.float32):
 
         def write(block) -> None:
             nonlocal lo
-            rows, width = block.shape
-            if rows != channels or lo + width > voxels:
+            if block.ndim != 2 or len(block) != channels or lo + block.shape[1] > voxels:
                 raise ValueError(
-                    f"{path}: a ({rows}, {width}) block at column {lo} does not fit "
+                    f"{path}: a {block.shape} block at column {lo} does not fit "
                     f"the ({channels}, {voxels}) payload"
                 )
             for channel, row in enumerate(block):
                 out.seek(len(header) + (channel * voxels + lo) * itemsize)
                 # a row at a time: the cast stays in cache, and costs no block-sized buffer
                 out.write(np.ascontiguousarray(row, dtype=dtype))
-            lo += width
+            lo += block.shape[1]
 
         yield write
         if lo != voxels:

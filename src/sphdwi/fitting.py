@@ -121,6 +121,12 @@ def _normal_system(
     return basis, normal, cond
 
 
+def _check_weight(lb_lambda: float) -> None:
+    """Raise ValueError unless the Laplace-Beltrami weight is finite and >= 0."""
+    if not (np.isfinite(lb_lambda) and lb_lambda >= 0):
+        raise ValueError(f"regularization weight must be finite and >= 0, got {lb_lambda}")
+
+
 def make_fit_operator(gradients, order: int, lb_lambda: float = 0.0) -> FitOperator:
     """Build the regularized least-squares operator for a gradient set.
 
@@ -129,8 +135,7 @@ def make_fit_operator(gradients, order: int, lb_lambda: float = 0.0) -> FitOpera
     the system dimensions and a condition estimate.
     """
     dirs = as_unit_directions(gradients)
-    if not (np.isfinite(lb_lambda) and lb_lambda >= 0):
-        raise ValueError(f"regularization weight must be finite and >= 0, got {lb_lambda}")
+    _check_weight(lb_lambda)
     basis, normal, cond = _normal_system(dirs, order, lb_lambda)
     try:
         lower = np.linalg.cholesky(normal)

@@ -659,11 +659,17 @@ def _bits(arr):
 
 
 def _assert_payload_equals(path, vol):
-    """The file's float32 payload is exactly the float32 cast of a 5-D API volume."""
-    with dwio.NiftiRows(path) as rows:
-        assert rows.dtype == np.float32
-        raw = rows.read(range(rows.channels), 0, rows.voxels,
-                        np.empty((rows.channels, rows.voxels), dtype=np.float32))
+    """The file's float32 payload is exactly the float32 cast of a 5-D API volume.
+
+    The payload is decoded here from the bytes after vox_offset, not by dwio's reader.
+    """
+    blob = open(path, "rb").read()
+    if path.endswith(".gz"):
+        blob = gzip.decompress(blob)
+    hdr = np.frombuffer(blob[:348], dtype=dwio.HEADER_DTYPE)[0]
+    assert int(hdr["datatype"]) == 16  # float32, little-endian as sphdwi writes it
+    raw = np.frombuffer(blob, dtype="<f4", offset=int(hdr["vox_offset"]))
+    raw = raw.reshape(vol.data.shape[1], -1)
     # vol.data[0] is (C, X, Y, Z): its F-order (C, V) reshape is the payload matrix
     np.testing.assert_array_equal(_bits(raw), _bits(vol.data[0].reshape(len(raw), -1, order="F")))
 
@@ -1187,6 +1193,37 @@ class TestUsageErrors:
         assert main([*required, "--out", str(out), "--threads", "2"]) == 2
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("signal2sh", ["--order", "3"]),
+            ("signal2sh", ["--lambda", "nan"]),
+            ("lsc", ["--order-out", "3"]),
+            ("lsc", ["--lambda", "-1"]),
+            ("sh2signal", ["--order", "3"]),
+        ],
+        ids=["signal2sh-order", "signal2sh-lambda", "lsc-order-out", "lsc-lambda",
+             "sh2signal-order"],
+    )
+    def test_bad_flag_exits_2_before_the_input_is_opened(self, command, flags, phantom_files,
+                                                         tmp_path, monkeypatch):
+        gz = phantom_files["nifti"]  # a .nii.gz: opening it would inflate it into a spill
+        out = str(tmp_path / "out.nii.gz")
+        args = {"signal2sh": fit_args(phantom_files, out),
+                "lsc": lsc_args(phantom_files, gz, out),
+                "sh2signal": eval_args(phantom_files, gz, out)}[command]
+        opened = []
+        real = dwio.NiftiRows
+
+        def counting(path, *args, **kwargs):
+            opened.append(path)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(dwio, "NiftiRows", counting)
+        assert main([*args, *flags]) == 2  # a repeated flag's last value is the one used
+        assert opened == []
+        assert not os.path.exists(out)
 
     def test_compare_backends_flag_is_gone(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

@@ -6,6 +6,7 @@ import re
 import stat
 import struct
 import threading
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -383,10 +384,30 @@ def _channel_matrix(volume):
 
 
 def _stored_matrix(path):
-    """The whole (C, V) payload matrix of the file at ``path``, as stored."""
-    with dwio.NiftiRows(path) as vol:
-        out = np.empty((vol.channels, vol.voxels), dtype=vol.dtype)
-        return vol.read(range(vol.channels), 0, vol.voxels, out)
+    """The whole (C, V) payload matrix of the file at ``path``, as stored.
+
+    Decoded here from the bytes after vox_offset, not by dwio's reader.
+    """
+    blob = open(path, "rb").read()
+    if path.endswith(".gz"):
+        blob = gzip.decompress(blob)
+    for byteorder in "<>":
+        hdr = np.frombuffer(blob[:348], dtype=dwio.HEADER_DTYPE.newbyteorder(byteorder))[0]
+        if hdr["sizeof_hdr"] == 348:
+            break
+    shape = hdr["dim"][1 : hdr["dim"][0] + 1]
+    dtype = dwio._DTYPE_CODES[int(hdr["datatype"])].newbyteorder(byteorder)
+    payload = np.frombuffer(blob, dtype=dtype, count=int(np.prod(shape)),
+                            offset=int(hdr["vox_offset"]))
+    return payload.reshape(-1, int(np.prod(shape[:3])))
+
+
+def _scaled(stored, slope, inter):
+    """Stored values as float64, by the NIfTI-1 scaling rule."""
+    expected = stored.astype(np.float64)
+    if slope != 0.0:
+        expected = expected * slope + (0.0 if np.isnan(inter) else inter)
+    return expected
 
 
 def _write_in_blocks(path, volume, widths, affine=None):
@@ -733,11 +754,10 @@ class TestNiftiRoundTripProperty:
                                       payload.reshape(vol.channels, vol.voxels))
 
         data, got_affine, header = dwio.read_nifti(path)
-        expected = stored.astype(np.float64)
-        if slope != 0.0:
-            expected = expected * slope + (0.0 if np.isnan(inter) else inter)
-        assert data.dtype == np.float64 and data.shape == shape
-        np.testing.assert_array_equal(data, expected)
+        expected = _scaled(stored, slope, inter)
+        assert data.dtype == np.float64 and data.shape == shape and data.flags.f_contiguous
+        # bitwise, so a -0.0 for a 0.0 would show as well
+        assert data.tobytes(order="F") == expected.tobytes(order="F")
         np.testing.assert_array_equal(got_affine, affine)
         np.testing.assert_array_equal(raw_affine, affine)
         assert int(header["datatype"]) == dwio._CODE_FOR_DTYPE[np.dtype(dtype)]
@@ -763,11 +783,8 @@ class TestNiftiRows:
         dwio.write_nifti(path, stored, affine=affine, dtype=dtype)
         _restore_header(path, *scaling, byteorder)
         _, want_affine, want_header = dwio.read_nifti(path)
-        matrix = _channel_matrix(stored)
+        matrix = _scaled(_channel_matrix(stored), *scaling)
         nvox = matrix.shape[1]
-        rows = data.draw(st.lists(st.integers(0, shape[3] - 1), min_size=1, max_size=6))
-        lo = data.draw(st.integers(0, nvox - 1))
-        hi = data.draw(st.integers(lo + 1, nvox))
         with dwio.NiftiRows(path) as vol:
             assert vol.shape == shape and vol.dtype == np.dtype(dtype).newbyteorder(byteorder)
             assert (vol.channels, vol.voxels) == matrix.shape
@@ -775,9 +792,15 @@ class TestNiftiRows:
             assert vol.header.keys() == want_header.keys()
             for name, value in want_header.items():
                 np.testing.assert_array_equal(vol.header[name], value)
-            out = np.full((len(rows), hi - lo), 77, dtype=vol.dtype)
-            assert vol.read(rows, lo, hi, out) is out
-        np.testing.assert_array_equal(out, matrix[rows, lo:hi])
+            # reads of several sizes through the one staging buffer, into rows of wider arrays
+            for _ in range(data.draw(st.integers(1, 3))):
+                rows = data.draw(st.lists(st.integers(0, shape[3] - 1), min_size=1, max_size=6))
+                lo = data.draw(st.integers(0, nvox - 1))
+                hi = data.draw(st.integers(lo + 1, nvox))
+                pad = data.draw(st.integers(0, 2))
+                out = np.full((len(rows), hi - lo + pad), 77.0)[:, : hi - lo]
+                assert vol.read(rows, lo, out) is out
+                np.testing.assert_array_equal(out, matrix[rows, lo:hi])
 
     def test_truncated_file_rejected_on_open(self, tmp_path):
         path = str(tmp_path / "short.nii")
@@ -792,10 +815,24 @@ class TestNiftiRows:
         dwio.write_nifti(path, np.ones((32, 32, 16, 2)))  # rows of 64 KiB: past any read buffer
         with dwio.NiftiRows(path) as vol:
             os.truncate(path, 352 + 4 * vol.voxels + 8)
-            out = np.empty((2, vol.voxels), dtype=np.float32)
-            vol.read([0], 0, vol.voxels, out[:1])  # still on disk
+            out = np.empty((2, vol.voxels))
+            vol.read([0], 0, out[:1])  # still on disk
             with pytest.raises(NiftiTruncatedError, match="ends early"):
-                vol.read([0, 1], 0, vol.voxels, out)
+                vol.read([0, 1], 0, out)
+
+    @pytest.mark.parametrize("name", ["vol.nii", "vol.nii.gz"])
+    def test_read_nifti_holds_no_stored_copy(self, tmp_path, name):
+        # 10.5 MB stored as float32: more than the bound's 2 x 4 MiB of slack
+        path = str(tmp_path / name)
+        dwio.write_nifti(path, np.ones((64, 64, 32, 20), dtype=np.float32))
+        dwio.read_nifti(path)  # first use: imports and caches
+        tracemalloc.start()
+        try:
+            data, _, _ = dwio.read_nifti(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= data.nbytes + 2 * dwio._IO_CHUNK, (peak, data.nbytes)
 
     def test_open_errors_are_those_of_read_nifti(self, tmp_path):
         missing = str(tmp_path / "missing.nii")
@@ -864,6 +901,15 @@ class TestWriteNiftiRows:
                 write(matrix[:, :3])
                 write(np.ones(block))
                 write(matrix[:, 5:])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["row.nii", "row.nii.gz"])
+    def test_block_that_is_not_2d_raises_naming_the_target(self, name, tmp_path):
+        target = str(tmp_path / name)
+        message = rf"^{re.escape(target)}: a \(8,\) block at column 0 does not fit"
+        with pytest.raises(ValueError, match=message):
+            with dwio.write_nifti_rows(target, (2, 2, 2, 1)) as write:
+                write(np.ones(8))  # one channel's row, not a (1, 8) block
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name", ["int.nii", "int.nii.gz"])
