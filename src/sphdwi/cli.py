@@ -21,10 +21,11 @@ import numpy as np
 from . import bench as bench_mod
 from . import dwio, fitting, lsc, phantom
 from .errors import GradientParseError, ShapeError, SphdwiError
-from .fitting import DwiVolume, ShVolume, make_fit_operator, sh_to_signal, signal_to_sh
-# Not called here; perfbench/spans.py patches this name on this module.
-from .fitting import normalize_b0  # noqa: F401
-from .shcore import ShBasisSpec, as_unit_directions, coeff_count, high_degree_energy_fraction
+from .fitting import make_fit_operator
+# Not called here; perfbench/spans.py patches these names on this module.
+from .fitting import normalize_b0, sh_to_signal, signal_to_sh  # noqa: F401
+from .shcore import ShBasisSpec, as_unit_directions, coeff_count, eval_basis
+from .shcore import high_degree_energy_fraction
 
 _EXIT_VALIDATION = 2
 _EXIT_IO = 4
@@ -129,17 +130,18 @@ def _sh_layout(path: str, nvol: int, order: int | None = None, shells: int | Non
 
 # The three volume commands work on the NIfTI payload itself: a single-file
 # NIfTI stores (X, Y, Z, C) in Fortran order, which is a C-order (C, V)
-# channel matrix (dwio.NiftiRows). _chunks goes through it in chunks of
-# _STREAM voxel columns: NiftiRows reads a chunk's rows, with positioned
-# reads, and fills one reused float64 buffer with their scaled values. A
-# .nii.gz input is first inflated once into an unnamed spill file in the
-# --out directory and read from there. _stream hands each chunk to the 5-D
-# API as a (1, C, width, 1, 1) volume and hands the result to one writer,
-# dwio.write_nifti_rows, which casts it to float32 and writes its rows,
-# chunk after chunk: in the output file itself, or, for a .nii.gz output,
-# in a second spill file that is deflated once the last chunk is in. So
-# memory stays bounded for both suffixes, and a .nii.gz needs about one
-# uncompressed payload of free disk in the --out directory.
+# channel matrix (dwio.NiftiRows). Each command builds its stage once, as the
+# matrix (and offset) that the 5-D API builds, and _stream applies it with
+# fitting._apply_affine to chunks of _STREAM voxel columns: NiftiRows reads a
+# chunk's rows, with positioned reads, and fills one reused float64 buffer
+# with their scaled values, and the stage writes into a second reused buffer.
+# A .nii.gz input is first inflated once into an unnamed spill file in the
+# --out directory and read from there. Each result goes to one writer,
+# dwio.write_nifti_rows, which casts it to float32 and writes its rows, chunk
+# after chunk: in the output file itself, or, for a .nii.gz output, in a
+# second spill file that is deflated once the last chunk is in. So memory
+# stays bounded for both suffixes, and a .nii.gz needs about one uncompressed
+# payload of free disk in the --out directory.
 
 _STREAM = 16 * fitting._BLOCK  # voxel columns per chunk of _stream
 
@@ -158,19 +160,14 @@ def _read_channels(path: str, out: str):
         yield vol
 
 
-def _check_finite(x: np.ndarray, vol, rows, lo: int, excluded) -> None:
+def _check_finite(x: np.ndarray, vol, rows, lo: int) -> None:
     """Raise ShapeError naming the file, volume and voxel of a non-finite value of ``x``.
 
-    ``x`` holds rows ``rows`` of voxel columns lo:lo + width; values at
-    ``excluded`` voxels (a mask over all voxels, or None) are not checked.
+    ``x`` holds rows ``rows`` of voxel columns lo:lo + width of ``vol``.
     """
     if np.isfinite(x).all():
         return
     bad = ~np.isfinite(x)
-    if excluded is not None:
-        bad[:, excluded[lo : lo + x.shape[1]]] = False
-    if not bad.any():
-        return
     volume, row = min((int(rows[i]), i) for i in np.flatnonzero(bad.any(axis=1)))
     voxel = np.unravel_index(lo + int(np.argmax(bad[row])), vol.shape[:3], order="F")
     raise ShapeError(
@@ -179,33 +176,41 @@ def _check_finite(x: np.ndarray, vol, rows, lo: int, excluded) -> None:
     )
 
 
-def _stream(vol, path: str, channels: int, step, rows=None, excluded=None) -> None:
-    """Write to ``path`` the float32 volume of ``channels`` volumes that ``step`` computes.
+def _stream(vol, path: str, matrix, offset=None, rows=None, b0=None, measure=None) -> None:
+    """Write to ``path`` the float32 volume that the stage ``matrix`` makes of ``vol``.
 
     The chunks of :func:`_chunks` hold the ``rows`` of the open
     :class:`sphdwi.dwio.NiftiRows` ``vol`` (all rows by default) as
-    float64. A non-finite value raises :class:`ShapeError` naming the file,
-    the volume and the voxel, except at the voxels of the ``excluded``
-    mask, whose values are never used. step(x, voxels) gets the chunk as a
-    C-contiguous (1, rows, width, 1, 1) volume, which the 5-D API takes
-    without a copy, and returns the API volume of the voxels in the slice
-    ``voxels``. That goes to :func:`sphdwi.dwio.write_nifti_rows` as the
-    next block, which it casts to float32 and writes. Chunks start
-    on fitting._BLOCK boundaries, so :func:`sphdwi.fitting._apply_affine`
-    splits a chunk the way it splits the whole volume and every voxel's
-    bits match the 5-D API. Memory stays a few MiB whatever the volume
-    size, for .nii and .nii.gz files alike: a .nii.gz input or output goes
-    through an unnamed spill file on disk (see the comment above
-    _STREAM). An output shape that NIfTI-1 cannot store raises ValueError
-    before any chunk, and a failure leaves no output file.
+    float64. Each is b0-normalized in place when ``b0`` is the (excluded,
+    denominator) pair of :func:`sphdwi.fitting._b0_denominator`, then
+    checked: a non-finite value raises :class:`ShapeError` naming the file,
+    the volume and the voxel. :func:`sphdwi.fitting._apply_affine` applies
+    ``matrix`` (shared by every channel group, or one per group) and
+    ``offset`` into one reused buffer, so there are len(rows) / C_in *
+    C_out output channels; ``measure(x, y)`` sees each chunk and its
+    result. Chunks start on fitting._BLOCK boundaries, so every voxel's
+    bits match the 5-D API, which builds the same matrices.
+    :func:`sphdwi.dwio.write_nifti_rows` casts each result to float32 and
+    writes it; it raises ValueError for a shape NIfTI-1 cannot store,
+    before any chunk, and for a finite value beyond float32. Memory stays a
+    few MiB whatever the volume size (see the comment above _STREAM), and a
+    failure leaves no output file.
     """
-    shape = (*vol.shape[:3], channels)
     rows = np.arange(vol.channels) if rows is None else rows
-    with dwio.write_nifti_rows(path, shape, affine=vol.affine) as write:
+    channels = len(rows) // matrix.shape[-1] * matrix.shape[-2]
+    buf = np.empty(channels * min(vol.voxels, _STREAM))
+    with dwio.write_nifti_rows(path, (*vol.shape[:3], channels), affine=vol.affine) as write:
         for lo, hi, x in _chunks(vol, rows):
-            _check_finite(x, vol, rows, lo, excluded)
-            volume = x.reshape(1, len(rows), hi - lo, 1, 1)
-            write(step(volume, slice(lo, hi)).data.reshape(channels, hi - lo))
+            if b0 is not None:
+                excluded, denom = b0
+                fitting._normalize_block(x, denom[lo:hi], excluded[lo:hi], out=x)
+            _check_finite(x, vol, rows, lo)
+            y = buf[: channels * (hi - lo)].reshape(channels, hi - lo)
+            fitting._apply_affine(matrix, x.reshape(1, len(rows), hi - lo, 1, 1), offset,
+                                  out=y.reshape(1, channels, hi - lo, 1, 1))
+            if measure is not None:
+                measure(x, y)
+            write(y)
 
 
 def _chunks(vol, rows):
@@ -245,16 +250,9 @@ def _cmd_signal2sh(args) -> int:
     _info(f"R={ops[0].basis_spec.coeff_count} cond={max(o.cond for o in ops):.3e}")
     with _read_channels(args.dwi, args.out) as vol:
         _, b0_idx, shells = fitting._plan_shells(vol.channels, scheme, shells=args.shell)
-        excluded, denom = fitting._b0_denominator(_mean_b0(vol, b0_idx))
-
-        def fit(x, voxels):
-            flat = x[0, :, :, 0, 0]
-            fitting._normalize_block(flat, denom[voxels], excluded[voxels], out=flat)
-            return signal_to_sh(DwiVolume(x, shells=len(ops)), ops)
-
-        rows = np.concatenate([s.indices for s in shells])
-        _stream(vol, args.out, len(ops) * ops[0].basis_spec.coeff_count, fit, rows=rows,
-                excluded=excluded)
+        _stream(vol, args.out, np.stack([o.fit_matrix for o in ops]),
+                rows=np.concatenate([s.indices for s in shells]),
+                b0=fitting._b0_denominator(_mean_b0(vol, b0_idx)))
     return 0
 
 
@@ -285,14 +283,10 @@ def _cmd_sh2signal(args) -> int:
             raise ShapeError(f"sh2signal takes one --shell, got {len(args.shell)}")
         scheme = dwio.read_bvals_bvecs(args.bvals, args.bvecs)
         dirs = scheme.shell_directions(args.shell[0])
-    spec = ShBasisSpec(args.order)
+    basis = eval_basis(dirs, args.order)
     with _read_channels(args.sh, args.out) as vol:
-        _, shells = _sh_layout(args.sh, vol.channels, order=args.order)
-
-        def evaluate(x, voxels):
-            return sh_to_signal(ShVolume(x, spec, shells=shells), dirs)
-
-        _stream(vol, args.out, shells * dirs.shape[0], evaluate)
+        _sh_layout(args.sh, vol.channels, order=args.order)  # the volume count fits --order
+        _stream(vol, args.out, basis)
     return 0
 
 
@@ -330,19 +324,17 @@ def _cmd_lsc(args) -> int:
         order_in, shells_in = _sh_layout(args.sh, vol.channels, shells=kernel.shells_in)
         order_out = args.order_out if args.order_out is not None else order_in
         geom = lsc.build_lsc_geometry(origins, sizes, alpha, order_in, order_out, args.lb_lambda)
-        spec = ShBasisSpec(order_in)
+        matrix, offset = lsc.lsc_operator(kernel, geom)
         energy = [0.0, 0.0]  # summed l>=2 energy fractions of the input and the output
 
-        def convolve(x, voxels):
-            smooth = lsc.lsc_forward(ShVolume(x, spec, shells=shells_in), kernel, geom)
+        def measure(x, y):
             # each side as (shells, R, width): one reduction over every shell of the chunk
             for side, data, shells, order in ((0, x, shells_in, order_in),
-                                              (1, smooth.data, kernel.shells_out, order_out)):
-                coeffs = data.reshape(shells, -1, x.shape[2])
+                                              (1, y, kernel.shells_out, order_out)):
+                coeffs = data.reshape(shells, -1, x.shape[1])
                 energy[side] += np.sum(high_degree_energy_fraction(coeffs, order, axis=1))
-            return smooth
 
-        _stream(vol, args.out, kernel.shells_out * coeff_count(order_out), convolve)
+        _stream(vol, args.out, matrix, offset, measure=measure)
     _info(
         f"mean l>=2 energy fraction: {energy[0] / (shells_in * vol.voxels):.4f} "
         f"-> {energy[1] / (kernel.shells_out * vol.voxels):.4f}"

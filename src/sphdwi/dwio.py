@@ -490,10 +490,20 @@ class NiftiRows:
         contiguous; row i of ``out`` receives row ``rows[i]`` of the payload,
         scaled by :func:`to_float64`. The stored values pass through the
         staging buffer, one ``readinto`` per row, and are converted in one
-        pass over the chunk.
+        pass over the chunk. A row index outside 0..C-1, a negative ``lo``,
+        columns past V, or a row count unlike that of ``out`` raises
+        ValueError naming the file, before anything is read.
         """
         count, width = out.shape
+        rows = np.asarray(rows)
+        if (len(rows) != count or lo < 0 or lo + width > self.voxels
+                or (count and not 0 <= rows.min() <= rows.max() < self.channels)):
+            raise ValueError(
+                f"{self.path}: rows {rows.tolist()} at voxel columns {lo}:{lo + width} "
+                f"fall outside the ({self.channels}, {self.voxels}) payload"
+            )
         if self._staged.size < count * width:
+            self._staged = np.empty(0, dtype=self.dtype)  # free the old one before the new one
             self._staged = np.empty(count * width, dtype=self.dtype)
         staged = self._staged[: count * width].reshape(count, width)
         nbytes = width * self.dtype.itemsize
@@ -622,15 +632,33 @@ def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
     :func:`write_nifti_rows`, so this holds at most that one copy and a
     row. An empty axis, or one longer than 32,767, raises ValueError before
     any file exists, and so does an integer dtype that cannot hold every
-    value exactly (out of range, fractional or NaN): a cast would wrap
-    them silently. The file appears at ``path`` only once it is whole.
+    value exactly (out of range, fractional or NaN), or a finite value
+    beyond a float dtype's range: a cast would wrap them, or make them
+    infinite, silently. The file appears at ``path`` only once it is whole.
     """
     arr = np.asarray(data)
     with write_nifti_rows(path, arr.shape, affine, dtype) as write:
-        stored = arr.astype(dtype, order="F", copy=False)
+        with _must_fit(path, dtype):
+            stored = arr.astype(dtype, order="F", copy=False)
         if np.dtype(dtype).kind in "iu" and not np.array_equal(stored, arr):
             raise ValueError(f"{path}: the values do not all fit on-disk dtype {np.dtype(dtype)}")
         write(stored.reshape(int(np.prod(arr.shape[:3])), -1, order="F").T)
+
+
+@contextmanager
+def _must_fit(path: str, dtype):
+    """Raise ValueError naming ``path`` when a cast inside overflows float ``dtype``.
+
+    The cast itself flags a finite value beyond the dtype's range, so the
+    rule costs no pass of its own. Non-finite values are stored as they are.
+    """
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(
+            f"{path}: the values do not all fit on-disk dtype {np.dtype(dtype)}"
+        ) from None
 
 
 @contextmanager
@@ -646,7 +674,10 @@ def write_nifti_rows(path: str, shape, affine=None, dtype=np.float32):
     block that is not 2-D, has another row count, or runs past the last
     column raises ValueError naming ``path`` and the block's shape; so do
     blocks that end short of the last column, when the ``with`` block
-    ends. The header is built on entry, so its checks (see
+    ends. A finite value beyond a float ``dtype``'s range (1e39 as
+    float32) raises ValueError naming ``path`` (see :func:`_must_fit`)
+    where the cast would store inf; NaN and inf are stored as they are.
+    The header is built on entry, so its checks (see
     :func:`_nifti_header`) raise before any block or file.
 
     An uncompressed volume's rows go straight into the
@@ -678,10 +709,11 @@ def write_nifti_rows(path: str, shape, affine=None, dtype=np.float32):
                     f"{path}: a {block.shape} block at column {lo} does not fit "
                     f"the ({channels}, {voxels}) payload"
                 )
-            for channel, row in enumerate(block):
-                out.seek(len(header) + (channel * voxels + lo) * itemsize)
-                # a row at a time: the cast stays in cache, and costs no block-sized buffer
-                out.write(np.ascontiguousarray(row, dtype=dtype))
+            with _must_fit(path, dtype):
+                for channel, row in enumerate(block):
+                    out.seek(len(header) + (channel * voxels + lo) * itemsize)
+                    # a row at a time: the cast stays in cache, and costs no block-sized buffer
+                    out.write(np.ascontiguousarray(row, dtype=dtype))
             lo += block.shape[1]
 
         yield write

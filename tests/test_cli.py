@@ -741,6 +741,48 @@ class TestStreamedCommandsMatchApi:
         _assert_payload_equals(sig_path, signal)
 
 
+class TestStagesBuiltOnce:
+    """Each volume command builds its stage matrix once, not once per chunk."""
+
+    @staticmethod
+    def _counted(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @staticmethod
+    def _four_chunk_sh(tmp_path):
+        """An order-4 SH volume of 65,536 voxels (four chunks) and a 30-direction shell."""
+        dirs = sphdwi.unit_sphere_directions(30)
+        sh_path = str(tmp_path / "sh.nii")
+        rng = np.random.default_rng(8)
+        dwio.write_nifti(sh_path, rng.normal(size=(64, 64, 16, 15)).astype(np.float32))
+        grad = ["--bvals", str(tmp_path / "g.bvals"), "--bvecs", str(tmp_path / "g.bvecs")]
+        dwio.write_bvals_bvecs(np.array([0.0] + [1000.0] * 30), np.vstack([[0.0, 0.0, 0.0], dirs]),
+                               grad[1], grad[3])
+        return sh_path, grad
+
+    def test_sh2signal_evaluates_the_basis_once(self, tmp_path, monkeypatch):
+        sh_path, grad = self._four_chunk_sh(tmp_path)
+        calls = self._counted(monkeypatch, cli, "eval_basis")
+        assert main(["sh2signal", "--sh", sh_path, *grad, "--shell", "1000", "--order", "4",
+                     "--out", str(tmp_path / "sig.nii")]) == 0
+        assert len(calls) == 1
+
+    def test_lsc_folds_its_operator_once(self, tmp_path, monkeypatch):
+        sh_path, grad = self._four_chunk_sh(tmp_path)
+        calls = self._counted(monkeypatch, lsc_mod, "lsc_operator")
+        assert main(["lsc", "--sh", sh_path, *grad, "--shell", "1000",
+                     "--moving-average", f"5,{PI_OVER_5}", "--out", str(tmp_path / "lsc.nii")]) == 0
+        assert len(calls) == 1
+
+
 class TestStreamedFiles:
     @pytest.mark.parametrize("command, ext", [
         *[pytest.param(command, ".nii", id=command) for command in ("lsc", "sh2signal")],
@@ -912,6 +954,35 @@ class TestNonFiniteInput:
         voxel = ", ".join(str(i) for i in POISONED_VOXEL)
         assert (f"{acq['dwi']}: non-finite value in volume {volume} at voxel ({voxel})"
                 in capsys.readouterr().err)
+
+    def test_b0_division_overflow_exits_2_naming_volume_and_voxel(self, tmp_path, capsys):
+        # every b0 mean is 1e-5, above the cutoff; 1e305 / 1e-5 overflows float64
+        bvals = np.array([0.0] + [1000.0] * 30)
+        values = np.full((4, 4, 3, bvals.size), 0.5e-5)
+        values[..., 0] = 1e-5
+        values[2, 1, 0, 7] = 1e305
+        dwi = str(tmp_path / "dwi.nii")
+        dwio.write_nifti(dwi, values, dtype=np.float64)
+        grad = ["--bvals", str(tmp_path / "dwi.bvals"), "--bvecs", str(tmp_path / "dwi.bvecs")]
+        dirs = np.vstack([[0.0, 0.0, 0.0], sphdwi.unit_sphere_directions(30)])
+        dwio.write_bvals_bvecs(bvals, dirs, grad[1], grad[3])
+        out = tmp_path / "sh.nii"
+        assert main(["signal2sh", "--dwi", dwi, *grad, "--out", str(out)]) == 2
+        assert f"{dwi}: non-finite value in volume 7 at voxel (2, 1, 0)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sh_value_beyond_float32_output_exits_2(self, tmp_path, capsys):
+        # the float64 signal is finite, but its float32 cast would hold inf
+        sh = np.random.default_rng(3).normal(size=(4, 4, 3, 15))
+        sh[1, 2, 0, 3] = 1e40
+        sh_path = str(tmp_path / "sh.nii")
+        dwio.write_nifti(sh_path, sh, dtype=np.float64)
+        np.savetxt(tmp_path / "dirs.txt", sphdwi.unit_sphere_directions(30))
+        out = tmp_path / "signal.nii"
+        assert main(["sh2signal", "--sh", sh_path, "--dirs", str(tmp_path / "dirs.txt"),
+                     "--order", "4", "--out", str(out)]) == 2
+        assert f"{out}: the values do not all fit on-disk dtype float32" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nan_at_excluded_voxel_is_ignored(self, tmp_path):
         # the b0 rule zeroes an excluded voxel, so its diffusion values are never used

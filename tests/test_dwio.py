@@ -834,6 +834,36 @@ class TestNiftiRows:
             tracemalloc.stop()
         assert peak <= data.nbytes + 2 * dwio._IO_CHUNK, (peak, data.nbytes)
 
+    def test_staging_buffer_is_replaced_not_joined(self, tmp_path):
+        path = str(tmp_path / "rows.nii")
+        dwio.write_nifti(path, np.zeros((64, 64, 16, 11), dtype=np.float32))
+        with dwio.NiftiRows(path) as vol:
+            out = np.empty((11, vol.voxels))
+            tracemalloc.start()
+            try:
+                vol.read(range(10), 0, out[:10])
+                vol.read(range(11), 0, out)  # grows the staging buffer
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        staged = 11 * vol.voxels * 4
+        assert peak < 1.5 * staged, (peak, staged)
+
+    # an 8-voxel, 2-volume file of 0..15: row 0 is 0..7, row 1 is 8..15
+    @pytest.mark.parametrize(
+        "rows, lo, width",
+        [([0], 6, 4), ([-1], 0, 2), ([2], 0, 2), ([0], -1, 2)],
+        ids=["past-the-last-column", "negative-row", "row-C", "negative-lo"],
+    )
+    def test_read_outside_the_payload_raises_naming_the_file(self, tmp_path, rows, lo, width):
+        path = str(tmp_path / "small.nii")
+        dwio.write_nifti(path, np.arange(16.0).reshape(2, 2, 2, 2, order="F"))
+        with dwio.NiftiRows(path) as vol:
+            with pytest.raises(ValueError, match=f"^{re.escape(path)}: rows "):
+                vol.read(rows, lo, np.empty((len(rows), width)))
+            np.testing.assert_array_equal(vol.read([1, 0], 6, np.empty((2, 2))),
+                                          [[14.0, 15.0], [6.0, 7.0]])
+
     def test_open_errors_are_those_of_read_nifti(self, tmp_path):
         missing = str(tmp_path / "missing.nii")
         bad = tmp_path / "bad.nii"
@@ -926,6 +956,26 @@ class TestWriteNiftiRows:
             with np.errstate(invalid="ignore"):  # numpy's own warning about the cast
                 dwio.write_nifti(target, volume, dtype=dtype)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["big.nii", "big.nii.gz"])
+    def test_value_beyond_float32_raises(self, name, tmp_path):
+        # a cast would store it as inf
+        target = str(tmp_path / name)
+        volume = np.zeros((2, 2, 2, 3))
+        volume[1, 0, 1, 2] = 1e39
+        with pytest.raises(ValueError, match=f"^{re.escape(target)}: .* float32$"):
+            dwio.write_nifti(target, volume)
+        with pytest.raises(ValueError, match=f"^{re.escape(target)}: .* float32$"):
+            _write_in_blocks(target, volume, [3, 5])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["odd.nii", "odd.nii.gz"])
+    def test_non_finite_and_extreme_float32_values_are_stored(self, name, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        volume = np.array([np.nan, np.inf, -np.inf, top, -top, 0.0, 1.0, 2.0]).reshape(2, 2, 2, 1)
+        dwio.write_nifti(str(tmp_path / name), volume)
+        np.testing.assert_array_equal(_stored_matrix(str(tmp_path / name)),
+                                      _channel_matrix(volume.astype(np.float32)))
 
     @pytest.mark.parametrize("name", ["int.nii", "int.nii.gz"])
     @pytest.mark.parametrize("dtype", [np.uint8, np.int16])
