@@ -132,18 +132,24 @@ def _sh_layout(path: str, nvol: int, order: int | None = None, shells: int | Non
 # NIfTI stores (X, Y, Z, C) in Fortran order, which is a C-order (C, V)
 # channel matrix (dwio.NiftiRows). Each command builds its stage once, as the
 # matrix (and offset) that the 5-D API builds, and _stream applies it with
-# fitting._apply_affine to chunks of _STREAM voxel columns: NiftiRows reads a
-# chunk's rows, with positioned reads, and fills one reused float64 buffer
-# with their scaled values, and the stage writes into a second reused buffer.
-# A .nii.gz input is first inflated once into an unnamed spill file in the
-# --out directory and read from there. Each result goes to one writer,
-# dwio.write_nifti_rows, which casts it to float32 and writes its rows, chunk
-# after chunk: in the output file itself, or, for a .nii.gz output, in a
-# second spill file that is deflated once the last chunk is in. So memory
-# stays bounded for both suffixes, and a .nii.gz needs about one uncompressed
-# payload of free disk in the --out directory.
+# fitting._apply_affine, at two levels. I/O goes in windows of _STREAM voxel
+# columns: NiftiRows.stage reads a window's rows, with positioned reads, into
+# one reused buffer of the stored dtype, and dwio.write_nifti_rows writes a
+# window of float32 rows. The float64 work goes in blocks of _F64_BLOCK
+# columns inside a window: NiftiRows.convert scales a block into one reused
+# float64 buffer, and the stage writes into a second one, whose block is then
+# cast into the float32 output window. For the largest stage (60 rows in,
+# 45 out) the two float64 blocks take 1.7 MB, so they stay in a 2 MiB L2
+# cache. A command's buffers take (rows_in * stored itemsize + rows_out * 4)
+# * _STREAM + (rows_in + rows_out) * _F64_BLOCK * 8 bytes. A .nii.gz input is
+# first inflated once into an unnamed spill file in the --out directory and
+# read from there; a .nii.gz output's rows go to a second spill file that is
+# deflated once the last window is in. So memory stays bounded for both
+# suffixes, and a .nii.gz needs about one uncompressed payload of free disk in
+# the --out directory.
 
-_STREAM = 16 * fitting._BLOCK  # voxel columns per chunk of _stream
+_STREAM = 16 * fitting._BLOCK  # voxel columns per I/O window of _stream
+_F64_BLOCK = 2 * fitting._BLOCK  # voxel columns per float64 block of a window
 
 
 @contextmanager
@@ -179,28 +185,33 @@ def _check_finite(x: np.ndarray, vol, rows, lo: int) -> None:
 def _stream(vol, path: str, matrix, offset=None, rows=None, b0=None, measure=None) -> None:
     """Write to ``path`` the float32 volume that the stage ``matrix`` makes of ``vol``.
 
-    The chunks of :func:`_chunks` hold the ``rows`` of the open
+    The blocks of :func:`_blocks` hold the ``rows`` of the open
     :class:`sphdwi.dwio.NiftiRows` ``vol`` (all rows by default) as
     float64. Each is b0-normalized in place when ``b0`` is the (excluded,
     denominator) pair of :func:`sphdwi.fitting._b0_denominator`, then
     checked: a non-finite value raises :class:`ShapeError` naming the file,
-    the volume and the voxel. :func:`sphdwi.fitting._apply_affine` applies
-    ``matrix`` (shared by every channel group, or one per group) and
-    ``offset`` into one reused buffer, so there are len(rows) / C_in *
-    C_out output channels; ``measure(x, y)`` sees each chunk and its
-    result. Chunks start on fitting._BLOCK boundaries, so every voxel's
-    bits match the 5-D API, which builds the same matrices.
-    :func:`sphdwi.dwio.write_nifti_rows` casts each result to float32 and
-    writes it; it raises ValueError for a shape NIfTI-1 cannot store,
-    before any chunk, and for a finite value beyond float32. Memory stays a
-    few MiB whatever the volume size (see the comment above _STREAM), and a
-    failure leaves no output file.
+    the volume and the voxel (the lowest volume of the first block that
+    has one, then its first voxel). :func:`sphdwi.fitting._apply_affine`
+    applies ``matrix`` (shared by every channel group, or one per group)
+    and ``offset`` into one reused block buffer, so there are len(rows) /
+    C_in * C_out output channels; ``measure(x, y)`` sees each block and its
+    result. The result is cast into one reused float32 window, where a
+    finite value beyond float32 raises ValueError (see
+    :func:`sphdwi.dwio._must_fit`), and each full window goes to
+    :func:`sphdwi.dwio.write_nifti_rows`, which raises ValueError for a
+    shape NIfTI-1 cannot store before any window. Blocks start on
+    fitting._BLOCK boundaries, so every voxel's bits match the 5-D API,
+    which builds the same matrices. Memory stays a few MiB whatever the
+    volume size (see the comment above _STREAM), and a failure leaves no
+    output file.
     """
     rows = np.arange(vol.channels) if rows is None else rows
     channels = len(rows) // matrix.shape[-1] * matrix.shape[-2]
-    buf = np.empty(channels * min(vol.voxels, _STREAM))
+    buf = np.empty(channels * min(vol.voxels, _F64_BLOCK))
+    window = np.empty((channels, min(vol.voxels, _STREAM)), dtype=np.float32)
     with dwio.write_nifti_rows(path, (*vol.shape[:3], channels), affine=vol.affine) as write:
-        for lo, hi, x in _chunks(vol, rows):
+        for lo, x in _blocks(vol, rows):
+            hi = lo + x.shape[1]
             if b0 is not None:
                 excluded, denom = b0
                 fitting._normalize_block(x, denom[lo:hi], excluded[lo:hi], out=x)
@@ -210,33 +221,40 @@ def _stream(vol, path: str, matrix, offset=None, rows=None, b0=None, measure=Non
                                   out=y.reshape(1, channels, hi - lo, 1, 1))
             if measure is not None:
                 measure(x, y)
-            write(y)
+            col = lo % _STREAM  # where the block sits in its window
+            with dwio._must_fit(path, window.dtype):
+                np.copyto(window[:, col : col + hi - lo], y)
+            if hi % _STREAM == 0 or hi == vol.voxels:
+                write(window[:, : col + hi - lo])
 
 
-def _chunks(vol, rows):
-    """Yield (lo, hi, x) for each chunk of _STREAM voxel columns of ``vol``.
+def _blocks(vol, rows):
+    """Yield (lo, x) for each float64 block of ``vol``, starting at voxel column lo.
 
-    ``x`` holds rows ``rows`` of voxel columns lo:hi as float64, scaled as
-    :meth:`sphdwi.dwio.NiftiRows.read` scales them: a C-contiguous
-    (rows, width) view of one reused buffer, so a chunk costs no
-    allocation. It is valid until the next chunk.
+    Each window of _STREAM voxel columns is staged once, in the stored
+    dtype (:meth:`sphdwi.dwio.NiftiRows.stage`), then converted
+    _F64_BLOCK columns at a time (:meth:`~sphdwi.dwio.NiftiRows.convert`):
+    ``x`` holds rows ``rows`` of its columns, scaled, as a C-contiguous
+    (rows, width) view of one reused buffer, so a block costs no
+    allocation. It is valid until the next block.
     """
-    buf = np.empty(len(rows) * min(vol.voxels, _STREAM))
-    for lo in range(0, vol.voxels, _STREAM):
-        hi = min(lo + _STREAM, vol.voxels)
-        shape = (len(rows), hi - lo)
-        yield lo, hi, vol.read(rows, lo, buf[: shape[0] * shape[1]].reshape(shape))
+    buf = np.empty(len(rows) * min(vol.voxels, _F64_BLOCK))
+    for start in range(0, vol.voxels, _STREAM):
+        stored = vol.stage(rows, start, min(_STREAM, vol.voxels - start))
+        for col in range(0, stored.shape[1], _F64_BLOCK):
+            part = stored[:, col : col + _F64_BLOCK]
+            yield start + col, vol.convert(part, buf[: part.size].reshape(part.shape))
 
 
 def _mean_b0(vol, b0_idx) -> np.ndarray:
-    """The per-voxel mean of the ``b0_idx`` rows of ``vol``, read chunk by chunk.
+    """The per-voxel mean of the ``b0_idx`` rows of ``vol``, read block by block.
 
     Each voxel's sum runs over its rows in acquisition order, so the bits
     are those of :func:`sphdwi.fitting._b0_mean` over the whole volume.
     """
     mean = np.empty(vol.voxels)
-    for lo, hi, b0 in _chunks(vol, b0_idx):
-        mean[lo:hi] = fitting._b0_mean(b0)
+    for lo, b0 in _blocks(vol, b0_idx):
+        mean[lo : lo + b0.shape[1]] = fitting._b0_mean(b0)
     return mean
 
 
@@ -328,7 +346,7 @@ def _cmd_lsc(args) -> int:
         energy = [0.0, 0.0]  # summed l>=2 energy fractions of the input and the output
 
         def measure(x, y):
-            # each side as (shells, R, width): one reduction over every shell of the chunk
+            # each side as (shells, R, width): one reduction over every shell of the block
             for side, data, shells, order in ((0, x, shells_in, order_in),
                                               (1, y, kernel.shells_out, order_out)):
                 coeffs = data.reshape(shells, -1, x.shape[1])

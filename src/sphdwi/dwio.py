@@ -88,6 +88,9 @@ _DTYPE_CODES = {
     8: np.dtype(np.int32),
     16: np.dtype(np.float32),
     64: np.dtype(np.float64),
+    256: np.dtype(np.int8),
+    512: np.dtype(np.uint16),
+    768: np.dtype(np.uint32),
 }
 _CODE_FOR_DTYPE = {v: k for k, v in _DTYPE_CODES.items()}
 
@@ -422,10 +425,13 @@ class NiftiRows:
     in Fortran order, so the payload is a C-order matrix with one row per
     volume (C rows) and one column per voxel of the first three axes (V
     columns): row c at voxel columns lo:lo + width is one contiguous segment
-    of the file. :meth:`read` fetches such segments with positioned
-    ``readinto`` calls into one reused staging buffer of the stored dtype,
-    and converts them to float64 with :func:`to_float64`, so memory does not
-    grow with the volume.
+    of the file. Reading takes two steps. :meth:`stage` fetches such
+    segments with positioned ``readinto`` calls into one reused staging
+    buffer of the stored dtype; :meth:`convert` turns all or part of that
+    window into float64 with :func:`to_float64` under this file's scaling.
+    :meth:`read` is the two in one call. A caller that converts a staged
+    window piece by piece (the CLI's stream) holds the window only in the
+    stored dtype, and memory does not grow with the volume either way.
 
     An uncompressed file is read where it is. A gzip member can only be
     read from its start, and no chunk of the channel-major payload can
@@ -483,20 +489,19 @@ class NiftiRows:
         member.close()
         return spill
 
-    def read(self, rows, lo: int, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` with rows ``rows`` of voxel columns lo:lo + width, and return it.
+    def stage(self, rows, lo: int, width: int) -> np.ndarray:
+        """Rows ``rows`` of voxel columns lo:lo + width, in the stored dtype.
 
-        ``out`` is a float64 (len(rows), width) array whose rows are each
-        contiguous; row i of ``out`` receives row ``rows[i]`` of the payload,
-        scaled by :func:`to_float64`. The stored values pass through the
-        staging buffer, one ``readinto`` per row, and are converted in one
-        pass over the chunk. A row index outside 0..C-1, a negative ``lo``,
-        columns past V, or a row count unlike that of ``out`` raises
-        ValueError naming the file, before anything is read.
+        The result is a C-contiguous (len(rows), width) view of one reused
+        staging buffer, filled with one positioned ``readinto`` per row: it
+        holds the values as stored, unscaled, and is valid until the next
+        :meth:`stage` or :meth:`read`. A row index outside 0..C-1, a negative
+        ``lo`` or ``width``, or columns past V raise ValueError naming the
+        file, before anything is read.
         """
-        count, width = out.shape
         rows = np.asarray(rows)
-        if (len(rows) != count or lo < 0 or lo + width > self.voxels
+        count = len(rows)
+        if (lo < 0 or width < 0 or lo + width > self.voxels
                 or (count and not 0 <= rows.min() <= rows.max() < self.channels)):
             raise ValueError(
                 f"{self.path}: rows {rows.tolist()} at voxel columns {lo}:{lo + width} "
@@ -514,7 +519,34 @@ class NiftiRows:
                     raise NiftiTruncatedError(f"{self.path}: voxel data ends early")
         except (OSError, ValueError) as exc:
             raise NiftiTruncatedError(f"{self.path}: unreadable voxel data ({exc})") from exc
-        return to_float64(staged, self.header, out)
+        return staged
+
+    def convert(self, stored: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with the stored values ``stored`` as float64, scaled by this file's header.
+
+        ``stored`` is all or part of what :meth:`stage` returned; ``out`` has
+        its shape. This is :func:`to_float64` under this file's
+        scl_slope/scl_inter; it returns ``out``.
+        """
+        return to_float64(stored, self.header, out)
+
+    def read(self, rows, lo: int, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with rows ``rows`` of voxel columns lo:lo + width, and return it.
+
+        ``out`` is a float64 (len(rows), width) array whose rows are each
+        contiguous; row i of ``out`` receives row ``rows[i]`` of the payload,
+        scaled. This is :meth:`convert` of :meth:`stage`: the stored values
+        pass through the staging buffer, one ``readinto`` per row, and are
+        converted in one pass. Out-of-range arguments raise as in
+        :meth:`stage`, and so does a row count unlike that of ``out``.
+        """
+        count, width = out.shape
+        if len(rows) != count:
+            raise ValueError(
+                f"{self.path}: rows {np.asarray(rows).tolist()} do not match "
+                f"the {count} rows of the output"
+            )
+        return self.convert(self.stage(rows, lo, width), out)
 
     def close(self) -> None:
         self._fh.close()
@@ -685,9 +717,10 @@ def write_nifti_rows(path: str, shape, affine=None, dtype=np.float32):
     a :func:`_spill` file in the same directory, which
     :func:`_write_gzip_member` deflates when the ``with`` block ends; so
     the directory needs about one uncompressed payload of free space.
-    Either way only the caller's block and one row are in memory, and the
-    file appears at ``path`` only when the ``with`` block ends without an
-    error.
+    Either way only the caller's block and one cast row are in memory; a
+    block that already holds ``dtype`` in contiguous rows, as the CLI's
+    float32 output windows do, is written with no copy at all. The file
+    appears at ``path`` only when the ``with`` block ends without an error.
     """
     header = _nifti_header(shape, affine, dtype)
     voxels = int(np.prod(shape[:3]))

@@ -304,8 +304,14 @@ def _b0_denominator(mean_b0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _normalize_block(
     x: np.ndarray, denom: np.ndarray, excluded: np.ndarray, out: np.ndarray
 ) -> None:
-    """out = x / denom with the excluded voxels set to 0; x and out are (samples, voxels...)."""
-    np.divide(x, denom, out=out)
+    """out = x / denom with the excluded voxels set to 0; x and out are (samples, voxels...).
+
+    A quotient that overflows becomes inf without a numpy warning: each
+    caller's finite check that follows reports it (the CLI's names the
+    volume and voxel).
+    """
+    with np.errstate(over="ignore"):
+        np.divide(x, denom, out=out)
     out[:, excluded] = 0.0
 
 

@@ -740,6 +740,21 @@ class TestStreamedCommandsMatchApi:
         signal = sh_to_signal(_load_sh(lsc_path, 4, 2), scheme.shell_directions(2000.0))
         _assert_payload_equals(sig_path, signal)
 
+    def test_uint16_input_writes_the_bytes_of_its_float32_copy(self, tmp_path):
+        # datatype 512 with a scaling; the excluded voxel stores 2, which scales to b0 = 0
+        acq = two_shell_acquisition(tmp_path / "u16", stored=np.uint16, slope=2.0, inter=-4.0)
+        data, affine, header = dwio.read_nifti(acq["dwi"])
+        assert int(header["datatype"]) == 512
+        copy = str(tmp_path / "f32" / "dwi.nii")
+        (tmp_path / "f32").mkdir()
+        dwio.write_nifti(copy, data, affine=affine, dtype=np.float32)  # integers below 2^24: exact
+        outputs = []
+        for dwi, out in ((acq["dwi"], tmp_path / "u16" / "sh.nii"), (copy, tmp_path / "sh.nii")):
+            assert main(["signal2sh", "--dwi", dwi, *_grad(acq), "--order", "4",
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestStagesBuiltOnce:
     """Each volume command builds its stage matrix once, not once per chunk."""
@@ -875,6 +890,40 @@ class TestStreamedFiles:
         twenty = peak(20)  # whole-volume b0 rows would add 20 x 65,536 x 12 bytes
         assert twenty < 1.05 * one, (one, twenty)
 
+    @pytest.mark.parametrize("ext", [".nii", ".nii.gz"], ids=["nii", "gz"])
+    @pytest.mark.parametrize("command", ["signal2sh", "sh2signal"])
+    def test_peak_is_the_stored_and_float32_windows_and_two_float64_blocks(
+            self, tmp_path, monkeypatch, command, ext):
+        # 60 rows in and 45 out (or the reverse): the reference chain's stage sizes
+        self._small_pieces(monkeypatch, ext)
+        grid = (64, 64, 16)  # 65,536 voxels: four windows
+        dirs = sphdwi.unit_sphere_directions(60)
+        rng = np.random.default_rng(12)
+        inp, out = str(tmp_path / f"in{ext}"), str(tmp_path / f"out{ext}")
+        if command == "signal2sh":
+            grad = ["--bvals", str(tmp_path / "g.bvals"), "--bvecs", str(tmp_path / "g.bvecs")]
+            dwio.write_bvals_bvecs(np.array([0.0] + [1000.0] * 60),
+                                   np.vstack([[0.0, 0.0, 0.0], dirs]), grad[1], grad[3])
+            dwio.write_nifti(inp, rng.uniform(100.0, 200.0, size=(*grid, 61)))
+            args = ["signal2sh", "--dwi", inp, *grad, "--order", "8", "--out", out]
+            rows_in, rows_out = 60, 45
+        else:
+            np.savetxt(tmp_path / "dirs.txt", dirs)
+            dwio.write_nifti(inp, rng.normal(size=(*grid, 45)))
+            args = ["sh2signal", "--sh", inp, "--dirs", str(tmp_path / "dirs.txt"),
+                    "--order", "8", "--out", out]
+            rows_in, rows_out = 45, 60
+        assert main(args) == 0  # first use: imports and caches
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # float32 in and out, one window each, and one float64 block in and out
+        buffers = (rows_in * 4 + rows_out * 4) * cli._STREAM + (rows_in + rows_out) * cli._F64_BLOCK * 8
+        assert peak <= 1.25 * buffers + 2**20, (peak, buffers)
+
 
 class TestNonFiniteInput:
     def test_nan_in_selected_shell_exits_2(self, tmp_path, capsys):
@@ -970,6 +1019,67 @@ class TestNonFiniteInput:
         assert main(["signal2sh", "--dwi", dwi, *grad, "--out", str(out)]) == 2
         assert f"{dwi}: non-finite value in volume 7 at voxel (2, 1, 0)" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_b0_division_overflow_prints_no_numpy_warning(self, tmp_path, capsys):
+        # the case above, with warnings turned into errors: only sphdwi's lines reach stderr
+        bvals = np.array([0.0] + [1000.0] * 30)
+        values = np.full((4, 4, 3, bvals.size), 0.5e-5)
+        values[..., 0] = 1e-5
+        values[2, 1, 0, 7] = 1e305
+        dwi = str(tmp_path / "dwi.nii")
+        dwio.write_nifti(dwi, values, dtype=np.float64)
+        grad = ["--bvals", str(tmp_path / "dwi.bvals"), "--bvecs", str(tmp_path / "dwi.bvecs")]
+        dirs = np.vstack([[0.0, 0.0, 0.0], sphdwi.unit_sphere_directions(30)])
+        dwio.write_bvals_bvecs(bvals, dirs, grad[1], grad[3])
+        out = tmp_path / "sh.nii"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["signal2sh", "--dwi", dwi, *grad, "--out", str(out)]) == 2
+        info, *errors = capsys.readouterr().err.splitlines()
+        assert info.startswith("R=15 cond=")  # printed before the input is read
+        assert errors == [f"sphdwi: {dwi}: non-finite value in volume 7 at voxel (2, 1, 0)"]
+        assert not out.exists()
+
+    # 21,853 voxels: a window of 8 float64 blocks, then one of 2 blocks and a partial one
+    BLOCKS_GRID = (41, 41, 13)
+
+    @pytest.mark.parametrize(
+        "column, decoy",
+        [(2047, 2048), (2048, 4096), (16384 + 4096 + 7, 16384 + 4096 + 900)],
+        ids=["last-of-block-0", "first-of-block-1", "partial-block-of-last-window"],
+    )
+    def test_nan_is_named_by_its_block(self, tmp_path, capsys, column, decoy):
+        # the rule: the first block holding a non-finite value, then its lowest
+        # volume, then that volume's first voxel; the decoy is in a lower
+        # volume, but in a later block or at a later voxel
+        sh = np.random.default_rng(13).normal(size=(*self.BLOCKS_GRID, 15)).astype(np.float32)
+        voxel = np.unravel_index(column, self.BLOCKS_GRID, order="F")
+        sh[(*voxel, 9)] = np.nan
+        lower = 2 if decoy // cli._F64_BLOCK != column // cli._F64_BLOCK else 11
+        sh[(*np.unravel_index(decoy, self.BLOCKS_GRID, order="F"), lower)] = np.nan
+        sh_path = str(tmp_path / "sh.nii")
+        dwio.write_nifti(sh_path, sh)
+        np.savetxt(tmp_path / "dirs.txt", sphdwi.unit_sphere_directions(30))
+        out = tmp_path / "signal.nii"
+        assert main(["sh2signal", "--sh", sh_path, "--dirs", str(tmp_path / "dirs.txt"),
+                     "--order", "4", "--out", str(out)]) == 2
+        named = ", ".join(str(int(i)) for i in voxel)
+        assert (f"{sh_path}: non-finite value in volume 9 at voxel ({named})"
+                in capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dirs.txt", "sh.nii"]
+
+    def test_value_beyond_float32_in_a_later_block_exits_2(self, tmp_path, capsys):
+        # the second block of the second window; earlier windows are already written
+        sh = np.random.default_rng(14).normal(size=(*self.BLOCKS_GRID, 15))
+        sh[(*np.unravel_index(16384 + 2048 + 5, self.BLOCKS_GRID, order="F"), 3)] = 1e40
+        sh_path = str(tmp_path / "sh.nii")
+        dwio.write_nifti(sh_path, sh, dtype=np.float64)
+        np.savetxt(tmp_path / "dirs.txt", sphdwi.unit_sphere_directions(30))
+        out = tmp_path / "signal.nii"
+        assert main(["sh2signal", "--sh", sh_path, "--dirs", str(tmp_path / "dirs.txt"),
+                     "--order", "4", "--out", str(out)]) == 2
+        assert f"{out}: the values do not all fit on-disk dtype float32" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dirs.txt", "sh.nii"]
 
     def test_sh_value_beyond_float32_output_exits_2(self, tmp_path, capsys):
         # the float64 signal is finite, but its float32 cast would hold inf

@@ -193,7 +193,7 @@ class TestNifti:
         data, _, _ = dwio.read_nifti(path)
         np.testing.assert_array_equal(data, 2.0 * 7.0 + 10.0)
 
-    @pytest.mark.parametrize("code", [2, 4, 8, 16, 64])
+    @pytest.mark.parametrize("code", [2, 4, 8, 16, 64, 256, 512, 768])
     def test_supported_datatypes(self, tmp_path, code):
         dtype = dwio._DTYPE_CODES[code]
         vol = (np.arange(8).reshape(2, 2, 2) % 120).astype(dtype)
@@ -691,15 +691,19 @@ class TestMultiMemberGzip:
 
 # float32-exact scale factors, as the header stores them as float32
 SCALINGS = [(1.0, 0.0), (2.0, 10.0), (0.5, -3.0), (-1.5, 0.25), (0.0, 7.0), (2.0, np.nan)]
-STORED_DTYPES = [np.uint8, np.int16, np.int32, np.float32, np.float64]
+STORED_DTYPES = [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.float32,
+                 np.float64]
 
 
 def _stored_values(rng, dtype, shape):
+    """Random values of ``dtype``; an integer dtype's first and last values are its extremes."""
     dtype = np.dtype(dtype)
     if dtype.kind == "f":
         return (rng.normal(size=shape) * 1000.0).astype(dtype)
     info = np.iinfo(dtype)
-    return rng.integers(info.min, info.max, size=shape, endpoint=True, dtype=dtype)
+    values = rng.integers(info.min, info.max, size=shape, endpoint=True, dtype=dtype)
+    values.flat[0], values.flat[-1] = info.min, info.max
+    return values
 
 
 def _restore_header(path, slope, inter, byteorder):
@@ -801,6 +805,23 @@ class TestNiftiRows:
                 out = np.full((len(rows), hi - lo + pad), 77.0)[:, : hi - lo]
                 assert vol.read(rows, lo, out) is out
                 np.testing.assert_array_equal(out, matrix[rows, lo:hi])
+
+    def test_stage_holds_the_stored_values_and_convert_scales_them(self, tmp_path):
+        path = str(tmp_path / "u16.nii")
+        stored = np.arange(2 * 3 * 4 * 5, dtype=np.uint16).reshape(2, 3, 4, 5) * 541
+        dwio.write_nifti(path, stored, dtype=np.uint16)
+        _restore_header(path, -1.5, 0.25, ">")
+        matrix = _channel_matrix(stored)
+        with dwio.NiftiRows(path) as vol:
+            window = vol.stage([4, 0], 3, 17)
+            assert window.dtype == np.dtype(">u2") and window.flags.c_contiguous
+            np.testing.assert_array_equal(window, matrix[[4, 0], 3:20])
+            # a column slice of the window converts on its own
+            out = vol.convert(window[:, 5:9], np.empty((2, 4)))
+            np.testing.assert_array_equal(out, _scaled(matrix[[4, 0], 8:12], -1.5, 0.25))
+            np.testing.assert_array_equal(vol.read([4, 0], 8, np.empty((2, 4))), out)
+            with pytest.raises(ValueError, match=f"^{re.escape(path)}: rows "):
+                vol.stage([0], 20, 5)  # past the last of 24 columns
 
     def test_truncated_file_rejected_on_open(self, tmp_path):
         path = str(tmp_path / "short.nii")
