@@ -4,8 +4,8 @@ Exit codes: 0 success, 2 usage/validation, 3 numerical failure, 4 I/O
 failure. Diagnostics go to stderr; data and CSV go to --out or stdout.
 Angles are radians (pi/5 = 0.6283185307). Output files are written to a
 temporary sibling and renamed into place, so failures never leave partial
-files behind; an --out whose directory does not exist exits 4 before any
-input is read.
+files behind; an --out whose directory does not exist, or that names a
+directory, exits 4 before any input is read.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def _sh_layout(path: str, nvol: int, order: int | None = None, shells: int | Non
 # matrix (and offset) that the 5-D API builds, and _stream applies it with
 # fitting._apply_affine, at two levels. I/O goes in windows of _STREAM voxel
 # columns: NiftiRows.stage reads a window's rows, with positioned reads, into
-# one reused buffer of the stored dtype, and dwio.write_nifti_rows writes a
+# a stored-dtype window that _blocks owns, and dwio.write_nifti_rows writes a
 # window of float32 rows. The float64 work goes in blocks of _F64_BLOCK
 # columns inside a window: NiftiRows.convert scales a block into one reused
 # float64 buffer, and the stage writes into a second one, whose block is then
@@ -231,16 +231,18 @@ def _stream(vol, path: str, matrix, offset=None, rows=None, b0=None, measure=Non
 def _blocks(vol, rows):
     """Yield (lo, x) for each float64 block of ``vol``, starting at voxel column lo.
 
-    Each window of _STREAM voxel columns is staged once, in the stored
-    dtype (:meth:`sphdwi.dwio.NiftiRows.stage`), then converted
-    _F64_BLOCK columns at a time (:meth:`~sphdwi.dwio.NiftiRows.convert`):
-    ``x`` holds rows ``rows`` of its columns, scaled, as a C-contiguous
-    (rows, width) view of one reused buffer, so a block costs no
-    allocation. It is valid until the next block.
+    Each window of _STREAM voxel columns is staged once into this
+    generator's own buffer of the stored dtype
+    (:meth:`sphdwi.dwio.NiftiRows.stage`), then converted _F64_BLOCK
+    columns at a time (:meth:`~sphdwi.dwio.NiftiRows.convert`): ``x``
+    holds rows ``rows`` of its columns, scaled, as a C-contiguous (rows,
+    width) view of one reused buffer, so a block costs no allocation. It
+    is valid until the next block.
     """
+    window = np.empty((len(rows), min(vol.voxels, _STREAM)), dtype=vol.dtype)
     buf = np.empty(len(rows) * min(vol.voxels, _F64_BLOCK))
     for start in range(0, vol.voxels, _STREAM):
-        stored = vol.stage(rows, start, min(_STREAM, vol.voxels - start))
+        stored = vol.stage(rows, start, window[:, : vol.voxels - start])
         for col in range(0, stored.shape[1], _F64_BLOCK):
             part = stored[:, col : col + _F64_BLOCK]
             yield start + col, vol.convert(part, buf[: part.size].reshape(part.shape))
@@ -260,17 +262,18 @@ def _mean_b0(vol, b0_idx) -> np.ndarray:
 
 def _cmd_signal2sh(args) -> int:
     scheme = dwio.read_bvals_bvecs(args.bvals, args.bvecs)
-    # the operators need only the table and the flags, so a bad flag exits before any input read
+    # the shells and operators need only the table and the flags: a bad one exits before any read
+    shells = fitting._plan_shells(scheme.b0_indices, scheme.shells, args.shell)
     ops = [
         make_fit_operator(scheme.directions[s.indices], args.order, args.lb_lambda)
-        for s in dwio.select_shells(scheme.shells, args.shell)
+        for s in shells
     ]
     _info(f"R={ops[0].basis_spec.coeff_count} cond={max(o.cond for o in ops):.3e}")
     with _read_channels(args.dwi, args.out) as vol:
-        _, b0_idx, shells = fitting._plan_shells(vol.channels, scheme, shells=args.shell)
+        fitting._check_volume_count(vol.channels, scheme.b0_indices, scheme.shells)
         _stream(vol, args.out, np.stack([o.fit_matrix for o in ops]),
                 rows=np.concatenate([s.indices for s in shells]),
-                b0=fitting._b0_denominator(_mean_b0(vol, b0_idx)))
+                b0=fitting._b0_denominator(_mean_b0(vol, scheme.b0_indices)))
     return 0
 
 
@@ -405,9 +408,14 @@ def _cmd_phantom(args) -> int:
 
 
 def _check_out_dir(path: str) -> None:
-    """Fail before any work, not after it, when ``--out`` names no existing directory."""
+    """Fail before any work, not after it, when ``--out`` cannot name a new file.
+
+    That is when its directory does not exist, or when it names a directory.
+    """
     if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
         raise FileNotFoundError(errno.ENOENT, "output directory does not exist", path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "--out names a directory", path)
 
 
 _HANDLERS = {

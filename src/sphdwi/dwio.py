@@ -384,30 +384,6 @@ def _header_dict(hdr) -> dict:
     return {name: np.copy(hdr[name]) for name in HEADER_DTYPE.names}
 
 
-def _read_pieces(fh, path: str, offset: int, size: int, buf: memoryview):
-    """Read the ``size`` payload bytes at ``offset`` of ``fh`` through ``buf``, piece by piece.
-
-    This is the loop that inflates a payload in order. Each piece is at
-    most ``len(buf)`` bytes, so gzip's temporary buffers stay bounded, and
-    this yields the view of the reused ``buf`` it filled: the caller must
-    take each piece before asking for the next. Raises
-    :class:`NiftiTruncatedError` when the data ends early or cannot be read.
-    """
-    filled = 0
-    try:
-        fh.seek(offset)
-        while filled < size:
-            got = fh.readinto(buf[: min(len(buf), size - filled)])
-            if not got:
-                break
-            filled += got
-            yield buf[:got]
-    except (OSError, EOFError, ValueError, OverflowError) as exc:
-        raise NiftiTruncatedError(f"{path}: unreadable voxel data ({exc})") from exc
-    if filled < size:
-        raise NiftiTruncatedError(f"{path}: voxel data is {filled} bytes, expected {size}")
-
-
 def _spill(dirname: str | None):
     """A read-write temporary file in ``dirname`` that has no name.
 
@@ -418,25 +394,24 @@ def _spill(dirname: str | None):
 
 
 class NiftiRows:
-    """A single-file NIfTI-1 volume's payload as a (C, V) matrix, read as float64.
+    """A single-file NIfTI-1 volume's payload as a (C, V) matrix.
 
     This is the one code that reads a NIfTI payload, and the one that knows
     the stored dtypes and the scaling rule. NIfTI stores X, Y, Z[, volume...]
     in Fortran order, so the payload is a C-order matrix with one row per
     volume (C rows) and one column per voxel of the first three axes (V
     columns): row c at voxel columns lo:lo + width is one contiguous segment
-    of the file. Reading takes two steps. :meth:`stage` fetches such
-    segments with positioned ``readinto`` calls into one reused staging
-    buffer of the stored dtype; :meth:`convert` turns all or part of that
-    window into float64 with :func:`to_float64` under this file's scaling.
-    :meth:`read` is the two in one call. A caller that converts a staged
-    window piece by piece (the CLI's stream) holds the window only in the
-    stored dtype, and memory does not grow with the volume either way.
+    of the file. Reading takes two steps, into buffers the caller owns:
+    :meth:`stage` fills an array of the stored dtype with such segments, by
+    positioned ``readinto`` calls, and :meth:`convert` turns all or part of
+    it into float64 under this file's scaling. A caller that converts a
+    staged window piece by piece (the CLI's stream) holds the window only in
+    the stored dtype, and memory does not grow with the volume either way.
 
     An uncompressed file is read where it is. A gzip member can only be
     read from its start, and no chunk of the channel-major payload can
     start before most of the member is inflated. So a gzip file is inflated
-    once, when opened, in _IO_CHUNK pieces into a :func:`_spill` file in
+    once, when opened (see :meth:`_inflate`), into a :func:`_spill` file in
     ``spill_dir`` (the platform's temporary directory when None, which may
     be a tmpfs), and read from there. Attributes: ``shape``, ``dtype`` (the
     stored dtype), ``affine``, ``header`` (as :func:`read_nifti` returns
@@ -464,24 +439,41 @@ class NiftiRows:
                     f"{path}: file has {have} bytes but header promises {self._offset + size}"
                 )
             self._fh = fh
-            self._staged = np.empty(0, dtype=self.dtype)
         except BaseException:
             fh.close()
             raise
 
     def _inflate(self, member, size: int, spill_dir: str | None):
-        """The payload of the open gzip ``member``, inflated into a new spill file."""
+        """The ``size`` payload bytes of the open gzip ``member``, inflated into a new spill file.
+
+        They are read in order through one _IO_CHUNK buffer, and nothing past
+        them. A member that fails or ends early raises
+        :class:`NiftiTruncatedError`; a failed spill, :class:`NiftiError`.
+        """
         buf = memoryview(np.empty(min(size, _IO_CHUNK), dtype=np.uint8))
         try:
             spill = _spill(spill_dir)
             try:
-                for piece in _read_pieces(member, self.path, self._offset, size, buf):
-                    spill.write(piece)
+                filled = 0
+                while filled < size:
+                    try:  # the member's failures: the spill's are OSErrors, caught below
+                        member.seek(self._offset + filled)  # a no-op after the first piece
+                        got = member.readinto(buf[: min(len(buf), size - filled)])
+                    except (OSError, EOFError, ValueError, OverflowError) as exc:
+                        raise NiftiTruncatedError(
+                            f"{self.path}: unreadable voxel data ({exc})"
+                        ) from exc
+                    if not got:
+                        raise NiftiTruncatedError(
+                            f"{self.path}: voxel data is {filled} bytes, expected {size}"
+                        )
+                    spill.write(buf[:got])
+                    filled += got
                 spill.flush()
             except BaseException:
                 spill.close()
                 raise
-        except OSError as exc:  # the spill's, not the member's: those are NiftiErrors
+        except OSError as exc:
             where = spill_dir or tempfile.gettempdir()
             raise NiftiError(
                 f"{self.path}: cannot inflate into a temporary file in {where} ({exc.strerror})"
@@ -489,64 +481,51 @@ class NiftiRows:
         member.close()
         return spill
 
-    def stage(self, rows, lo: int, width: int) -> np.ndarray:
-        """Rows ``rows`` of voxel columns lo:lo + width, in the stored dtype.
+    def stage(self, rows, lo: int, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with rows ``rows`` of voxel columns lo:lo + width, as stored, and return it.
 
-        The result is a C-contiguous (len(rows), width) view of one reused
-        staging buffer, filled with one positioned ``readinto`` per row: it
-        holds the values as stored, unscaled, and is valid until the next
-        :meth:`stage` or :meth:`read`. A row index outside 0..C-1, a negative
-        ``lo`` or ``width``, or columns past V raise ValueError naming the
-        file, before anything is read.
+        ``out`` is a (len(rows), width) array of the stored dtype, each row
+        contiguous; its width is the number of columns read, as with
+        ``readinto``, and its row i gets payload row ``rows[i]`` by one
+        positioned ``readinto``. A row outside 0..C-1, a negative ``lo``,
+        columns past V, or an ``out`` of another dtype or row count raise
+        ValueError naming the file, before anything is read.
         """
         rows = np.asarray(rows)
-        count = len(rows)
-        if (lo < 0 or width < 0 or lo + width > self.voxels
+        count, width = out.shape
+        if (len(rows) != count or out.dtype != self.dtype or lo < 0 or lo + width > self.voxels
                 or (count and not 0 <= rows.min() <= rows.max() < self.channels)):
             raise ValueError(
-                f"{self.path}: rows {rows.tolist()} at voxel columns {lo}:{lo + width} "
-                f"fall outside the ({self.channels}, {self.voxels}) payload"
+                f"{self.path}: rows {rows.tolist()} at voxel columns {lo}:{lo + width} into a "
+                f"{out.dtype} {out.shape} buffer do not fit the ({self.channels}, {self.voxels}) "
+                f"payload of {self.dtype}"
             )
-        if self._staged.size < count * width:
-            self._staged = np.empty(0, dtype=self.dtype)  # free the old one before the new one
-            self._staged = np.empty(count * width, dtype=self.dtype)
-        staged = self._staged[: count * width].reshape(count, width)
         nbytes = width * self.dtype.itemsize
         try:
-            for row, dest in zip(rows, staged):
+            for row, dest in zip(rows, out):
                 self._fh.seek(self._offset + (int(row) * self.voxels + lo) * self.dtype.itemsize)
                 if self._fh.readinto(dest) != nbytes:
                     raise NiftiTruncatedError(f"{self.path}: voxel data ends early")
         except (OSError, ValueError) as exc:
             raise NiftiTruncatedError(f"{self.path}: unreadable voxel data ({exc})") from exc
-        return staged
+        return out
 
     def convert(self, stored: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` with the stored values ``stored`` as float64, scaled by this file's header.
+        """Fill ``out`` with the stored values ``stored`` as float64, scaled, and return it.
 
-        ``stored`` is all or part of what :meth:`stage` returned; ``out`` has
-        its shape. This is :func:`to_float64` under this file's
-        scl_slope/scl_inter; it returns ``out``.
+        ``stored`` is all or part of what :meth:`stage` filled; ``out`` has
+        its shape. The rule is ``x * scl_slope + scl_inter`` when the slope
+        is finite and nonzero (a non-finite intercept counts as 0);
+        otherwise the values are taken as they are, which is exact.
         """
-        return to_float64(stored, self.header, out)
-
-    def read(self, rows, lo: int, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` with rows ``rows`` of voxel columns lo:lo + width, and return it.
-
-        ``out`` is a float64 (len(rows), width) array whose rows are each
-        contiguous; row i of ``out`` receives row ``rows[i]`` of the payload,
-        scaled. This is :meth:`convert` of :meth:`stage`: the stored values
-        pass through the staging buffer, one ``readinto`` per row, and are
-        converted in one pass. Out-of-range arguments raise as in
-        :meth:`stage`, and so does a row count unlike that of ``out``.
-        """
-        count, width = out.shape
-        if len(rows) != count:
-            raise ValueError(
-                f"{self.path}: rows {np.asarray(rows).tolist()} do not match "
-                f"the {count} rows of the output"
-            )
-        return self.convert(self.stage(rows, lo, width), out)
+        slope = float(self.header["scl_slope"])
+        inter = float(self.header["scl_inter"])
+        if not (np.isfinite(slope) and slope != 0.0):
+            np.copyto(out, stored)
+            return out
+        np.multiply(stored, slope, out=out, dtype=np.float64)
+        out += inter if np.isfinite(inter) else 0.0
+        return out
 
     def close(self) -> None:
         self._fh.close()
@@ -558,34 +537,18 @@ class NiftiRows:
         self.close()
 
 
-def to_float64(stored, header: dict, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the stored voxel values as float64, scl_slope/scl_inter applied.
-
-    The rule is ``x * slope + inter`` when the slope is finite and nonzero
-    (a non-finite intercept counts as 0); otherwise the values are taken as
-    they are. ``out`` has the shape of ``stored``; it is returned.
-    """
-    slope = float(header["scl_slope"])
-    inter = float(header["scl_inter"])
-    if not (np.isfinite(slope) and slope != 0.0):
-        np.copyto(out, stored)  # widening to float64 is exact
-        return out
-    np.multiply(stored, slope, out=out, dtype=np.float64)
-    out += inter if np.isfinite(inter) else 0.0
-    return out
-
-
 def read_nifti(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
     """Read a single-file NIfTI-1 volume.
 
     Returns (data, affine, header) with data as float64 in X, Y, Z[, volume]
     order and scl_slope/scl_inter already applied. This is one whole-volume
-    read of :class:`NiftiRows`: the (C, V) result is filled in column
-    pieces of at most _IO_CHUNK stored bytes, so no stored copy of the
-    payload is held, and ``data`` is its Fortran-order view, not a
-    C-contiguous array. A .nii.gz is inflated into an unnamed spill file in
-    the platform's temporary directory. Raises distinct error types for a
-    bad magic number, an unsupported datatype and a truncated file.
+    read of :class:`NiftiRows`: each column piece of the (C, V) result is
+    staged into one stored window of at most _IO_CHUNK bytes, then
+    converted into place, so no stored copy of the payload is held, and
+    ``data`` is its Fortran-order view, not a C-contiguous array. A .nii.gz
+    is inflated into an unnamed spill file in the platform's temporary
+    directory. Raises distinct error types for a bad magic number, an
+    unsupported datatype and a truncated file.
     """
     with NiftiRows(path) as vol:
         try:
@@ -595,9 +558,11 @@ def read_nifti(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
                 f"{path}: header promises {vol.channels * vol.voxels * vol.dtype.itemsize} "
                 "bytes of voxel data, more than this process can allocate"
             ) from exc
-        width = max(1, _IO_CHUNK // (vol.channels * vol.dtype.itemsize))
+        width = min(vol.voxels, max(1, _IO_CHUNK // (vol.channels * vol.dtype.itemsize)))
+        window = np.empty((vol.channels, width), dtype=vol.dtype)
         for lo in range(0, vol.voxels, width):
-            vol.read(range(vol.channels), lo, data[:, lo : lo + width])
+            stored = vol.stage(range(vol.channels), lo, window[:, : vol.voxels - lo])
+            vol.convert(stored, data[:, lo : lo + width])
         return data.reshape(-1).reshape(vol.shape, order="F"), vol.affine, vol.header
 
 

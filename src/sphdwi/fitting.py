@@ -250,28 +250,24 @@ def sh_to_signal(sh: ShVolume, gradients) -> DwiVolume:
 
 
 def _plan_shells(
-    nvol: int, bvals_or_scheme, shells: Sequence[float] | None = None
-) -> tuple[dwio.GradientScheme | None, np.ndarray, tuple[dwio.Shell, ...]]:
-    """Check an acquisition of ``nvol`` volumes against its gradient table.
+    b0_idx: np.ndarray, shell_table, shells: Sequence[float] | None = None
+) -> tuple[dwio.Shell, ...]:
+    """The shells of ``shell_table`` to process, from a gradient table alone.
 
-    Returns (scheme or None, b0 indices, selected shells); see
-    :func:`normalize_b0` for the arguments and the errors raised.
+    Raises :class:`MissingB0Error` when ``b0_idx`` is empty, then the errors
+    of :func:`sphdwi.dwio.select_shells` for ``shells``; so it can run
+    before the volume is opened.
     """
-    scheme: dwio.GradientScheme | None
-    if isinstance(bvals_or_scheme, dwio.GradientScheme):
-        scheme = bvals_or_scheme
-        b0_idx, shell_table = scheme.b0_indices, scheme.shells
-    else:
-        scheme = None
-        b0_idx, shell_table = dwio.detect_shells(bvals_or_scheme)
+    if b0_idx.size == 0:
+        raise MissingB0Error("acquisition has no b=0 volume to normalize against")
+    return dwio.select_shells(shell_table, shells)
 
+
+def _check_volume_count(nvol: int, b0_idx, shell_table) -> None:
+    """Raise :class:`ShapeError` unless the table's b0 and shell indices cover ``nvol`` volumes."""
     indexed = b0_idx.size + sum(s.indices.size for s in shell_table)
     if indexed != nvol:
         raise ShapeError(f"gradient table describes {indexed} volumes, data has {nvol}")
-    if b0_idx.size == 0:
-        raise MissingB0Error("acquisition has no b=0 volume to normalize against")
-
-    return scheme, b0_idx, dwio.select_shells(shell_table, shells)
 
 
 def _b0_mean(b0: np.ndarray) -> np.ndarray:
@@ -335,7 +331,14 @@ def normalize_b0(
     arr = np.asarray(raw, dtype=np.float64)
     if arr.ndim != 4:
         raise ShapeError(f"raw acquisition must be 4-D, got shape {arr.shape}")
-    scheme, b0_idx, shell_table = _plan_shells(arr.shape[3], bvals_or_scheme, shells)
+    if isinstance(bvals_or_scheme, dwio.GradientScheme):
+        scheme = bvals_or_scheme
+        b0_idx, table = scheme.b0_indices, scheme.shells
+    else:
+        scheme = None
+        b0_idx, table = dwio.detect_shells(bvals_or_scheme)
+    _check_volume_count(arr.shape[3], b0_idx, table)
+    shell_table = _plan_shells(b0_idx, table, shells)
     excluded, denom = _b0_denominator(_b0_mean(np.moveaxis(arr[..., b0_idx], 3, 0)))
 
     m = shell_table[0].indices.size

@@ -925,6 +925,27 @@ class TestStreamedFiles:
         assert peak <= 1.25 * buffers + 2**20, (peak, buffers)
 
 
+class TestGzipInput:
+    @pytest.mark.parametrize("io_chunk", [64, 1 << 22], ids=["pieces", "one-piece"])
+    def test_bytes_after_the_member_read_like_the_plain_file(self, phantom_files, tmp_path,
+                                                             monkeypatch, io_chunk):
+        # the inflate takes the payload's bytes and stops: what follows may be anything
+        monkeypatch.setattr(dwio, "_IO_CHUNK", io_chunk)
+        packed = open(phantom_files["nifti"], "rb").read()
+        inputs = {"plain": gzip.decompress(packed), "trailing": packed + b"not a gzip member"}
+        outputs = []
+        for name, blob in inputs.items():
+            (tmp_path / name).mkdir()
+            dwi = tmp_path / name / ("dwi.nii" if name == "plain" else "dwi.nii.gz")
+            dwi.write_bytes(blob)
+            out = tmp_path / name / "sh.nii"
+            assert main(fit_args({**phantom_files, "nifti": str(dwi)}, str(out))) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        left = sorted(p.name for p in (tmp_path / "trailing").iterdir())
+        assert left == ["dwi.nii.gz", "sh.nii"]  # no spill file
+
+
 class TestNonFiniteInput:
     def test_nan_in_selected_shell_exits_2(self, tmp_path, capsys):
         acq = two_shell_acquisition(tmp_path, stored=np.float32, slope=1.0, inter=0.0,
@@ -1240,6 +1261,28 @@ class TestAtomicOutput:
         assert out in err and ".sphdwi-" not in err
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("command", ["signal2sh", "bench"])
+    def test_out_naming_a_directory_exits_4_before_reading(self, command, phantom_files,
+                                                           tmp_path, monkeypatch, capsys):
+        out = tmp_path / "taken"
+        out.mkdir()
+        args = {
+            "signal2sh": fit_args(phantom_files, str(out)),
+            "bench": ["bench", "--orders", "2", "--voxels", "50", "--repeats", "3",
+                      "--out", str(out)],
+        }[command]
+
+        def no_read(path, *args, **kwargs):
+            raise AssertionError(f"read {path} although --out cannot be written")
+
+        monkeypatch.setattr(dwio, "NiftiRows", no_read)
+        monkeypatch.setattr(sphdwi.bench, "run_bench", no_read)
+        before = sorted(tmp_path.iterdir())
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert err == f"sphdwi: [Errno {errno.EISDIR}] --out names a directory: '{out}'\n"
+        assert sorted(tmp_path.iterdir()) == before and list(out.iterdir()) == []
+
     def test_failed_gzip_write_exits_4_leaving_no_file(self, phantom_files, tmp_path,
                                                        full_disk, capsys):
         out_dir = tmp_path / "out"
@@ -1376,21 +1419,33 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, flags",
+        "command, flags, message",
         [
-            ("signal2sh", ["--order", "3"]),
-            ("signal2sh", ["--lambda", "nan"]),
-            ("lsc", ["--order-out", "3"]),
-            ("lsc", ["--lambda", "-1"]),
-            ("sh2signal", ["--order", "3"]),
+            ("signal2sh", ["--order", "3"], "SH order must be even and >= 0, got 3"),
+            ("signal2sh", ["--lambda", "nan"],
+             "regularization weight must be finite and >= 0, got nan"),
+            ("signal2sh", ["--bvals", "{no_b0}.bvals", "--bvecs", "{no_b0}.bvecs"],
+             "acquisition has no b=0 volume to normalize against"),
+            ("lsc", ["--order-out", "3"], "SH order must be even and >= 0, got 3"),
+            ("lsc", ["--lambda", "-1"],
+             "regularization weight must be finite and >= 0, got -1.0"),
+            ("sh2signal", ["--order", "3"], "SH order must be even and >= 0, got 3"),
         ],
-        ids=["signal2sh-order", "signal2sh-lambda", "lsc-order-out", "lsc-lambda",
-             "sh2signal-order"],
+        ids=["signal2sh-order", "signal2sh-lambda", "signal2sh-no-b0", "lsc-order-out",
+             "lsc-lambda", "sh2signal-order"],
     )
-    def test_bad_flag_exits_2_before_the_input_is_opened(self, command, flags, phantom_files,
-                                                         tmp_path, monkeypatch):
+    def test_bad_flag_exits_2_before_the_input_is_opened(self, command, flags, message,
+                                                         phantom_files, tmp_path, monkeypatch,
+                                                         capsys):
         gz = phantom_files["nifti"]  # a .nii.gz: opening it would inflate it into a spill
         out = str(tmp_path / "out.nii.gz")
+        # the phantom's gradient table without its b0 entry
+        scheme = dwio.read_bvals_bvecs(phantom_files["bvals"], phantom_files["bvecs"])
+        keep = scheme.bvals > dwio.B0_THRESHOLD
+        no_b0 = str(tmp_path / "no_b0")
+        dwio.write_bvals_bvecs(scheme.bvals[keep], scheme.directions[keep],
+                               no_b0 + ".bvals", no_b0 + ".bvecs")
+        flags = [flag.format(no_b0=no_b0) for flag in flags]
         args = {"signal2sh": fit_args(phantom_files, out),
                 "lsc": lsc_args(phantom_files, gz, out),
                 "sh2signal": eval_args(phantom_files, gz, out)}[command]
@@ -1405,6 +1460,7 @@ class TestUsageErrors:
         assert main([*args, *flags]) == 2  # a repeated flag's last value is the one used
         assert opened == []
         assert not os.path.exists(out)
+        assert capsys.readouterr().err == f"sphdwi: {message}\n"
 
     def test_compare_backends_flag_is_gone(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
