@@ -4,8 +4,8 @@ Exit codes: 0 success, 2 usage/validation, 3 numerical failure, 4 I/O
 failure. Diagnostics go to stderr; data and CSV go to --out or stdout.
 Angles are radians (pi/5 = 0.6283185307). Output files are written to a
 temporary sibling and renamed into place, so failures never leave partial
-files behind; an --out whose directory does not exist, or that names a
-directory, exits 4 before any input is read.
+files behind; an --out whose directory does not exist, that names a
+directory or that ends in no file name exits 4 before any input is read.
 """
 
 from __future__ import annotations
@@ -410,12 +410,15 @@ def _cmd_phantom(args) -> int:
 def _check_out_dir(path: str) -> None:
     """Fail before any work, not after it, when ``--out`` cannot name a new file.
 
-    That is when its directory does not exist, or when it names a directory.
+    That is when its directory does not exist, when it names a directory,
+    or when it ends in no file name (it is empty, or ends in /, . or ..).
     """
     if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
         raise FileNotFoundError(errno.ENOENT, "output directory does not exist", path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, "--out names a directory", path)
+    if os.path.basename(path) in ("", os.curdir, os.pardir):
+        raise FileNotFoundError(errno.ENOENT, "--out names no file", path)
 
 
 _HANDLERS = {

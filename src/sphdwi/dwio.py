@@ -10,12 +10,11 @@ in; no scanner/image reorientation is applied.
 from __future__ import annotations
 
 import collections
-import gzip
 import os
 import struct
 import tempfile
 import zlib
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,32 +320,30 @@ def _affine_from_header(hdr) -> np.ndarray:
 
 
 _DIM_MAX = 32767  # the header's dim field is int16
-_IO_CHUNK = 1 << 22  # bytes per read call; bounds gzip's temporary buffers
+_IO_CHUNK = 1 << 22  # bytes per read or inflate call; bounds the temporary buffers
 _GZIP_SLICE = 1 << 20  # uncompressed bytes per independently deflated .gz slice
 
 
-def _open_nifti(path: str):
-    """Open ``path`` for reading, through gzip when it starts with the gzip magic."""
+def _open_nifti(path: str, spill_dir: str | None):
+    """``path`` opened once, to be read as a plain NIfTI: itself, or its :func:`_inflate` spill."""
     try:
-        with open(path, "rb") as probe:
-            magic = probe.read(2)
-        return gzip.open(path, "rb") if magic == b"\x1f\x8b" else open(path, "rb")
+        fh = open(path, "rb")
+        if fh.peek(2)[:2] != b"\x1f\x8b":  # the gzip magic
+            return fh
     except OSError as exc:
         raise NiftiError(f"{path}: cannot open ({exc})") from exc
+    with fh:
+        return _inflate(path, fh, spill_dir)
 
 
-def _read_header(fh, path: str):
-    """Read and check the header at the start of ``fh``.
+def _read_header(raw: bytes, path: str):
+    """Check the header bytes ``raw``, read from the start of ``path``.
 
     Returns (hdr, dtype, shape, offset): the header record in its file's
     byte order, the stored dtype, the array shape and the payload's byte
     offset. Raises distinct error types for a bad magic number, an
     unsupported datatype and a truncated header.
     """
-    try:
-        raw = fh.read(HEADER_DTYPE.itemsize)
-    except (OSError, EOFError) as exc:
-        raise NiftiTruncatedError(f"{path}: unreadable header ({exc})") from exc
     if len(raw) < HEADER_DTYPE.itemsize:
         raise NiftiTruncatedError(
             f"{path}: header is {len(raw)} bytes, expected {HEADER_DTYPE.itemsize}"
@@ -393,6 +390,54 @@ def _spill(dirname: str | None):
     return tempfile.TemporaryFile(prefix=".sphdwi-", dir=dirname)
 
 
+def _inflate(path: str, fh, spill_dir: str | None):
+    """The NIfTI in the gzip file ``fh``, inflated from byte 0 into a new :func:`_spill` file.
+
+    A gzip member reads only from its start, and the channel-major payload's
+    first chunk needs most of it, so a .nii.gz is inflated once, when opened,
+    into ``spill_dir`` (the platform's temporary directory when None, maybe
+    a tmpfs). zlib inflates one member at a time, at most _IO_CHUNK bytes
+    per call from _GZIP_SLICE reads, and checks its CRC32 and ISIZE. The
+    header, checked as soon as it is in, promises vox_offset plus the
+    payload's bytes. None past them is written, but their last member is
+    inflated to its end, for its trailer, and no later byte is parsed.
+    A corrupt or short stream or a failed trailer check raises
+    :class:`NiftiTruncatedError`; a failed spill write, :class:`NiftiError`.
+    """
+    try:
+        with ExitStack() as close_on_error:
+            spill = close_on_error.enter_context(_spill(spill_dir))
+            want, head, filled = None, b"", 0  # want: the bytes promised, once head has the header
+            member, pending = zlib.decompressobj(wbits=31), b""  # 31: gzip framing
+            while want is None or filled < want or not member.eof:
+                try:  # the input's failures: the spill's are OSErrors, caught below
+                    if member.eof:  # the next member holds more promised bytes
+                        member, pending = zlib.decompressobj(wbits=31), member.unused_data
+                    pending = pending or fh.read(_GZIP_SLICE)
+                    if not pending:
+                        raise NiftiTruncatedError(f"{path}: gzip stream ends early")
+                    out = member.decompress(pending, _IO_CHUNK)
+                    pending = member.unconsumed_tail
+                except (OSError, zlib.error) as exc:
+                    raise NiftiTruncatedError(f"{path}: unreadable voxel data ({exc})") from exc
+                if want is None:
+                    head += out
+                    if len(head) < HEADER_DTYPE.itemsize:
+                        continue
+                    _, dtype, shape, offset = _read_header(head[: HEADER_DTYPE.itemsize], path)
+                    want, out, head = offset + int(np.prod(shape)) * dtype.itemsize, head, None
+                spill.write(memoryview(out)[: want - filled])
+                filled = min(want, filled + len(out))
+            spill.seek(0)
+            close_on_error.pop_all()
+    except OSError as exc:
+        where = spill_dir or tempfile.gettempdir()
+        raise NiftiError(
+            f"{path}: cannot inflate into a temporary file in {where} ({exc.strerror})"
+        ) from exc
+    return spill
+
+
 class NiftiRows:
     """A single-file NIfTI-1 volume's payload as a (C, V) matrix.
 
@@ -408,33 +453,26 @@ class NiftiRows:
     staged window piece by piece (the CLI's stream) holds the window only in
     the stored dtype, and memory does not grow with the volume either way.
 
-    An uncompressed file is read where it is. A gzip member can only be
-    read from its start, and no chunk of the channel-major payload can
-    start before most of the member is inflated. So a gzip file is inflated
-    once, when opened (see :meth:`_inflate`), into a :func:`_spill` file in
-    ``spill_dir`` (the platform's temporary directory when None, which may
-    be a tmpfs), and read from there. Attributes: ``shape``, ``dtype`` (the
-    stored dtype), ``affine``, ``header`` (as :func:`read_nifti` returns
-    them), ``channels`` (C) and ``voxels`` (V). Close it, or use it as a
-    context manager. Opening raises the errors of :func:`read_nifti`, and a
-    :class:`NiftiError` naming ``path`` when the spill file cannot be
-    written.
+    An uncompressed file is read where it is, a .nii.gz from its
+    :func:`_inflate` spill file in ``spill_dir``. Attributes: ``shape``,
+    ``dtype`` (the stored dtype), ``affine``, ``header`` (as
+    :func:`read_nifti` returns them), ``channels`` (C) and ``voxels`` (V).
+    Close it, or use it as a context manager. Opening raises the errors of
+    :func:`read_nifti`, and a :class:`NiftiError` naming ``path`` when the
+    spill file cannot be written.
     """
 
     def __init__(self, path: str, spill_dir: str | None = None) -> None:
         self.path = path
-        fh = _open_nifti(path)
+        fh = _open_nifti(path, spill_dir)
         try:
-            hdr, self.dtype, self.shape, self._offset = _read_header(fh, path)
+            hdr, self.dtype, self.shape, self._offset = _read_header(fh.read(348), path)
             self.voxels = int(np.prod(self.shape[:3]))
             self.channels = int(np.prod(self.shape[3:]))
             self.affine = _affine_from_header(hdr)
             self.header = _header_dict(hdr)
             size = self.channels * self.voxels * self.dtype.itemsize
-            if isinstance(fh, gzip.GzipFile):
-                fh = self._inflate(fh, size, spill_dir)
-                self._offset = 0
-            elif self._offset + size > (have := os.fstat(fh.fileno()).st_size):
+            if self._offset + size > (have := os.fstat(fh.fileno()).st_size):
                 raise NiftiTruncatedError(
                     f"{path}: file has {have} bytes but header promises {self._offset + size}"
                 )
@@ -442,44 +480,6 @@ class NiftiRows:
         except BaseException:
             fh.close()
             raise
-
-    def _inflate(self, member, size: int, spill_dir: str | None):
-        """The ``size`` payload bytes of the open gzip ``member``, inflated into a new spill file.
-
-        They are read in order through one _IO_CHUNK buffer, and nothing past
-        them. A member that fails or ends early raises
-        :class:`NiftiTruncatedError`; a failed spill, :class:`NiftiError`.
-        """
-        buf = memoryview(np.empty(min(size, _IO_CHUNK), dtype=np.uint8))
-        try:
-            spill = _spill(spill_dir)
-            try:
-                filled = 0
-                while filled < size:
-                    try:  # the member's failures: the spill's are OSErrors, caught below
-                        member.seek(self._offset + filled)  # a no-op after the first piece
-                        got = member.readinto(buf[: min(len(buf), size - filled)])
-                    except (OSError, EOFError, ValueError, OverflowError) as exc:
-                        raise NiftiTruncatedError(
-                            f"{self.path}: unreadable voxel data ({exc})"
-                        ) from exc
-                    if not got:
-                        raise NiftiTruncatedError(
-                            f"{self.path}: voxel data is {filled} bytes, expected {size}"
-                        )
-                    spill.write(buf[:got])
-                    filled += got
-                spill.flush()
-            except BaseException:
-                spill.close()
-                raise
-        except OSError as exc:
-            where = spill_dir or tempfile.gettempdir()
-            raise NiftiError(
-                f"{self.path}: cannot inflate into a temporary file in {where} ({exc.strerror})"
-            ) from exc
-        member.close()
-        return spill
 
     def stage(self, rows, lo: int, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` with rows ``rows`` of voxel columns lo:lo + width, as stored, and return it.

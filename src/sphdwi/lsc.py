@@ -90,11 +90,11 @@ class LscGeometry:
 
 
 def _kernel_sizes(kernel_sizes) -> tuple[int, ...]:
-    """Ring sizes as a tuple of ints; raises ValueError unless all are positive."""
-    sizes = tuple(int(s) for s in kernel_sizes)
-    if not sizes or any(s < 1 for s in sizes):
+    """Ring sizes as a tuple of ints; raises ValueError unless all are :func:`_positive_int`."""
+    sizes = tuple(kernel_sizes)
+    if not sizes or not all(map(_positive_int, sizes)):
         raise ValueError(f"kernel_sizes must be non-empty positive integers, got {kernel_sizes}")
-    return sizes
+    return tuple(int(s) for s in sizes)
 
 
 def build_lsc_geometry(
@@ -211,7 +211,7 @@ def lsc_forward(sh_in: ShVolume, kernel: LscKernel, geom: LscGeometry) -> ShVolu
 
 def save_kernel_json(path: str, kernel: LscKernel, kernel_sizes, angular_distance: float) -> None:
     """Serialize a kernel with its ring layout to the interchange JSON format."""
-    sizes = [int(s) for s in kernel_sizes]
+    sizes = list(_kernel_sizes(kernel_sizes))
     if kernel.kernel_len != 1 + sum(sizes):
         raise KernelMismatchError(
             f"kernel length K = {kernel.kernel_len} does not match "
@@ -235,7 +235,7 @@ def _real(value) -> bool:
 
 
 def _positive_int(value) -> bool:
-    return isinstance(value, int) and _real(value) and value > 0
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value > 0
 
 
 def load_kernel_json(path: str) -> tuple[LscKernel, tuple[int, ...], float]:

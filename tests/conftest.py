@@ -1,6 +1,8 @@
 import errno
+import gzip
 import io
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -39,6 +41,20 @@ def full_disk(monkeypatch):
 
     monkeypatch.setattr(dwio, "open", full_disk_open, raising=False)
     monkeypatch.setattr(dwio, "_spill", full_disk_spill)
+
+
+def corrupt_gzip_member(plain: bytes, fault: str) -> bytes:
+    """``plain`` as one stored-block gzip member that still inflates, but whose trailer fails.
+
+    ``fault`` is "flipped-bit" (one bit of the last payload byte flipped,
+    so the CRC32 no longer matches) or "wrong-isize" (ISIZE one too high).
+    """
+    packed = bytearray(gzip.compress(plain, compresslevel=0))
+    if fault == "flipped-bit":
+        packed[-9] ^= 1  # stored blocks hold the bytes as they are: this is the last one
+    else:
+        packed[-4:] = struct.pack("<I", len(plain) + 1)
+    return bytes(packed)
 
 
 def random_unit_vectors(rng, n):

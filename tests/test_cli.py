@@ -41,6 +41,8 @@ from sphdwi.errors import (
 )
 from sphdwi.shcore import high_degree_energy_fraction
 
+from conftest import corrupt_gzip_member
+
 PI_OVER_5 = "0.6283185307"
 
 
@@ -945,6 +947,20 @@ class TestGzipInput:
         left = sorted(p.name for p in (tmp_path / "trailing").iterdir())
         assert left == ["dwi.nii.gz", "sh.nii"]  # no spill file
 
+    @pytest.mark.parametrize("fault", ["flipped-bit", "wrong-isize"])
+    def test_failed_trailer_check_exits_4_naming_the_input(self, phantom_files, tmp_path, capsys,
+                                                           fault):
+        dwi = tmp_path / "bad.nii.gz"
+        plain = gzip.decompress(open(phantom_files["nifti"], "rb").read())
+        dwi.write_bytes(corrupt_gzip_member(plain, fault))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(fit_args({**phantom_files, "nifti": str(dwi)}, str(out_dir / "sh.nii"))) == 4
+        check = "incorrect data check" if fault == "flipped-bit" else "incorrect length check"
+        err = capsys.readouterr().err
+        assert f"sphdwi: {dwi}: unreadable voxel data (" in err and f"{check})\n" in err
+        assert list(out_dir.iterdir()) == []
+
 
 class TestNonFiniteInput:
     def test_nan_in_selected_shell_exits_2(self, tmp_path, capsys):
@@ -1233,11 +1249,18 @@ class TestAtomicOutput:
         assert "rename refused" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("out, message", [
+        (os.path.join("nodir", "out.nii.gz"), "output directory does not exist"),
+        ("", "--out names no file"),
+        ("missing" + os.sep, "--out names no file"),
+        (os.path.join("missing", os.curdir), "--out names no file"),
+    ], ids=["missing-directory", "empty", "trailing-separator", "trailing-dot"])
     @pytest.mark.parametrize("command", ["signal2sh", "lsc", "sh2signal", "bench"])
-    def test_missing_out_directory_exits_4_before_reading(self, command, phantom_files, tmp_path,
-                                                          monkeypatch, capsys):
+    def test_missing_out_directory_exits_4_before_reading(self, command, out, message,
+                                                          phantom_files, tmp_path, monkeypatch,
+                                                          capsys):
         sh_path = phantom_files["nifti"]  # any 4-D file: nothing may read it
-        out = str(tmp_path / "nodir" / "out.nii.gz")
+        monkeypatch.chdir(tmp_path)
         args = {
             "signal2sh": fit_args(phantom_files, out),
             "lsc": ["lsc", "--sh", sh_path, "--bvals", phantom_files["bvals"],
@@ -1255,11 +1278,10 @@ class TestAtomicOutput:
 
         monkeypatch.setattr(dwio, "NiftiRows", no_read)
         monkeypatch.setattr(sphdwi.bench, "run_bench", no_read)
-        before = sorted(tmp_path.iterdir())
+        before = sorted(tmp_path.iterdir()), sorted(tmp_path.parent.iterdir())
         assert main(args) == 4
-        err = capsys.readouterr().err
-        assert out in err and ".sphdwi-" not in err
-        assert sorted(tmp_path.iterdir()) == before
+        assert capsys.readouterr() == ("", f"sphdwi: [Errno {errno.ENOENT}] {message}: '{out}'\n")
+        assert (sorted(tmp_path.iterdir()), sorted(tmp_path.parent.iterdir())) == before
 
     @pytest.mark.parametrize("command", ["signal2sh", "bench"])
     def test_out_naming_a_directory_exits_4_before_reading(self, command, phantom_files,

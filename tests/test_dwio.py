@@ -22,6 +22,8 @@ from sphdwi.errors import (
     NiftiTruncatedError,
 )
 
+from conftest import corrupt_gzip_member
+
 
 class TestDetectShells:
     def test_basic_split(self):
@@ -261,6 +263,21 @@ class TestNifti:
         with pytest.raises(NiftiTruncatedError):
             dwio.NiftiRows(path, spill_dir=str(tmp_path))
         assert os.listdir(tmp_path) == ["short.nii.gz"]
+
+    @pytest.mark.parametrize("fault", ["flipped-bit", "wrong-isize"])
+    def test_failed_gzip_trailer_check(self, tmp_path, fault):
+        # the member inflates whole, so only its CRC32 or ISIZE shows the fault
+        plain = str(tmp_path / "vol.nii")
+        dwio.write_nifti(plain, np.arange(24.0).reshape(2, 2, 2, 3))
+        path = str(tmp_path / "bad.nii.gz")
+        open(path, "wb").write(corrupt_gzip_member(open(plain, "rb").read(), fault))
+        with pytest.raises(NiftiTruncatedError, match=f"^{re.escape(path)}: unreadable voxel"):
+            dwio.read_nifti(path)
+        spill_dir = tmp_path / "spill"
+        spill_dir.mkdir()
+        with pytest.raises(NiftiTruncatedError):
+            dwio.NiftiRows(path, spill_dir=str(spill_dir))
+        assert list(spill_dir.iterdir()) == []
 
     def test_negative_dim_rejected(self, tmp_path):
         path = str(tmp_path / "neg.nii")
@@ -701,6 +718,19 @@ class TestMultiMemberGzip:
         assert got.tobytes() == want.tobytes()
         np.testing.assert_array_equal(got_affine, want_affine)
         assert int(got_header["datatype"]) == int(want_header["datatype"])
+
+
+    def test_member_data_past_the_payload_reads_like_the_plain_file(self, tmp_path, rng):
+        # the member holding the payload's last byte is inflated to its end, for its trailer
+        plain = str(tmp_path / "vol.nii")
+        dwio.write_nifti(plain, rng.normal(size=(9, 8, 7, 5)))
+        packed = tmp_path / "vol.nii.gz"
+        packed.write_bytes(gzip.compress(open(plain, "rb").read() + b"extra"))
+        want, want_affine, _ = dwio.read_nifti(plain)
+        got, got_affine, _ = dwio.read_nifti(str(packed))
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(got_affine, want_affine)
+        np.testing.assert_array_equal(_stored_matrix(str(packed)), _stored_matrix(plain))
 
 
 # float32-exact scale factors, as the header stores them as float32

@@ -98,7 +98,8 @@ class TestKernels:
         with pytest.raises(ShapeError):
             LscKernel(weights=np.full((1, 1, 3), np.nan), bias=np.zeros(1))
 
-    @pytest.mark.parametrize("sizes", [[], [0], [-1]])
+    # a float or a bool would be truncated to a ring of another size
+    @pytest.mark.parametrize("sizes", [[], [0], [-1], [2.7], [True]])
     @pytest.mark.parametrize(
         "make",
         [
@@ -111,6 +112,12 @@ class TestKernels:
     def test_bad_sizes_rejected_alike(self, make, sizes):
         with pytest.raises(ValueError, match="kernel_sizes must be non-empty positive integers"):
             make(sizes)
+
+    def test_numpy_integer_sizes_accepted(self):
+        sizes = np.array([4, 8])
+        assert make_moving_average_kernel(sizes).kernel_len == 13
+        geom = build_lsc_geometry(unit_sphere_directions(30), sizes, 0.3, 4, 4, 0.0)
+        assert geom.kernel_sizes == (4, 8) and type(geom.kernel_sizes[0]) is int
 
 
 class TestForward:
