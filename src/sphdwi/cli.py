@@ -132,23 +132,23 @@ def _sh_layout(path: str, nvol: int, order: int | None = None, shells: int | Non
 # NIfTI stores (X, Y, Z, C) in Fortran order, which is a C-order (C, V)
 # channel matrix (dwio.NiftiRows). Each command builds its stage once, as the
 # matrix (and offset) that the 5-D API builds, and _stream applies it with
-# fitting._apply_affine, at two levels. I/O goes in windows of _STREAM voxel
-# columns: NiftiRows.stage reads a window's rows, with positioned reads, into
-# a stored-dtype window that _blocks owns, and dwio.write_nifti_rows writes a
-# window of float32 rows. The float64 work goes in blocks of _F64_BLOCK
-# columns inside a window: NiftiRows.convert scales a block into one reused
-# float64 buffer, and the stage writes into a second one, whose block is then
-# cast into the float32 output window. For the largest stage (60 rows in,
-# 45 out) the two float64 blocks take 1.7 MB, so they stay in a 2 MiB L2
-# cache. A command's buffers take (rows_in * stored itemsize + rows_out * 4)
-# * _STREAM + (rows_in + rows_out) * _F64_BLOCK * 8 bytes. A .nii.gz input is
-# first inflated once into an unnamed spill file in the --out directory and
-# read from there; a .nii.gz output's rows go to a second spill file that is
+# fitting._apply_affine, at two levels. I/O goes in windows of dwio._STREAM
+# voxel columns: NiftiRows.stage reads a window's rows, with positioned reads,
+# into a stored-dtype window that _blocks owns, and dwio.write_nifti_rows
+# writes its own float32 window. The float64 work goes in blocks of
+# _F64_BLOCK columns inside a window: NiftiRows.convert scales a block into
+# one reused float64 buffer, and the stage writes into a second one, which
+# goes to the writer. For the largest stage (60 rows in, 45 out) the two
+# float64 blocks take 1.7 MB, so they stay in a 2 MiB L2 cache. A command's
+# buffers take (rows_in * stored itemsize + rows_out * 4) * dwio._STREAM +
+# (rows_in + rows_out) * _F64_BLOCK * 8 bytes. A .nii.gz input is first
+# inflated once into an unnamed spill file in the --out directory and read
+# from there; a .nii.gz output's rows go to a second spill file that is
 # deflated once the last window is in. So memory stays bounded for both
 # suffixes, and a .nii.gz needs about one uncompressed payload of free disk in
-# the --out directory.
+# the --out directory. _F64_BLOCK must divide dwio._STREAM: blocks must start
+# on fitting._BLOCK boundaries, or the CLI's bits drift from the API's.
 
-_STREAM = 16 * fitting._BLOCK  # voxel columns per I/O window of _stream
 _F64_BLOCK = 2 * fitting._BLOCK  # voxel columns per float64 block of a window
 
 
@@ -195,20 +195,16 @@ def _stream(vol, path: str, matrix, offset=None, rows=None, b0=None, measure=Non
     applies ``matrix`` (shared by every channel group, or one per group)
     and ``offset`` into one reused block buffer, so there are len(rows) /
     C_in * C_out output channels; ``measure(x, y)`` sees each block and its
-    result. The result is cast into one reused float32 window, where a
-    finite value beyond float32 raises ValueError (see
-    :func:`sphdwi.dwio._must_fit`), and each full window goes to
-    :func:`sphdwi.dwio.write_nifti_rows`, which raises ValueError for a
-    shape NIfTI-1 cannot store before any window. Blocks start on
+    result. Each result goes to :func:`sphdwi.dwio.write_nifti_rows`,
+    whose fit rules and shape checks apply. Blocks start on
     fitting._BLOCK boundaries, so every voxel's bits match the 5-D API,
     which builds the same matrices. Memory stays a few MiB whatever the
-    volume size (see the comment above _STREAM), and a failure leaves no
-    output file.
+    volume size (see the comment above _F64_BLOCK), and a failure leaves
+    no output file.
     """
     rows = np.arange(vol.channels) if rows is None else rows
     channels = len(rows) // matrix.shape[-1] * matrix.shape[-2]
     buf = np.empty(channels * min(vol.voxels, _F64_BLOCK))
-    window = np.empty((channels, min(vol.voxels, _STREAM)), dtype=np.float32)
     with dwio.write_nifti_rows(path, (*vol.shape[:3], channels), affine=vol.affine) as write:
         for lo, x in _blocks(vol, rows):
             hi = lo + x.shape[1]
@@ -221,17 +217,13 @@ def _stream(vol, path: str, matrix, offset=None, rows=None, b0=None, measure=Non
                                   out=y.reshape(1, channels, hi - lo, 1, 1))
             if measure is not None:
                 measure(x, y)
-            col = lo % _STREAM  # where the block sits in its window
-            with dwio._must_fit(path, window.dtype):
-                np.copyto(window[:, col : col + hi - lo], y)
-            if hi % _STREAM == 0 or hi == vol.voxels:
-                write(window[:, : col + hi - lo])
+            write(y)
 
 
 def _blocks(vol, rows):
     """Yield (lo, x) for each float64 block of ``vol``, starting at voxel column lo.
 
-    Each window of _STREAM voxel columns is staged once into this
+    Each window of dwio._STREAM voxel columns is staged once into this
     generator's own buffer of the stored dtype
     (:meth:`sphdwi.dwio.NiftiRows.stage`), then converted _F64_BLOCK
     columns at a time (:meth:`~sphdwi.dwio.NiftiRows.convert`): ``x``
@@ -239,9 +231,9 @@ def _blocks(vol, rows):
     width) view of one reused buffer, so a block costs no allocation. It
     is valid until the next block.
     """
-    window = np.empty((len(rows), min(vol.voxels, _STREAM)), dtype=vol.dtype)
+    window = np.empty((len(rows), min(vol.voxels, dwio._STREAM)), dtype=vol.dtype)
     buf = np.empty(len(rows) * min(vol.voxels, _F64_BLOCK))
-    for start in range(0, vol.voxels, _STREAM):
+    for start in range(0, vol.voxels, dwio._STREAM):
         stored = vol.stage(rows, start, window[:, : vol.voxels - start])
         for col in range(0, stored.shape[1], _F64_BLOCK):
             part = stored[:, col : col + _F64_BLOCK]

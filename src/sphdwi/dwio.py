@@ -275,12 +275,12 @@ def read_bvals_bvecs(bvals_path: str, bvecs_path: str) -> GradientScheme:
 
 
 def write_bvals_bvecs(bvals, directions, bvals_path: str, bvecs_path: str) -> None:
-    """Write an FSL gradient table (bvals one row, bvecs three rows)."""
+    """Write an FSL gradient table (bvals one row, bvecs three rows), each via _atomic_output."""
     b = np.asarray(bvals, dtype=np.float64)
     d = np.asarray(directions, dtype=np.float64)
-    with open(bvals_path, "w") as fh:
+    with _atomic_output(bvals_path) as tmp, open(tmp, "w") as fh:
         fh.write(" ".join(f"{v:g}" for v in b) + "\n")
-    with open(bvecs_path, "w") as fh:
+    with _atomic_output(bvecs_path) as tmp, open(tmp, "w") as fh:
         for axis in range(3):
             fh.write(" ".join(f"{v:.14g}" for v in d[:, axis]) + "\n")
 
@@ -321,6 +321,7 @@ def _affine_from_header(hdr) -> np.ndarray:
 
 _DIM_MAX = 32767  # the header's dim field is int16
 _IO_CHUNK = 1 << 22  # bytes per read or inflate call; bounds the temporary buffers
+_STREAM = 1 << 14  # voxel columns per I/O window: the CLI's reads, and write_nifti_rows
 _GZIP_SLICE = 1 << 20  # uncompressed bytes per independently deflated .gz slice
 
 
@@ -624,73 +625,60 @@ def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
 
     ``data`` is stored in X, Y, Z[, volume] order with the given on-disk
     dtype (float32 by default); the affine lands in the sform rows. The
-    array is cast to that dtype in Fortran order, without a copy when it
-    already is one, and written as the one (C, V) block of
-    :func:`write_nifti_rows`, so this holds at most that one copy and a
-    row. An empty axis, or one longer than 32,767, raises ValueError before
-    any file exists, and so does an integer dtype that cannot hold every
-    value exactly (out of range, fractional or NaN), or a finite value
-    beyond a float dtype's range: a cast would wrap them, or make them
-    infinite, silently. The file appears at ``path`` only once it is whole.
+    array goes to :func:`write_nifti_rows` one z slab at a time, as a
+    (C, X * Y) block, so this holds no copy of the whole array: a slab of
+    a Fortran-order array is a view, any other is one slab copy. The
+    writer's checks and fit rules apply, and the file appears at ``path``
+    only once it is whole.
     """
     arr = np.asarray(data)
     with write_nifti_rows(path, arr.shape, affine, dtype) as write:
-        with _must_fit(path, dtype):
-            stored = arr.astype(dtype, order="F", copy=False)
-        if np.dtype(dtype).kind in "iu" and not np.array_equal(stored, arr):
-            raise ValueError(f"{path}: the values do not all fit on-disk dtype {np.dtype(dtype)}")
-        write(stored.reshape(int(np.prod(arr.shape[:3])), -1, order="F").T)
-
-
-@contextmanager
-def _must_fit(path: str, dtype):
-    """Raise ValueError naming ``path`` when a cast inside overflows float ``dtype``.
-
-    The cast itself flags a finite value beyond the dtype's range, so the
-    rule costs no pass of its own. Non-finite values are stored as they are.
-    """
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError:
-        raise ValueError(
-            f"{path}: the values do not all fit on-disk dtype {np.dtype(dtype)}"
-        ) from None
+        arr = arr.reshape(arr.shape + (1,) * (3 - arr.ndim))
+        for z in range(arr.shape[2]):
+            write(arr[:, :, z].reshape(arr.shape[0] * arr.shape[1], -1, order="F").T)
 
 
 @contextmanager
 def write_nifti_rows(path: str, shape, affine=None, dtype=np.float32):
     """Write a NIfTI-1 volume of ``shape`` in blocks (gzip when path ends in .gz).
 
-    This is the one code that writes NIfTI files. The payload is the
-    (C, V) matrix of :class:`NiftiRows`, stored as ``dtype`` (float32 by
-    default), and ``affine`` lands in the sform rows. This yields
-    ``write(block)``, which writes each row of the (C, width) ``block``,
-    cast to ``dtype``, as the next ``width`` voxel columns: blocks are
-    written in order, from column 0, each with one row per channel. A
-    block that is not 2-D, has another row count, or runs past the last
-    column raises ValueError naming ``path`` and the block's shape; so do
-    blocks that end short of the last column, when the ``with`` block
-    ends. A finite value beyond a float ``dtype``'s range (1e39 as
-    float32) raises ValueError naming ``path`` (see :func:`_must_fit`)
-    where the cast would store inf; NaN and inf are stored as they are.
-    The header is built on entry, so its checks (see
-    :func:`_nifti_header`) raise before any block or file.
+    This is the one code that writes NIfTI files, and the one that turns
+    values into stored ones. The payload is the (C, V) matrix of
+    :class:`NiftiRows`, stored as ``dtype`` (float32 by default), and
+    ``affine`` lands in the sform rows. This yields ``write(block)``,
+    which takes the next ``width`` voxel columns as a (C, width) float or
+    integer ``block``: blocks are written in order, from column 0, each
+    with one row per channel. A block that is not 2-D, has another row
+    count, or runs past the last column raises ValueError naming ``path``,
+    the block's shape and the next column to be written; so do blocks
+    that end short of the last column, when the ``with`` block ends. The
+    header is built on entry, so its checks (see :func:`_nifti_header`)
+    raise before any block or file.
+
+    Each block is cast into one reused window of ``dtype`` and _STREAM
+    voxel columns, whose rows are written, one positioned write each,
+    when it fills and when the last column is in. The cast's fit rules:
+    a float ``dtype`` must hold every finite value (1e39 is beyond
+    float32), and an integer ``dtype`` every value exactly, so a value out
+    of its range, a fractional one, NaN or inf does not fit. Such a value
+    raises ValueError naming ``path``, where the cast would store inf or
+    wrap it silently, and numpy prints no warning; NaN and inf are stored
+    as they are in a float ``dtype``.
 
     An uncompressed volume's rows go straight into the
     :func:`_atomic_output` temporary file. A .nii.gz volume's rows go into
     a :func:`_spill` file in the same directory, which
     :func:`_write_gzip_member` deflates when the ``with`` block ends; so
     the directory needs about one uncompressed payload of free space.
-    Either way only the caller's block and one cast row are in memory; a
-    block that already holds ``dtype`` in contiguous rows, as the CLI's
-    float32 output windows do, is written with no copy at all. The file
-    appears at ``path`` only when the ``with`` block ends without an error.
+    Either way only the caller's block and the window are in memory. The
+    file appears at ``path`` only when the ``with`` block ends without an
+    error.
     """
     header = _nifti_header(shape, affine, dtype)
+    dtype = np.dtype(dtype)
     voxels = int(np.prod(shape[:3]))
     channels = int(np.prod(shape[3:]))
-    itemsize = np.dtype(dtype).itemsize
+    window = np.empty((channels, min(voxels, _STREAM)), dtype=dtype)
     lo = 0  # the next voxel column to write
     gz = path.endswith(".gz")
     with (
@@ -707,12 +695,24 @@ def write_nifti_rows(path: str, shape, affine=None, dtype=np.float32):
                     f"{path}: a {block.shape} block at column {lo} does not fit "
                     f"the ({channels}, {voxels}) payload"
                 )
-            with _must_fit(path, dtype):
-                for channel, row in enumerate(block):
-                    out.seek(len(header) + (channel * voxels + lo) * itemsize)
-                    # a row at a time: the cast stays in cache, and costs no block-sized buffer
-                    out.write(np.ascontiguousarray(row, dtype=dtype))
-            lo += block.shape[1]
+            taken = 0  # the block's columns already cast
+            while taken < block.shape[1]:
+                col = lo % window.shape[1]  # where column lo sits in the window
+                end = min(window.shape[1], col + block.shape[1] - taken)
+                part, dest = block[:, taken : taken + end - col], window[:, col:end]
+                with np.errstate(over="raise", invalid="ignore"):
+                    try:
+                        np.copyto(dest, part, casting="unsafe")
+                        fits = dtype.kind not in "iu" or np.array_equal(dest, part)
+                    except FloatingPointError:
+                        fits = False
+                if not fits:
+                    raise ValueError(f"{path}: the values do not all fit on-disk dtype {dtype}")
+                taken, lo = taken + end - col, lo + end - col
+                if end == window.shape[1] or lo == voxels:  # the window is full, or the last
+                    for channel, row in enumerate(window[:, :end]):
+                        out.seek(len(header) + (channel * voxels + lo - end) * dtype.itemsize)
+                        out.write(row)
 
         yield write
         if lo != voxels:

@@ -9,6 +9,8 @@ sampled directions.
 
 from __future__ import annotations
 
+import errno
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -156,8 +158,13 @@ def make_phantom(spec: PhantomSpec, scheme: dwio.GradientScheme, out_prefix: str
 
     Writes ``<prefix>.nii.gz``, ``<prefix>.bvals``, ``<prefix>.bvecs`` and,
     for band-limited phantoms, ``<prefix>_truth.npy`` with the per-voxel true
-    coefficients.
+    coefficients, each to a temporary sibling renamed into place. A prefix
+    whose base name is empty, ``.`` or ``..`` (``""`` or ``sub/``) names no
+    file: it raises FileNotFoundError before anything is generated. A
+    missing parent directory is created.
     """
+    if os.path.basename(out_prefix) in ("", os.curdir, os.pardir):
+        raise FileNotFoundError(errno.ENOENT, "the output prefix names no file", out_prefix)
     result = generate_phantom(spec, scheme)
     prefix = Path(out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -169,7 +176,9 @@ def make_phantom(spec: PhantomSpec, scheme: dwio.GradientScheme, out_prefix: str
     paths = {"nifti": nifti_path, "bvals": bvals_path, "bvecs": bvecs_path}
     if result.truth_coeffs is not None:
         truth_path = str(prefix) + "_truth.npy"
-        np.save(truth_path, result.truth_coeffs)
+        # an open file, since np.save appends .npy to a name that lacks it
+        with dwio._atomic_output(truth_path) as tmp, open(tmp, "wb") as fh:
+            np.save(fh, result.truth_coeffs)
         paths["truth"] = truth_path
     return PhantomResult(
         data=result.data, scheme=scheme, truth_coeffs=result.truth_coeffs, paths=paths

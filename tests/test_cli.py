@@ -923,7 +923,7 @@ class TestStreamedFiles:
         finally:
             tracemalloc.stop()
         # float32 in and out, one window each, and one float64 block in and out
-        buffers = (rows_in * 4 + rows_out * 4) * cli._STREAM + (rows_in + rows_out) * cli._F64_BLOCK * 8
+        buffers = (rows_in * 4 + rows_out * 4) * dwio._STREAM + (rows_in + rows_out) * cli._F64_BLOCK * 8
         assert peak <= 1.25 * buffers + 2**20, (peak, buffers)
 
 
@@ -1378,6 +1378,16 @@ class TestPhantomCommand:
         assert main(["phantom", *extra, "--grid", "2,2,2", "--out-prefix", str(tmp_path / "p")]) == 2
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("prefix", ["", "sub/", ".", ".."])
+    def test_prefix_that_names_no_file_exits_4_writing_nothing(self, tmp_path, monkeypatch, capsys,
+                                                               prefix):
+        (tmp_path / "work" / "sub").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path / "work")
+        assert main(["phantom", "--grid", "2,2,2", "--out-prefix", prefix]) == 4
+        assert "the output prefix names no file" in capsys.readouterr().err
+        left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+        assert left == ["work", os.path.join("work", "sub")]
 
     def test_constant_phantom_files(self, tmp_path):
         code = main(

@@ -7,6 +7,7 @@ import stat
 import struct
 import threading
 import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
@@ -427,9 +428,9 @@ def _scaled(stored, slope, inter):
     return expected
 
 
-def _write_in_blocks(path, volume, widths, affine=None):
+def _write_in_blocks(path, volume, widths, affine=None, dtype=np.float32):
     matrix = _channel_matrix(volume)
-    with dwio.write_nifti_rows(path, volume.shape, affine=affine) as write:
+    with dwio.write_nifti_rows(path, volume.shape, affine=affine, dtype=dtype) as write:
         lo = 0
         for width in widths:
             write(matrix[:, lo : lo + width])
@@ -442,6 +443,9 @@ ATOMIC_WRITERS = {
     "rows.nii": lambda path: _write_in_blocks(path, np.ones((2, 2, 2, 3)), [3, 5]),
     "rows.nii.gz": lambda path: _write_in_blocks(path, np.ones((2, 2, 2, 3)), [3, 5]),
     "kernel.json": lambda path: lsc.save_kernel_json(path, make_identity_kernel([5]), [5], 0.6),
+    # the gradient pair at one name: the bvecs replace the bvals, so both writes are renames
+    "pair.bvecs": lambda path: dwio.write_bvals_bvecs([0.0, 1000.0], [[0, 0, 0], [1, 0, 0]],
+                                                      path, path),
 }
 
 
@@ -933,8 +937,14 @@ class TestNiftiRows:
 
 
 class TestWriteNiftiRows:
-    @pytest.mark.parametrize("widths", [[60], [1, 59], [16, 16, 16, 12], [7] * 8 + [4]])
-    def test_blocks_give_the_bytes_of_write_nifti(self, tmp_path, rng, widths):
+    @pytest.mark.parametrize("widths, window", [
+        ([60], None), ([1, 59], None), ([16, 16, 16, 12], None), ([7] * 8 + [4], None),
+        ([3, 1, 5, 2, 49], 3),  # blocks that straddle 3-column windows and fill them exactly
+    ])
+    def test_blocks_give_the_bytes_of_write_nifti(self, tmp_path, rng, monkeypatch, widths,
+                                                  window):
+        if window is not None:
+            monkeypatch.setattr(dwio, "_STREAM", window)
         volume = rng.normal(size=(5, 4, 3, 6)) * 100
         affine = np.diag([1.5, 2.0, 2.5, 1.0])
         affine[:3, 3] = (-3.0, 4.0, 5.5)
@@ -1009,9 +1019,13 @@ class TestWriteNiftiRows:
         target = str(tmp_path / name)
         volume = np.zeros((2, 2, 2, 3))
         volume[1, 0, 1, 2] = value
-        with pytest.raises(ValueError, match=f"^{re.escape(target)}: .* {np.dtype(dtype)}$"):
-            with np.errstate(invalid="ignore"):  # numpy's own warning about the cast
+        message = f"^{re.escape(target)}: .* {np.dtype(dtype)}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's own warning about the cast must not leak
+            with pytest.raises(ValueError, match=message):
                 dwio.write_nifti(target, volume, dtype=dtype)
+            with pytest.raises(ValueError, match=message):
+                _write_in_blocks(target, volume, [3, 5], dtype=dtype)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name", ["big.nii", "big.nii.gz"])
@@ -1042,6 +1056,21 @@ class TestWriteNiftiRows:
         dwio.write_nifti(str(tmp_path / name), volume, dtype=dtype)
         np.testing.assert_array_equal(_stored_matrix(str(tmp_path / name)),
                                       _channel_matrix(volume.astype(dtype)))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_write_nifti_holds_one_slab_and_the_window(self, tmp_path, order):
+        volume = np.asarray(np.ones((64, 64, 16, 30)), order=order)
+        path = str(tmp_path / "vol.nii")
+        dwio.write_nifti(path, volume)  # first use: imports and caches
+        tracemalloc.start()
+        try:
+            dwio.write_nifti(path, volume)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slab = 64 * 64 * 30 * 8  # one float64 z slab, copied from C-order input
+        window = 30 * dwio._STREAM * 4  # the writer's float32 window
+        assert peak <= slab + window + 2**20, (peak, slab, window)
 
     def test_full_disk_is_raised_naming_the_target(self, tmp_path, full_disk):
         target = str(tmp_path / "x.nii")

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from sphdwi import (
     read_nifti,
     signal_to_sh,
 )
+from sphdwi import phantom
 from sphdwi.phantom import DEFAULT_S0, TENSOR_DIAG
 
 
@@ -132,3 +135,32 @@ class TestFileEmission:
         assert parsed.shells[0].bvalue == 1000.0
         truth = np.load(result.paths["truth"])
         np.testing.assert_array_equal(truth, result.truth_coeffs)
+
+    def test_prefix_that_names_no_file_raises_before_generating(self, tmp_path, monkeypatch):
+        def generate(*args):
+            raise AssertionError("generated before the prefix was checked")
+
+        monkeypatch.setattr(phantom, "generate_phantom", generate)
+        base = str(tmp_path)
+        for prefix in ("", base + os.sep, os.path.join(base, os.curdir),
+                       os.path.join(base, os.pardir)):
+            with pytest.raises(FileNotFoundError, match="names no file") as info:
+                make_phantom(PhantomSpec(grid=(2, 2, 2)), make_scheme(30), prefix)
+            assert info.value.filename == prefix
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_rename_of_the_truth_file_leaves_no_partial_file(self, tmp_path,
+                                                                      monkeypatch):
+        # the other three outputs have writers of their own in test_dwio's ATOMIC_WRITERS
+        real = os.replace
+
+        def replace(src, dst):
+            if str(dst).endswith("_truth.npy"):
+                raise OSError("rename refused")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="rename refused"):
+            make_phantom(PhantomSpec(grid=(2, 2, 2), seed=1), make_scheme(30),
+                         str(tmp_path / "ph"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ph.bvals", "ph.bvecs", "ph.nii.gz"]
