@@ -131,25 +131,19 @@ def _sh_layout(path: str, nvol: int, order: int | None = None, shells: int | Non
 # The three volume commands work on the NIfTI payload itself: a single-file
 # NIfTI stores (X, Y, Z, C) in Fortran order, which is a C-order (C, V)
 # channel matrix (dwio.NiftiRows). Each command builds its stage once, as the
-# matrix (and offset) that the 5-D API builds, and _stream applies it with
-# fitting._apply_affine, at two levels. I/O goes in windows of dwio._STREAM
-# voxel columns: NiftiRows.stage reads a window's rows, with positioned reads,
-# into a stored-dtype window that _blocks owns, and dwio.write_nifti_rows
-# writes its own float32 window. The float64 work goes in blocks of
-# _F64_BLOCK columns inside a window: NiftiRows.convert scales a block into
-# one reused float64 buffer, and the stage writes into a second one, which
-# goes to the writer. For the largest stage (60 rows in, 45 out) the two
-# float64 blocks take 1.7 MB, so they stay in a 2 MiB L2 cache. A command's
-# buffers take (rows_in * stored itemsize + rows_out * 4) * dwio._STREAM +
-# (rows_in + rows_out) * _F64_BLOCK * 8 bytes. A .nii.gz input is first
-# inflated once into an unnamed spill file in the --out directory and read
-# from there; a .nii.gz output's rows go to a second spill file that is
-# deflated once the last window is in. So memory stays bounded for both
-# suffixes, and a .nii.gz needs about one uncompressed payload of free disk in
-# the --out directory. _F64_BLOCK must divide dwio._STREAM: blocks must start
-# on fitting._BLOCK boundaries, or the CLI's bits drift from the API's.
-
-_F64_BLOCK = 2 * fitting._BLOCK  # voxel columns per float64 block of a window
+# matrix (and offset) that the 5-D API builds. I/O goes in windows of
+# dwio._STREAM voxel columns: NiftiRows.stage reads a window's rows into a
+# stored-dtype window that _blocks owns, and dwio.write_nifti_rows writes its
+# own float32 window. Within a window, _blocks converts and _stream applies
+# the stage in blocks of fitting._BLOCK columns, one BLAS call per channel
+# group, as _apply_affine splits an API volume; dwio._STREAM is a multiple of
+# fitting._BLOCK, so the bits are the API's. A command's buffers take
+# (rows_in * stored itemsize + rows_out * 4) * dwio._STREAM + (rows_in +
+# rows_out) * fitting._BLOCK * 8 bytes. A .nii.gz input is inflated once into
+# an unnamed spill file in the --out directory and read from there; a .nii.gz
+# output's rows go to a second spill file, deflated after the last window.
+# So memory stays bounded for both suffixes, and a .nii.gz needs about one
+# uncompressed payload of free disk in the --out directory.
 
 
 @contextmanager
@@ -196,15 +190,13 @@ def _stream(vol, path: str, matrix, offset=None, rows=None, b0=None, measure=Non
     and ``offset`` into one reused block buffer, so there are len(rows) /
     C_in * C_out output channels; ``measure(x, y)`` sees each block and its
     result. Each result goes to :func:`sphdwi.dwio.write_nifti_rows`,
-    whose fit rules and shape checks apply. Blocks start on
-    fitting._BLOCK boundaries, so every voxel's bits match the 5-D API,
-    which builds the same matrices. Memory stays a few MiB whatever the
-    volume size (see the comment above _F64_BLOCK), and a failure leaves
-    no output file.
+    whose fit rules and shape checks apply. Every voxel's bits are the 5-D
+    API's, memory stays a few MiB whatever the volume size (see the
+    comment above _read_channels), and a failure leaves no output file.
     """
     rows = np.arange(vol.channels) if rows is None else rows
     channels = len(rows) // matrix.shape[-1] * matrix.shape[-2]
-    buf = np.empty(channels * min(vol.voxels, _F64_BLOCK))
+    buf = np.empty(channels * min(vol.voxels, fitting._BLOCK))
     with dwio.write_nifti_rows(path, (*vol.shape[:3], channels), affine=vol.affine) as write:
         for lo, x in _blocks(vol, rows):
             hi = lo + x.shape[1]
@@ -225,18 +217,18 @@ def _blocks(vol, rows):
 
     Each window of dwio._STREAM voxel columns is staged once into this
     generator's own buffer of the stored dtype
-    (:meth:`sphdwi.dwio.NiftiRows.stage`), then converted _F64_BLOCK
+    (:meth:`sphdwi.dwio.NiftiRows.stage`), then converted fitting._BLOCK
     columns at a time (:meth:`~sphdwi.dwio.NiftiRows.convert`): ``x``
     holds rows ``rows`` of its columns, scaled, as a C-contiguous (rows,
     width) view of one reused buffer, so a block costs no allocation. It
     is valid until the next block.
     """
     window = np.empty((len(rows), min(vol.voxels, dwio._STREAM)), dtype=vol.dtype)
-    buf = np.empty(len(rows) * min(vol.voxels, _F64_BLOCK))
+    buf = np.empty(len(rows) * min(vol.voxels, fitting._BLOCK))
     for start in range(0, vol.voxels, dwio._STREAM):
         stored = vol.stage(rows, start, window[:, : vol.voxels - start])
-        for col in range(0, stored.shape[1], _F64_BLOCK):
-            part = stored[:, col : col + _F64_BLOCK]
+        for col in range(0, stored.shape[1], fitting._BLOCK):
+            part = stored[:, col : col + fitting._BLOCK]
             yield start + col, vol.convert(part, buf[: part.size].reshape(part.shape))
 
 

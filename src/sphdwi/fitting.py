@@ -30,6 +30,17 @@ from .shcore import (
 COND_LIMIT = 1e12
 
 
+def _check_data(vol, kind: str) -> np.ndarray:
+    """Store ``vol.data`` as float64 and C-contiguous; :class:`ShapeError` unless 5-D and finite."""
+    arr = np.ascontiguousarray(vol.data, dtype=np.float64)
+    if arr.ndim != 5:
+        raise ShapeError(f"{kind} volume must be 5-D, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ShapeError(f"{kind} volume contains non-finite values")
+    object.__setattr__(vol, "data", arr)
+    return arr
+
+
 @dataclass(frozen=True)
 class ShVolume:
     """Per-voxel SH coefficients, channel block of R coefficients per shell."""
@@ -39,10 +50,7 @@ class ShVolume:
     shells: int = 1
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
-        object.__setattr__(self, "data", arr)
-        if arr.ndim != 5:
-            raise ShapeError(f"SH volume must be 5-D, got shape {arr.shape}")
+        arr = _check_data(self, "SH")
         expected = self.shells * self.basis_spec.coeff_count
         if arr.shape[1] != expected:
             raise ShapeError(
@@ -65,16 +73,11 @@ class DwiVolume:
     scheme: dwio.GradientScheme | None = None
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
-        object.__setattr__(self, "data", arr)
-        if arr.ndim != 5:
-            raise ShapeError(f"DWI volume must be 5-D, got shape {arr.shape}")
+        arr = _check_data(self, "DWI")
         if self.shells < 1 or arr.shape[1] % self.shells != 0:
             raise ShapeError(
                 f"channel count {arr.shape[1]} is not divisible by shells = {self.shells}"
             )
-        if not np.isfinite(arr).all():
-            raise ShapeError("DWI volume contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -275,11 +278,13 @@ def _b0_mean(b0: np.ndarray) -> np.ndarray:
 
     The rows are summed one after another, so the bits depend neither on
     the memory layout of ``b0`` nor on how its voxels are split into parts.
+    A signalling NaN gives NaN, with no numpy warning.
     """
-    total = np.array(b0[0], dtype=np.float64)
-    for row in b0[1:]:
-        total += row
-    return total / b0.shape[0]
+    with np.errstate(invalid="ignore"):
+        total = np.array(b0[0], dtype=np.float64)
+        for row in b0[1:]:
+            total += row
+        return total / b0.shape[0]
 
 
 def _b0_denominator(mean_b0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -302,11 +307,11 @@ def _normalize_block(
 ) -> None:
     """out = x / denom with the excluded voxels set to 0; x and out are (samples, voxels...).
 
-    A quotient that overflows becomes inf without a numpy warning: each
-    caller's finite check that follows reports it (the CLI's names the
-    volume and voxel).
+    A quotient that overflows becomes inf, and a signalling NaN a NaN,
+    without a numpy warning: each caller's finite check that follows
+    reports it (the CLI's names the volume and voxel).
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         np.divide(x, denom, out=out)
     out[:, excluded] = 0.0
 
@@ -322,13 +327,14 @@ def normalize_b0(
     shells are used. ``shells`` optionally restricts the output to the
     named nominal b-values (see :func:`sphdwi.dwio.select_shells`). The
     mean b0 sums the b0 volumes in acquisition order, so its bits do not
-    depend on the memory layout of ``raw``. Voxels whose mean b0
-    falls at or below 1e-6 times the volume maximum produce 0 and are
-    flagged in the returned exclusion mask (X, Y, Z boolean, True =
-    excluded); a non-finite b0 value raises :class:`ShapeError`. Returns the
-    shell-blocked :class:`DwiVolume` and that mask.
+    depend on the memory layout of ``raw``, nor on its dtype: samples are
+    upcast one at a time, never as a float64 copy of ``raw``. Voxels whose
+    mean b0 falls at or below 1e-6 times the volume maximum produce 0 and
+    are flagged in the returned exclusion mask (X, Y, Z boolean, True =
+    excluded); a non-finite b0 value raises :class:`ShapeError`. Returns
+    the shell-blocked :class:`DwiVolume` and that mask.
     """
-    arr = np.asarray(raw, dtype=np.float64)
+    arr = np.asarray(raw)
     if arr.ndim != 4:
         raise ShapeError(f"raw acquisition must be 4-D, got shape {arr.shape}")
     if isinstance(bvals_or_scheme, dwio.GradientScheme):
@@ -340,15 +346,13 @@ def normalize_b0(
     _check_volume_count(arr.shape[3], b0_idx, table)
     shell_table = _plan_shells(b0_idx, table, shells)
     excluded, denom = _b0_denominator(_b0_mean(np.moveaxis(arr[..., b0_idx], 3, 0)))
+    keep = np.concatenate([s.indices for s in shell_table])
+    data = np.empty((1, keep.size, *arr.shape[:3]))
+    _normalize_block(np.moveaxis(arr[..., keep], 3, 0), denom, excluded, out=data[0])
 
-    m = shell_table[0].indices.size
-    data = np.empty((1, len(shell_table) * m, *arr.shape[:3]))
-    for k, sh in enumerate(shell_table):
-        samples = np.moveaxis(arr[..., sh.indices], 3, 0)
-        _normalize_block(samples, denom, excluded, out=data[0, k * m : (k + 1) * m])
-
+    sub = None
     if scheme is not None:
-        keep = np.concatenate([s.indices for s in shell_table])
+        m = shell_table[0].indices.size
         sub = dwio.GradientScheme(
             directions=scheme.directions[keep],
             bvals=scheme.bvals[keep],
@@ -358,7 +362,4 @@ def normalize_b0(
                 for k, s in enumerate(shell_table)
             ),
         )
-    else:
-        sub = None
-    vol = DwiVolume(data=data, shells=len(shell_table), scheme=sub)
-    return vol, excluded
+    return DwiVolume(data=data, shells=len(shell_table), scheme=sub), excluded

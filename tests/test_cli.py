@@ -25,7 +25,7 @@ from sphdwi import (
     sh_to_signal,
     signal_to_sh,
 )
-from sphdwi import cli
+from sphdwi import cli, fitting
 from sphdwi.cli import main
 from sphdwi.errors import (
     GradientParseError,
@@ -614,7 +614,7 @@ def two_shell_acquisition(dest, ext=".nii", grid=(29, 29, 20), stored=np.int16,
                           slope=2.0, inter=10.0, poison=(), bvals=TWO_SHELL_BVALS):
     """Write a two-shell acquisition stored as ``stored`` with scl_slope/scl_inter.
 
-    The default grid has 16,820 voxels: more than one float64 chunk of the
+    The default grid has 16,820 voxels: more than one I/O window of the
     CLI stream, and 436 voxels past the last full 1,024-voxel block.
     Each ``(volume, value)`` pair of ``poison`` puts ``value`` into
     POISONED_VOXEL of ``volume``.
@@ -892,6 +892,11 @@ class TestStreamedFiles:
         twenty = peak(20)  # whole-volume b0 rows would add 20 x 65,536 x 12 bytes
         assert twenty < 1.05 * one, (one, twenty)
 
+    def test_window_is_a_whole_number_of_blocks(self):
+        # every float64 block then starts on a fitting._BLOCK boundary and is
+        # one BLAS call per channel group, so the CLI's bits are the API's
+        assert dwio._STREAM % fitting._BLOCK == 0
+
     @pytest.mark.parametrize("ext", [".nii", ".nii.gz"], ids=["nii", "gz"])
     @pytest.mark.parametrize("command", ["signal2sh", "sh2signal"])
     def test_peak_is_the_stored_and_float32_windows_and_two_float64_blocks(
@@ -923,7 +928,7 @@ class TestStreamedFiles:
         finally:
             tracemalloc.stop()
         # float32 in and out, one window each, and one float64 block in and out
-        buffers = (rows_in * 4 + rows_out * 4) * dwio._STREAM + (rows_in + rows_out) * cli._F64_BLOCK * 8
+        buffers = (rows_in * 4 + rows_out * 4) * dwio._STREAM + (rows_in + rows_out) * fitting._BLOCK * 8
         assert peak <= 1.25 * buffers + 2**20, (peak, buffers)
 
 
@@ -1077,12 +1082,12 @@ class TestNonFiniteInput:
         assert errors == [f"sphdwi: {dwi}: non-finite value in volume 7 at voxel (2, 1, 0)"]
         assert not out.exists()
 
-    # 21,853 voxels: a window of 8 float64 blocks, then one of 2 blocks and a partial one
+    # 21,853 voxels: a window of 16 float64 blocks, then one of 5 blocks and a partial one
     BLOCKS_GRID = (41, 41, 13)
 
     @pytest.mark.parametrize(
         "column, decoy",
-        [(2047, 2048), (2048, 4096), (16384 + 4096 + 7, 16384 + 4096 + 900)],
+        [(1023, 1024), (1024, 2048), (16384 + 5120 + 7, 16384 + 5120 + 300)],
         ids=["last-of-block-0", "first-of-block-1", "partial-block-of-last-window"],
     )
     def test_nan_is_named_by_its_block(self, tmp_path, capsys, column, decoy):
@@ -1092,7 +1097,7 @@ class TestNonFiniteInput:
         sh = np.random.default_rng(13).normal(size=(*self.BLOCKS_GRID, 15)).astype(np.float32)
         voxel = np.unravel_index(column, self.BLOCKS_GRID, order="F")
         sh[(*voxel, 9)] = np.nan
-        lower = 2 if decoy // cli._F64_BLOCK != column // cli._F64_BLOCK else 11
+        lower = 2 if decoy // fitting._BLOCK != column // fitting._BLOCK else 11
         sh[(*np.unravel_index(decoy, self.BLOCKS_GRID, order="F"), lower)] = np.nan
         sh_path = str(tmp_path / "sh.nii")
         dwio.write_nifti(sh_path, sh)
@@ -1106,7 +1111,7 @@ class TestNonFiniteInput:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dirs.txt", "sh.nii"]
 
     def test_value_beyond_float32_in_a_later_block_exits_2(self, tmp_path, capsys):
-        # the second block of the second window; earlier windows are already written
+        # the third block of the second window; earlier windows are already written
         sh = np.random.default_rng(14).normal(size=(*self.BLOCKS_GRID, 15))
         sh[(*np.unravel_index(16384 + 2048 + 5, self.BLOCKS_GRID, order="F"), 3)] = 1e40
         sh_path = str(tmp_path / "sh.nii")
@@ -1130,6 +1135,84 @@ class TestNonFiniteInput:
                      "--order", "4", "--out", str(out)]) == 2
         assert f"{out}: the values do not all fit on-disk dtype float32" in capsys.readouterr().err
         assert not out.exists()
+
+    # a signalling NaN: any arithmetic on it, or a cast, raises numpy's "invalid" flag
+    SIGNALLING_NAN = {np.float32: 0x7F800001, np.float64: 0x7FF0000000000001}
+
+    def _signalling_nan_file(self, tmp_path, dtype, slope, command, volume=5):
+        """The input of ``command`` on a 4x4x3 grid, stored as ``dtype`` with scl_slope ``slope``.
+
+        ``volume`` holds a signalling NaN at voxel (1, 2, 0). Returns the
+        input's path and the command's arguments.
+        """
+        grid, rng = (4, 4, 3), np.random.default_rng(27)
+        grad = ["--bvals", str(tmp_path / "g.bvals"), "--bvecs", str(tmp_path / "g.bvecs")]
+        dwio.write_bvals_bvecs(np.array([0.0] + [1000.0] * 30),
+                               np.vstack([np.zeros(3), sphdwi.unit_sphere_directions(30)]),
+                               grad[1], grad[3])
+        path = str(tmp_path / "in.nii")
+        values = (rng.uniform(100.0, 200.0, size=(*grid, 31)) if command == "signal2sh"
+                  else rng.normal(size=(*grid, 15)))
+        dwio.write_nifti(path, values, dtype=dtype)
+        args = {"signal2sh": ["--dwi", path, *grad],
+                "lsc": ["--sh", path, *grad, "--moving-average", f"5,{PI_OVER_5}"],
+                "sh2signal": ["--sh", path, *grad, "--shell", "1000", "--order", "4"]}[command]
+        itemsize = np.dtype(dtype).itemsize
+        with open(path, "r+b") as fh:
+            fh.seek(352 + np.ravel_multi_index((1, 2, 0, volume), values.shape, order="F") * itemsize)
+            fh.write(self.SIGNALLING_NAN[dtype].to_bytes(itemsize, "little"))
+            fh.seek(112)  # scl_slope
+            fh.write(np.float32(slope).tobytes())
+        return path, [command, *args, "--out", str(tmp_path / "out.nii")]
+
+    @pytest.mark.parametrize("slope", [1.0, 0.0], ids=["scaled", "as-stored"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("command, volume", [("signal2sh", 0), ("signal2sh", 5), ("lsc", 5),
+                                                 ("sh2signal", 5)],
+                             ids=["signal2sh-b0", "signal2sh", "lsc", "sh2signal"])
+    def test_signalling_nan_exits_2_with_only_sphdwi_lines(self, tmp_path, capsys, command,
+                                                          volume, dtype, slope):
+        # numpy once warned "invalid value encountered in multiply" (or "in cast"
+        # when the values are taken as stored) before the exit-2 line
+        path, args = self._signalling_nan_file(tmp_path, dtype, slope, command, volume)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 2
+        lines = capsys.readouterr().err.splitlines()
+        if command == "signal2sh":
+            assert lines.pop(0).startswith("R=15 cond=")
+        assert lines == [
+            "sphdwi: b0 volumes contain non-finite values" if volume == 0
+            else f"sphdwi: {path}: non-finite value in volume 5 at voxel (1, 2, 0)"
+        ]
+        assert not (tmp_path / "out.nii").exists()
+
+    def test_scaled_value_beyond_float64_exits_2_with_only_sphdwi_lines(self, tmp_path, capsys):
+        # 1e300 * scl_slope 1e10 overflows in convert, where numpy once warned
+        sh = np.random.default_rng(28).normal(size=(4, 4, 3, 15))
+        sh[1, 2, 0, 5] = 1e300
+        sh_path = str(tmp_path / "sh.nii")
+        dwio.write_nifti(sh_path, sh, dtype=np.float64)
+        with open(sh_path, "r+b") as fh:
+            fh.seek(112)  # scl_slope
+            fh.write(np.float32(1e10).tobytes())
+        np.savetxt(tmp_path / "dirs.txt", sphdwi.unit_sphere_directions(30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sh2signal", "--sh", sh_path, "--dirs", str(tmp_path / "dirs.txt"),
+                         "--order", "4", "--out", str(tmp_path / "out.nii")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"sphdwi: {sh_path}: non-finite value in volume 5 at voxel (1, 2, 0)"]
+
+    @pytest.mark.parametrize("slope", [1.0, 0.0], ids=["scaled", "as-stored"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_read_nifti_reads_a_signalling_nan_without_a_warning(self, tmp_path, dtype, slope):
+        path, _ = self._signalling_nan_file(tmp_path, dtype, slope, "sh2signal")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data, _, _ = dwio.read_nifti(path)
+        assert np.isnan(data[1, 2, 0, 5])
+        assert np.isfinite(np.delete(data.reshape(-1, 15, order="F"), 1 + 2 * 4, axis=0)).all()
 
     def test_nan_at_excluded_voxel_is_ignored(self, tmp_path):
         # the b0 rule zeroes an excluded voxel, so its diffusion values are never used

@@ -1,3 +1,4 @@
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -367,6 +368,41 @@ class TestNormalizeB0:
             )
         np.testing.assert_array_equal(sub.bvals, [3000.0] * 3 + [1000.0] * 3)
 
+    @pytest.mark.parametrize("form", ["bvals", "scheme"])
+    @pytest.mark.parametrize(
+        "shells",
+        [None, [2000.0], [3000.0, 1000.0], [3000.0, 2000.0, 1000.0]],
+        ids=["all", "one", "subset-reversed", "all-reversed"],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.int16, np.uint16])
+    def test_stored_dtype_gives_the_bits_of_its_float64_cast(self, rng, dtype, shells, form):
+        # samples upcast exactly in the b0 mean and the divide, so no float64
+        # copy of the acquisition is needed for the same bits
+        bvals = np.array([1000.0, 2000.0, 0.0, 3000.0, 1000.0, 2000.0, 0.0, 3000.0, 2000.0,
+                          1000.0, 3000.0])
+        if np.dtype(dtype).kind == "f":
+            raw = (rng.uniform(0.5, 2.0, size=(5, 4, 3, bvals.size))
+                   * 10.0 ** rng.uniform(-3, 3, size=(5, 4, 3, bvals.size))).astype(dtype)
+        else:
+            info = np.iinfo(dtype)
+            raw = rng.integers(info.min, info.max, size=(5, 4, 3, bvals.size), endpoint=True,
+                               dtype=dtype)
+            raw[..., bvals == 0.0] = np.abs(raw[..., bvals == 0.0] // 2)
+        raw[0, 0, 0, bvals == 0.0] = 0  # an excluded voxel
+        arg = bvals
+        if form == "scheme":
+            b0_idx, table = detect_shells(bvals)
+            dirs = random_unit_vectors(rng, bvals.size)
+            dirs[b0_idx] = 0.0
+            arg = GradientScheme(directions=dirs, bvals=bvals, b0_indices=b0_idx, shells=table)
+        got, got_mask = normalize_b0(raw, arg, shells=shells)
+        want, want_mask = normalize_b0(raw.astype(np.float64), arg, shells=shells)
+        assert got_mask[0, 0, 0]
+        np.testing.assert_array_equal(got_mask, want_mask)
+        np.testing.assert_array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+        if form == "scheme":
+            np.testing.assert_array_equal(got.scheme.directions, want.scheme.directions)
+
     def test_volume_count_mismatch(self):
         with pytest.raises(ShapeError, match="describes"):
             normalize_b0(np.ones((1, 1, 1, 3)), [0.0, 1000.0])
@@ -380,6 +416,21 @@ class TestNormalizeB0:
         raw[2, 3, 1, 0] = bad
         with pytest.raises(ShapeError, match="non-finite"):
             normalize_b0(raw, [0.0, 1000.0, 1000.0])
+
+    @pytest.mark.parametrize("volume, message", [(0, "b0 volumes"), (2, "DWI volume")],
+                             ids=["b0", "dwi"])
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, 0x7F800001),
+                                             (np.float64, 0x7FF0000000000001)],
+                             ids=["float32", "float64"])
+    def test_signalling_nan_is_refused_without_a_numpy_warning(self, dtype, bits, volume,
+                                                               message):
+        raw = np.full((3, 2, 2, 3), 500.0, dtype=dtype)
+        raw[..., 0] = 1000.0
+        raw.view(f"u{raw.itemsize}")[1, 0, 1, volume] = bits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match=f"^{message} contains? non-finite values$"):
+                normalize_b0(raw, [0.0, 1000.0, 1000.0])
 
 
 def _random_rotation(rng):
@@ -415,15 +466,35 @@ class TestRotationInvariance:
 
 
 class TestVolumeTypes:
+    # each volume type and its message's name for it; 15 channels fit both
+    KINDS = [(lambda data: ShVolume(data=data, basis_spec=ShBasisSpec(4)), "SH"),
+             (lambda data: DwiVolume(data=data), "DWI")]
+
     def test_sh_volume_channel_invariant(self):
         with pytest.raises(ShapeError):
             ShVolume(data=np.zeros((1, 14, 2, 2, 2)), basis_spec=ShBasisSpec(4))
 
-    def test_dwi_volume_must_be_finite(self):
-        data = np.ones((1, 3, 1, 1, 1))
-        data[0, 1] = np.inf
-        with pytest.raises(ShapeError, match="finite"):
-            DwiVolume(data=data)
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("make, kind", KINDS, ids=["sh", "dwi"])
+    def test_volume_must_be_finite(self, make, kind, bad):
+        # an ShVolume holding NaN once went through lsc_forward silently, and
+        # sh_to_signal refused it as a non-finite DWI volume
+        data = np.ones((1, 15, 2, 1, 1))
+        data[0, 7, 1] = bad
+        with pytest.raises(ShapeError, match=f"^{kind} volume contains non-finite values$"):
+            make(data)
+
+    @pytest.mark.parametrize("make, kind", KINDS, ids=["sh", "dwi"])
+    def test_volume_must_be_5d(self, make, kind):
+        with pytest.raises(ShapeError, match=f"^{kind} volume must be 5-D"):
+            make(np.ones((15, 2, 1, 1)))
+
+    @pytest.mark.parametrize("make, kind", KINDS, ids=["sh", "dwi"])
+    def test_volume_data_is_float64_and_c_contiguous(self, make, kind):
+        data = np.asfortranarray(np.arange(60, dtype=np.float32).reshape(1, 15, 2, 2, 1))
+        vol = make(data)
+        assert vol.data.dtype == np.float64 and vol.data.flags.c_contiguous
+        np.testing.assert_array_equal(vol.data, data)
 
     def test_dwi_shell_divisibility(self):
         with pytest.raises(ShapeError):
