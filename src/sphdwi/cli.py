@@ -165,7 +165,7 @@ def _check_finite(x: np.ndarray, vol, rows, lo: int) -> None:
 
     ``x`` holds rows ``rows`` of voxel columns lo:lo + width of ``vol``.
     """
-    if np.isfinite(x).all():
+    if fitting._all_finite(x):
         return
     bad = ~np.isfinite(x)
     volume, row = min((int(rows[i]), i) for i in np.flatnonzero(bad.any(axis=1)))
@@ -255,9 +255,12 @@ def _cmd_signal2sh(args) -> int:
     _info(f"R={ops[0].basis_spec.coeff_count} cond={max(o.cond for o in ops):.3e}")
     with _read_channels(args.dwi, args.out) as vol:
         fitting._check_volume_count(vol.channels, scheme.b0_indices, scheme.shells)
+        excluded, denom = fitting._b0_denominator(_mean_b0(vol, scheme.b0_indices))
         _stream(vol, args.out, np.stack([o.fit_matrix for o in ops]),
-                rows=np.concatenate([s.indices for s in shells]),
-                b0=fitting._b0_denominator(_mean_b0(vol, scheme.b0_indices)))
+                rows=np.concatenate([s.indices for s in shells]), b0=(excluded, denom))
+    # after the output is in place, so a failed run prints only its error
+    _info(f"b0: {np.count_nonzero(excluded)} of {vol.voxels} voxels excluded "
+          "(mean b0 at or below 1e-6 of its maximum)")
     return 0
 
 

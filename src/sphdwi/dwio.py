@@ -517,16 +517,18 @@ class NiftiRows:
         ``stored`` is all or part of what :meth:`stage` filled; ``out`` has
         its shape. The rule is ``x * scl_slope + scl_inter`` when the slope
         is finite and nonzero (a non-finite intercept counts as 0);
-        otherwise the values are taken as they are, which is exact. A
-        signalling NaN or a product beyond float64 warns nowhere: the CLI's
-        finite check that follows names its voxel.
+        otherwise the values are multiplied by 1.0, which keeps every bit
+        (-0.0 included) except a signalling NaN's, which becomes quiet with
+        its sign kept. So no path hands on a signalling NaN, whose first use
+        in the caller's arithmetic would warn. A signalling NaN or a product
+        beyond float64 warns nowhere here: the CLI's finite check that
+        follows names its voxel.
         """
         slope = float(self.header["scl_slope"])
         inter = float(self.header["scl_inter"])
         with np.errstate(invalid="ignore", over="ignore"):
             if not (np.isfinite(slope) and slope != 0.0):
-                np.copyto(out, stored)
-                return out
+                return np.multiply(stored, 1.0, out=out, dtype=np.float64)
             np.multiply(stored, slope, out=out, dtype=np.float64)
             out += inter if np.isfinite(inter) else 0.0
         return out

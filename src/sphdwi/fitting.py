@@ -31,11 +31,16 @@ COND_LIMIT = 1e12
 
 
 def _check_data(vol, kind: str) -> np.ndarray:
-    """Store ``vol.data`` as float64 and C-contiguous; :class:`ShapeError` unless 5-D and finite."""
+    """Store ``vol.data`` as float64 and C-contiguous; :class:`ShapeError` unless 5-D and finite.
+
+    The data is copied only when it is not float64 and C-contiguous
+    already, and the finite check (:func:`_all_finite`) allocates nothing
+    the size of the volume.
+    """
     arr = np.ascontiguousarray(vol.data, dtype=np.float64)
     if arr.ndim != 5:
         raise ShapeError(f"{kind} volume must be 5-D, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise ShapeError(f"{kind} volume contains non-finite values")
     object.__setattr__(vol, "data", arr)
     return arr
@@ -162,6 +167,24 @@ def make_fit_operator(gradients, order: int, lb_lambda: float = 0.0) -> FitOpera
 
 
 _BLOCK = 1024  # voxel columns per BLAS call
+_FINITE_PIECE = 64 * _BLOCK  # elements per np.isfinite call of _all_finite
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every element of the C-contiguous array ``arr`` is finite.
+
+    The elements are checked _FINITE_PIECE at a time into one reused bool
+    buffer, so no temporary grows with ``arr``, and the check stops at the
+    first piece that holds a non-finite value. A signalling NaN counts as
+    non-finite and raises no numpy warning.
+    """
+    flat = arr.reshape(-1)
+    flags = np.empty(min(flat.size, _FINITE_PIECE), dtype=bool)
+    for lo in range(0, flat.size, _FINITE_PIECE):
+        part = flat[lo : lo + _FINITE_PIECE]
+        if not np.isfinite(part, out=flags[: part.size]).all():
+            return False
+    return True
 
 
 def _apply_affine(
@@ -293,9 +316,10 @@ def _b0_denominator(mean_b0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Voxels whose mean falls at or below 1e-6 times the largest mean are
     excluded (True) and get a denominator of 1; the others are divided by
     their mean. A non-finite b0 raises :class:`ShapeError`, as it would
-    make the threshold itself infinite or undefined.
+    make the threshold itself infinite or undefined; that check
+    (:func:`_all_finite`) allocates nothing the size of ``mean_b0``.
     """
-    if not np.isfinite(mean_b0).all():
+    if not _all_finite(mean_b0):
         raise ShapeError("b0 volumes contain non-finite values")
     eps = 1e-6 * float(mean_b0.max()) if mean_b0.size else 0.0
     excluded = mean_b0 <= eps

@@ -89,6 +89,19 @@ class TestSignal2Sh:
         err = capsys.readouterr().err
         assert "R=15" in err and "cond=" in err
 
+    @pytest.mark.parametrize("zeroed", [0, 3])
+    def test_reports_the_voxels_the_b0_rule_excluded(self, phantom_files, tmp_path, capsys,
+                                                     zeroed):
+        raw, _, _ = dwio.read_nifti(phantom_files["nifti"])
+        for voxel in [(0, 0, 0), (1, 2, 0), (3, 3, 2)][:zeroed]:
+            raw[(*voxel, 0)] = 0.0  # the phantom's one b0 volume comes first
+        dwi = str(tmp_path / "zeroed.nii")
+        dwio.write_nifti(dwi, raw, dtype=np.float64)
+        out = str(tmp_path / "sh.nii")
+        assert main(fit_args(dict(phantom_files, nifti=dwi), out)) == 0
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"b0: {zeroed} of 48 voxels excluded (mean b0 at or below 1e-6 of its maximum)")
+
     def test_unknown_shell_exits_2_listing_available(self, phantom_files, tmp_path, capsys):
         out = str(tmp_path / "sh.nii.gz")
         code = main(fit_args(phantom_files, out, extra=["--shell", "2000"]))

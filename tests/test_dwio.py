@@ -877,6 +877,26 @@ class TestNiftiRows:
                 with pytest.raises(ValueError, match=f"^{re.escape(path)}: rows "):
                     vol.stage(rows, 20, buffer)
 
+    @pytest.mark.parametrize("byteorder", "<>", ids=["little", "big"])
+    def test_as_stored_float64_has_every_nan_quiet_and_every_other_bit_kept(self, tmp_path,
+                                                                            byteorder):
+        # with scl_slope 0 the payload is taken as stored; a signalling NaN left
+        # signalling would warn at the caller's first arithmetic on it
+        flat = np.array([1.5, -0.0, 0.0, -2.0e-310, 3.0e300, -np.inf, np.nan, 0.0])
+        path = str(tmp_path / "as_stored.nii")
+        dwio.write_nifti(path, flat.reshape(2, 2, 2, order="F"), dtype=np.float64)
+        _restore_header(path, 0.0, 0.0, byteorder)
+        with open(path, "r+b") as fh:
+            fh.seek(352 + 7 * 8)
+            fh.write(struct.pack(f"{byteorder}Q", 0x7FF0000000000001))
+        data, _, _ = dwio.read_nifti(path)
+        bits = data.reshape(-1, order="F").view(np.uint64)
+        np.testing.assert_array_equal(bits[:6], flat[:6].view(np.uint64))
+        assert np.all(bits[6:] & np.uint64(1 << 51))  # the quiet bit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(data + 1.0).sum() == 2
+
     def test_truncated_file_rejected_on_open(self, tmp_path):
         path = str(tmp_path / "short.nii")
         dwio.write_nifti(path, np.zeros((4, 4, 4, 2)))

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from functools import lru_cache
 
@@ -23,7 +24,7 @@ from sphdwi import (
     signal_to_sh,
     unit_sphere_directions,
 )
-from sphdwi.fitting import _apply_affine
+from sphdwi.fitting import _FINITE_PIECE, _all_finite, _apply_affine
 
 from conftest import fibonacci_sphere, random_unit_vectors
 
@@ -484,6 +485,21 @@ class TestVolumeTypes:
         with pytest.raises(ShapeError, match=f"^{kind} volume contains non-finite values$"):
             make(data)
 
+    @pytest.mark.parametrize("make", [lambda data: ShVolume(data=data, basis_spec=ShBasisSpec(8)),
+                                      lambda data: DwiVolume(data=data)], ids=["sh", "dwi"])
+    def test_building_a_float64_volume_allocates_nothing_volume_sized(self, make):
+        # a bool array of the volume's size would be 3.96 MiB here
+        data = np.ones((1, 45, 96, 96, 10))
+        make(data[..., :1])  # first use: imports and caches
+        tracemalloc.start()
+        try:
+            vol = make(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vol.data is data
+        assert peak < 1 << 20, peak
+
     @pytest.mark.parametrize("make, kind", KINDS, ids=["sh", "dwi"])
     def test_volume_must_be_5d(self, make, kind):
         with pytest.raises(ShapeError, match=f"^{kind} volume must be 5-D"):
@@ -499,6 +515,42 @@ class TestVolumeTypes:
     def test_dwi_shell_divisibility(self):
         with pytest.raises(ShapeError):
             DwiVolume(data=np.ones((1, 7, 1, 1, 1)), shells=2)
+
+
+PIECE = _FINITE_PIECE
+SIGNALLING_NAN = {np.float32: 0x7F800001, np.float64: 0x7FF0000000000001}
+
+
+class TestAllFinite:
+    SIZES = [0, 1, PIECE - 1, PIECE, PIECE + 1, 2 * PIECE + 3]
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_finite_array(self, dtype, size):
+        arr = np.arange(size, dtype=dtype) - 7.5
+        assert _all_finite(arr) is True
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "signalling-nan"])
+    @pytest.mark.parametrize("size", SIZES[1:])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_non_finite_value_anywhere(self, dtype, size, bad):
+        # the first and last index, and each side of the first piece boundary
+        for index in sorted(i for i in {0, PIECE - 1, PIECE, size - 1} if i < size):
+            arr = np.ones(size, dtype=dtype)
+            if bad == "signalling-nan":
+                arr.view(f"u{arr.itemsize}")[index] = SIGNALLING_NAN[dtype]
+            else:
+                arr[index] = float(bad)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _all_finite(arr)
+                assert got is False and got == np.isfinite(arr).all(), index
+
+    def test_multidimensional_array(self):
+        arr = np.ones((40, 30, 70))
+        assert _all_finite(arr)
+        arr[-1, 0, 0] = np.nan
+        assert not _all_finite(arr)
 
 
 class TestApplyAffine:
