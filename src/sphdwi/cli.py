@@ -131,18 +131,16 @@ def _sh_layout(path: str, nvol: int, order: int | None = None, shells: int | Non
 # The three volume commands work on the NIfTI payload itself: a single-file
 # NIfTI stores (X, Y, Z, C) in Fortran order, which is a C-order (C, V)
 # channel matrix (dwio.NiftiRows). Each command builds its stage once, as the
-# matrix (and offset) that the 5-D API builds. I/O goes in windows of
-# dwio._STREAM voxel columns: NiftiRows.stage reads a window's rows into a
-# stored-dtype window that _blocks owns, and dwio.write_nifti_rows writes its
-# own float32 window. Within a window, _blocks converts and _stream applies
-# the stage in blocks of fitting._BLOCK columns, one BLAS call per channel
-# group, as _apply_affine splits an API volume; dwio._STREAM is a multiple of
-# fitting._BLOCK, so the bits are the API's. A command's buffers take
-# (rows_in * stored itemsize + rows_out * 4) * dwio._STREAM + (rows_in +
-# rows_out) * fitting._BLOCK * 8 bytes. A .nii.gz input is inflated once into
-# an unnamed spill file in the --out directory and read from there; a .nii.gz
-# output's rows go to a second spill file, deflated after the last window.
-# So memory stays bounded for both suffixes, and a .nii.gz needs about one
+# matrix (and offset) that the 5-D API builds. NiftiRows.windows reads and
+# dwio.write_nifti_rows writes windows of dwio._STREAM voxel columns; within
+# one, _blocks converts and _stream applies the stage in blocks of
+# fitting._BLOCK columns, one BLAS call per channel group, as _apply_affine
+# splits an API volume (dwio._STREAM is a multiple of fitting._BLOCK), so the
+# bits are the API's. A command's buffers take (rows_in * stored itemsize +
+# rows_out * 4) * dwio._STREAM + (rows_in + rows_out) * fitting._BLOCK * 8
+# bytes. A .nii.gz input is inflated once into, and read from, an unnamed
+# spill file in the --out directory; a .nii.gz output's rows go to a second
+# spill file, deflated after the last window. So a .nii.gz needs about one
 # uncompressed payload of free disk in the --out directory.
 
 
@@ -163,13 +161,16 @@ def _read_channels(path: str, out: str):
 def _check_finite(x: np.ndarray, vol, rows, lo: int) -> None:
     """Raise ShapeError naming the file, volume and voxel of a non-finite value of ``x``.
 
-    ``x`` holds rows ``rows`` of voxel columns lo:lo + width of ``vol``.
+    ``x`` holds rows ``rows`` (an array) of voxel columns lo:lo + width of
+    ``vol``. The voxel is the first, in file order, that holds one, and the
+    volume the lowest with one there, whatever the block width.
     """
     if fitting._all_finite(x):
         return
     bad = ~np.isfinite(x)
-    volume, row = min((int(rows[i]), i) for i in np.flatnonzero(bad.any(axis=1)))
-    voxel = np.unravel_index(lo + int(np.argmax(bad[row])), vol.shape[:3], order="F")
+    col = int(np.argmax(bad.any(axis=0)))
+    volume = int(rows[bad[:, col]].min())
+    voxel = np.unravel_index(lo + col, vol.shape[:3], order="F")
     raise ShapeError(
         f"{vol.path}: non-finite value in volume {volume} at voxel "
         f"({', '.join(str(int(i)) for i in voxel)})"
@@ -183,16 +184,15 @@ def _stream(vol, path: str, matrix, offset=None, rows=None, b0=None, measure=Non
     :class:`sphdwi.dwio.NiftiRows` ``vol`` (all rows by default) as
     float64. Each is b0-normalized in place when ``b0`` is the (excluded,
     denominator) pair of :func:`sphdwi.fitting._b0_denominator`, then
-    checked: a non-finite value raises :class:`ShapeError` naming the file,
-    the volume and the voxel (the lowest volume of the first block that
-    has one, then its first voxel). :func:`sphdwi.fitting._apply_affine`
-    applies ``matrix`` (shared by every channel group, or one per group)
-    and ``offset`` into one reused block buffer, so there are len(rows) /
-    C_in * C_out output channels; ``measure(x, y)`` sees each block and its
-    result. Each result goes to :func:`sphdwi.dwio.write_nifti_rows`,
-    whose fit rules and shape checks apply. Every voxel's bits are the 5-D
-    API's, memory stays a few MiB whatever the volume size (see the
-    comment above _read_channels), and a failure leaves no output file.
+    checked by :func:`_check_finite`. ``matrix`` (shared by every channel
+    group, or one per group) and ``offset`` are applied by
+    :func:`sphdwi.fitting._apply_affine` into one reused block buffer, so
+    there are len(rows) / C_in * C_out output channels; ``measure(x, y)``
+    sees each block and its result. Each result goes to
+    :func:`sphdwi.dwio.write_nifti_rows`, whose fit rules and shape checks
+    apply. Every voxel's bits are the 5-D API's, memory stays a few MiB
+    whatever the volume size (see the comment above _read_channels), and a
+    failure leaves no output file.
     """
     rows = np.arange(vol.channels) if rows is None else rows
     channels = len(rows) // matrix.shape[-1] * matrix.shape[-2]
@@ -215,18 +215,13 @@ def _stream(vol, path: str, matrix, offset=None, rows=None, b0=None, measure=Non
 def _blocks(vol, rows):
     """Yield (lo, x) for each float64 block of ``vol``, starting at voxel column lo.
 
-    Each window of dwio._STREAM voxel columns is staged once into this
-    generator's own buffer of the stored dtype
-    (:meth:`sphdwi.dwio.NiftiRows.stage`), then converted fitting._BLOCK
-    columns at a time (:meth:`~sphdwi.dwio.NiftiRows.convert`): ``x``
-    holds rows ``rows`` of its columns, scaled, as a C-contiguous (rows,
-    width) view of one reused buffer, so a block costs no allocation. It
-    is valid until the next block.
+    Each window of :meth:`sphdwi.dwio.NiftiRows.windows` is converted
+    fitting._BLOCK columns at a time: ``x`` holds rows ``rows`` of its
+    columns, scaled, as a C-contiguous (rows, width) view of one reused
+    buffer, valid until the next block, so a block costs no allocation.
     """
-    window = np.empty((len(rows), min(vol.voxels, dwio._STREAM)), dtype=vol.dtype)
     buf = np.empty(len(rows) * min(vol.voxels, fitting._BLOCK))
-    for start in range(0, vol.voxels, dwio._STREAM):
-        stored = vol.stage(rows, start, window[:, : vol.voxels - start])
+    for start, stored in vol.windows(rows):
         for col in range(0, stored.shape[1], fitting._BLOCK):
             part = stored[:, col : col + fitting._BLOCK]
             yield start + col, vol.convert(part, buf[: part.size].reshape(part.shape))

@@ -136,11 +136,11 @@ def select_shells(shells, bvalues=None) -> tuple[Shell, ...]:
 
     Each requested b-value resolves to the nearest shell within
     SHELL_TOLERANCE (50 s/mm^2). Raises ValueError when a request has no
-    shell that close, naming the available shells, and when two requests
-    resolve to the same shell, which would otherwise fit or convolve that
-    shell twice. Raises :class:`ShapeError` when nothing is selected or the
-    selected shells differ in direction count, since their channel blocks
-    must share one size.
+    shell that close (a NaN has none), naming the available shells, and
+    when two requests resolve to the same shell, which would otherwise fit
+    or convolve that shell twice. Raises :class:`ShapeError` when nothing
+    is selected or the selected shells differ in direction count, since
+    their channel blocks must share one size.
     """
     if bvalues is None:
         out = list(shells)
@@ -148,8 +148,9 @@ def select_shells(shells, bvalues=None) -> tuple[Shell, ...]:
         picked: dict[float, float] = {}  # shell b-value -> request that chose it
         out = []
         for want in bvalues:
-            best = min(shells, key=lambda s: abs(s.bvalue - want), default=None)
-            if best is None or abs(best.bvalue - want) > SHELL_TOLERANCE:
+            near = [s for s in shells if abs(s.bvalue - want) <= SHELL_TOLERANCE]
+            best = min(near, key=lambda s: abs(s.bvalue - want), default=None)
+            if best is None:
                 avail = ", ".join(f"{s.bvalue:g}" for s in shells) or "none"
                 raise ValueError(f"no shell near b={want:g}; available shells: {avail}")
             if best.bvalue in picked:
@@ -320,8 +321,8 @@ def _affine_from_header(hdr) -> np.ndarray:
 
 
 _DIM_MAX = 32767  # the header's dim field is int16
-_IO_CHUNK = 1 << 22  # bytes per read or inflate call; bounds the temporary buffers
-_STREAM = 1 << 14  # voxel columns per I/O window: the CLI's reads, and write_nifti_rows
+_IO_CHUNK = 1 << 22  # bytes per inflate call; bounds the inflated piece in memory
+_STREAM = 1 << 14  # voxel columns per I/O window: NiftiRows.windows and write_nifti_rows
 _GZIP_SLICE = 1 << 20  # uncompressed bytes per independently deflated .gz slice
 
 
@@ -447,12 +448,11 @@ class NiftiRows:
     in Fortran order, so the payload is a C-order matrix with one row per
     volume (C rows) and one column per voxel of the first three axes (V
     columns): row c at voxel columns lo:lo + width is one contiguous segment
-    of the file. Reading takes two steps, into buffers the caller owns:
-    :meth:`stage` fills an array of the stored dtype with such segments, by
-    positioned ``readinto`` calls, and :meth:`convert` turns all or part of
-    it into float64 under this file's scaling. A caller that converts a
-    staged window piece by piece (the CLI's stream) holds the window only in
-    the stored dtype, and memory does not grow with the volume either way.
+    of the file. Reading takes two steps: :meth:`windows` reads the chosen
+    rows in windows of _STREAM voxel columns of the stored dtype, as
+    :func:`write_nifti_rows` writes them, and :meth:`convert` turns all or
+    part of a window into float64, scaled, in a buffer the caller owns; so
+    memory does not grow with the volume.
 
     An uncompressed file is read where it is, a .nii.gz from its
     :func:`_inflate` spill file in ``spill_dir``. Attributes: ``shape``,
@@ -482,39 +482,35 @@ class NiftiRows:
             fh.close()
             raise
 
-    def stage(self, rows, lo: int, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` with rows ``rows`` of voxel columns lo:lo + width, as stored, and return it.
+    def windows(self, rows):
+        """Yield (lo, stored) for each window of _STREAM voxel columns, as stored.
 
-        ``out`` is a (len(rows), width) array of the stored dtype, each row
-        contiguous; its width is the number of columns read, as with
-        ``readinto``, and its row i gets payload row ``rows[i]`` by one
-        positioned ``readinto``. A row outside 0..C-1, a negative ``lo``,
-        columns past V, or an ``out`` of another dtype or row count raise
-        ValueError naming the file, before anything is read.
+        ``stored`` is a (len(rows), width) view of one buffer of the stored
+        dtype, local to this generator and valid until the next window: row
+        i holds payload row ``rows[i]`` at voxel columns lo:lo + width, by
+        one positioned ``readinto``. A row outside 0..C-1 raises ValueError
+        naming the file before anything is read; a short or failed read
+        raises :class:`NiftiTruncatedError`.
         """
         rows = np.asarray(rows)
-        count, width = out.shape
-        if (len(rows) != count or out.dtype != self.dtype or lo < 0 or lo + width > self.voxels
-                or (count and not 0 <= rows.min() <= rows.max() < self.channels)):
-            raise ValueError(
-                f"{self.path}: rows {rows.tolist()} at voxel columns {lo}:{lo + width} into a "
-                f"{out.dtype} {out.shape} buffer do not fit the ({self.channels}, {self.voxels}) "
-                f"payload of {self.dtype}"
-            )
-        nbytes = width * self.dtype.itemsize
-        try:
-            for row, dest in zip(rows, out):
-                self._fh.seek(self._offset + (int(row) * self.voxels + lo) * self.dtype.itemsize)
-                if self._fh.readinto(dest) != nbytes:
-                    raise NiftiTruncatedError(f"{self.path}: voxel data ends early")
-        except (OSError, ValueError) as exc:
-            raise NiftiTruncatedError(f"{self.path}: unreadable voxel data ({exc})") from exc
-        return out
+        if rows.size and not 0 <= rows.min() <= rows.max() < self.channels:
+            raise ValueError(f"{self.path}: rows {rows.tolist()} are not in 0..{self.channels - 1}")
+        window = np.empty((len(rows), min(self.voxels, _STREAM)), dtype=self.dtype)
+        for lo in range(0, self.voxels, _STREAM):
+            stored = window[:, : self.voxels - lo]
+            try:
+                for row, dest in zip(rows, stored):
+                    self._fh.seek(self._offset + (int(row) * self.voxels + lo) * dest.itemsize)
+                    if self._fh.readinto(dest) != dest.nbytes:
+                        raise NiftiTruncatedError(f"{self.path}: voxel data ends early")
+            except (OSError, ValueError) as exc:
+                raise NiftiTruncatedError(f"{self.path}: unreadable voxel data ({exc})") from exc
+            yield lo, stored
 
     def convert(self, stored: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` with the stored values ``stored`` as float64, scaled, and return it.
 
-        ``stored`` is all or part of what :meth:`stage` filled; ``out`` has
+        ``stored`` is all or part of a window of :meth:`windows`; ``out`` has
         its shape. The rule is ``x * scl_slope + scl_inter`` when the slope
         is finite and nonzero (a non-finite intercept counts as 0);
         otherwise the values are multiplied by 1.0, which keeps every bit
@@ -548,11 +544,11 @@ def read_nifti(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
 
     Returns (data, affine, header) with data as float64 in X, Y, Z[, volume]
     order and scl_slope/scl_inter already applied. This is one whole-volume
-    read of :class:`NiftiRows`: each column piece of the (C, V) result is
-    staged into one stored window of at most _IO_CHUNK bytes, then
-    converted into place, so no stored copy of the payload is held, and
-    ``data`` is its Fortran-order view, not a C-contiguous array. A .nii.gz
-    is inflated into an unnamed spill file in the platform's temporary
+    read of :class:`NiftiRows`: each window of :meth:`NiftiRows.windows`
+    (C x _STREAM stored values) is converted into its columns of the (C, V)
+    result, so no stored copy of the payload is held, and ``data`` is that
+    result's Fortran-order view, not a C-contiguous array. A .nii.gz is
+    inflated into an unnamed spill file in the platform's temporary
     directory. Raises distinct error types for a bad magic number, an
     unsupported datatype and a truncated file.
     """
@@ -564,11 +560,8 @@ def read_nifti(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
                 f"{path}: header promises {vol.channels * vol.voxels * vol.dtype.itemsize} "
                 "bytes of voxel data, more than this process can allocate"
             ) from exc
-        width = min(vol.voxels, max(1, _IO_CHUNK // (vol.channels * vol.dtype.itemsize)))
-        window = np.empty((vol.channels, width), dtype=vol.dtype)
-        for lo in range(0, vol.voxels, width):
-            stored = vol.stage(range(vol.channels), lo, window[:, : vol.voxels - lo])
-            vol.convert(stored, data[:, lo : lo + width])
+        for lo, stored in vol.windows(range(vol.channels)):
+            vol.convert(stored, data[:, lo : lo + stored.shape[1]])
         return data.reshape(-1).reshape(vol.shape, order="F"), vol.affine, vol.header
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import errno
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -156,30 +158,39 @@ def generate_phantom(spec: PhantomSpec, scheme: dwio.GradientScheme) -> PhantomR
 def make_phantom(spec: PhantomSpec, scheme: dwio.GradientScheme, out_prefix: str) -> PhantomResult:
     """Generate a phantom and write NIfTI + bvals/bvecs consumable by the CLI.
 
-    Writes ``<prefix>.nii.gz``, ``<prefix>.bvals``, ``<prefix>.bvecs`` and,
-    for band-limited phantoms, ``<prefix>_truth.npy`` with the per-voxel true
-    coefficients, each to a temporary sibling renamed into place. A prefix
-    whose base name is empty, ``.`` or ``..`` (``""`` or ``sub/``) names no
-    file: it raises FileNotFoundError before anything is generated. A
-    missing parent directory is created.
+    Writes ``<prefix>.nii.gz``, ``.bvals``, ``.bvecs`` and, for band-limited
+    phantoms, ``_truth.npy`` (the per-voxel true coefficients) as one set:
+    into a new ``.sphdwi-`` directory beside them, always removed, then
+    renamed into place in one loop. A failure before the renames leaves an
+    existing set as it was; a refused rename raises an OSError naming the
+    files already renamed. A prefix whose base name is empty, ``.`` or
+    ``..`` (``""`` or ``sub/``) names no file: it raises FileNotFoundError
+    before anything is generated. A missing parent directory is created.
     """
     if os.path.basename(out_prefix) in ("", os.curdir, os.pardir):
         raise FileNotFoundError(errno.ENOENT, "the output prefix names no file", out_prefix)
     result = generate_phantom(spec, scheme)
     prefix = Path(out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    nifti_path = str(prefix) + ".nii.gz"
-    bvals_path = str(prefix) + ".bvals"
-    bvecs_path = str(prefix) + ".bvecs"
-    dwio.write_nifti(nifti_path, result.data, dtype=np.float64)
-    dwio.write_bvals_bvecs(scheme.bvals, scheme.directions, bvals_path, bvecs_path)
-    paths = {"nifti": nifti_path, "bvals": bvals_path, "bvecs": bvecs_path}
-    if result.truth_coeffs is not None:
-        truth_path = str(prefix) + "_truth.npy"
-        # an open file, since np.save appends .npy to a name that lacks it
-        with dwio._atomic_output(truth_path) as tmp, open(tmp, "wb") as fh:
-            np.save(fh, result.truth_coeffs)
-        paths["truth"] = truth_path
+    ends = {"nifti": ".nii.gz", "bvals": ".bvals", "bvecs": ".bvecs", "truth": "_truth.npy"}
+    paths = {kind: str(prefix) + end for kind, end in ends.items()
+             if kind != "truth" or result.truth_coeffs is not None}
+    work = tempfile.mkdtemp(prefix=".sphdwi-", dir=prefix.parent)
+    staged = {kind: os.path.join(work, os.path.basename(path)) for kind, path in paths.items()}
+    try:
+        dwio.write_nifti(staged["nifti"], result.data, dtype=np.float64)
+        dwio.write_bvals_bvecs(scheme.bvals, scheme.directions, staged["bvals"], staged["bvecs"])
+        if "truth" in paths:
+            np.save(staged["truth"], result.truth_coeffs)
+        placed = []
+        for kind, path in reversed(paths.items()):  # the volume last
+            try:
+                os.replace(staged[kind], path)
+            except OSError as exc:
+                raise OSError(f"{path}: {exc}; renamed before it: {placed or 'none'}") from exc
+            placed.append(path)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
     return PhantomResult(
         data=result.data, scheme=scheme, truth_coeffs=result.truth_coeffs, paths=paths
     )

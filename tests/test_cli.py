@@ -1104,9 +1104,9 @@ class TestNonFiniteInput:
         ids=["last-of-block-0", "first-of-block-1", "partial-block-of-last-window"],
     )
     def test_nan_is_named_by_its_block(self, tmp_path, capsys, column, decoy):
-        # the rule: the first block holding a non-finite value, then its lowest
-        # volume, then that volume's first voxel; the decoy is in a lower
-        # volume, but in a later block or at a later voxel
+        # the message names the first voxel holding a non-finite value, then
+        # its lowest volume; the decoy is in a lower volume, but in a later
+        # block or at a later voxel
         sh = np.random.default_rng(13).normal(size=(*self.BLOCKS_GRID, 15)).astype(np.float32)
         voxel = np.unravel_index(column, self.BLOCKS_GRID, order="F")
         sh[(*voxel, 9)] = np.nan
@@ -1122,6 +1122,25 @@ class TestNonFiniteInput:
         assert (f"{sh_path}: non-finite value in volume 9 at voxel ({named})"
                 in capsys.readouterr().err)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dirs.txt", "sh.nii"]
+
+    def test_nan_is_named_by_its_first_voxel_then_its_lowest_volume(self, tmp_path, capsys):
+        # volume 11 at column c, volume 2 at column c + 5, in one 1,024-column
+        # block: the first voxel in file order is named, not the lowest volume
+        column = 16384 + 1024 + 100
+        sh = np.random.default_rng(15).normal(size=(*self.BLOCKS_GRID, 15)).astype(np.float32)
+        voxel = np.unravel_index(column, self.BLOCKS_GRID, order="F")
+        sh[(*voxel, 11)] = np.nan
+        sh[(*np.unravel_index(column + 5, self.BLOCKS_GRID, order="F"), 2)] = np.inf
+        sh_path = str(tmp_path / "sh.nii")
+        dwio.write_nifti(sh_path, sh)
+        np.savetxt(tmp_path / "dirs.txt", sphdwi.unit_sphere_directions(30))
+        out = tmp_path / "signal.nii"
+        assert main(["sh2signal", "--sh", sh_path, "--dirs", str(tmp_path / "dirs.txt"),
+                     "--order", "4", "--out", str(out)]) == 2
+        named = ", ".join(str(int(i)) for i in voxel)
+        assert capsys.readouterr().err == (
+            f"sphdwi: {sh_path}: non-finite value in volume 11 at voxel ({named})\n")
+        assert not out.exists()
 
     def test_value_beyond_float32_in_a_later_block_exits_2(self, tmp_path, capsys):
         # the third block of the second window; earlier windows are already written
@@ -1589,6 +1608,22 @@ class TestUsageErrors:
         assert opened == []
         assert not os.path.exists(out)
         assert capsys.readouterr().err == f"sphdwi: {message}\n"
+
+    @pytest.mark.parametrize("command", ["signal2sh", "lsc", "sh2signal"])
+    def test_nan_shell_exits_2_writing_nothing(self, command, phantom_files, tmp_path, capsys):
+        # NaN is near no shell; it was once taken as the first shell, with exit 0
+        sh_path = str(tmp_path / "sh.nii")
+        assert main(fit_args(phantom_files, sh_path)) == 0
+        out = tmp_path / "out.nii"
+        args = {"signal2sh": fit_args(phantom_files, str(out), extra=["--shell", "1000"]),
+                "lsc": lsc_args(phantom_files, sh_path, str(out)),
+                "sh2signal": eval_args(phantom_files, sh_path, str(out))}[command]
+        args[args.index("--shell") + 1] = "nan"
+        capsys.readouterr()
+        assert main(args) == 2
+        assert capsys.readouterr().err.endswith(
+            "sphdwi: no shell near b=nan; available shells: 1000\n")
+        assert not out.exists()
 
     def test_compare_backends_flag_is_gone(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

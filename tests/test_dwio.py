@@ -128,6 +128,16 @@ class TestReadBvalsBvecs:
         with pytest.raises(ValueError, match="1000.*2000"):
             scheme.shell(5000.0)
 
+    def test_nan_request_selects_no_shell(self, tmp_path):
+        # every distance to NaN is NaN: the nearest-shell choice once fell on the first shell
+        paths = self.write(tmp_path, "0 1000 2000\n", "0 1 0\n0 0 1\n0 0 0\n")
+        scheme = dwio.read_bvals_bvecs(*paths)
+        message = "no shell near b=nan; available shells: 1000, 2000"
+        with pytest.raises(ValueError, match=message):
+            dwio.select_shells(scheme.shells, [float("nan")])
+        with pytest.raises(ValueError, match=message):
+            scheme.shell(float("nan"))
+
     def test_write_read_round_trip(self, tmp_path):
         bvals = np.array([0.0, 1000.0, 1000.0])
         dirs = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
@@ -844,38 +854,42 @@ class TestNiftiRows:
             assert vol.header.keys() == want_header.keys()
             for name, value in want_header.items():
                 np.testing.assert_array_equal(vol.header[name], value)
-            # reads of several sizes, staged and converted into rows of wider arrays
+            # windows of several widths, each converted into rows of a wider array
             for _ in range(data.draw(st.integers(1, 3))):
                 rows = data.draw(st.lists(st.integers(0, shape[3] - 1), min_size=1, max_size=6))
-                lo = data.draw(st.integers(0, nvox - 1))
-                hi = data.draw(st.integers(lo + 1, nvox))
+                stream = data.draw(st.integers(1, nvox))
                 pad = data.draw(st.integers(0, 2))
-                stored = np.full((len(rows), hi - lo + pad), 77, dtype=vol.dtype)[:, : hi - lo]
-                out = np.full((len(rows), hi - lo + pad), 77.0)[:, : hi - lo]
-                assert vol.stage(rows, lo, stored) is stored
-                assert vol.convert(stored, out) is out
-                np.testing.assert_array_equal(out, matrix[rows, lo:hi])
+                starts = []
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(dwio, "_STREAM", stream)
+                    for lo, stored in vol.windows(rows):
+                        hi = min(lo + stream, nvox)  # the last window is partial
+                        assert stored.shape == (len(rows), hi - lo)
+                        assert stored.dtype == vol.dtype
+                        out = np.full((len(rows), hi - lo + pad), 77.0)[:, : hi - lo]
+                        assert vol.convert(stored, out) is out
+                        np.testing.assert_array_equal(out, matrix[rows, lo:hi])
+                        starts.append(lo)
+                assert starts == list(range(0, nvox, stream))
 
-    def test_stage_holds_the_stored_values_and_convert_scales_them(self, tmp_path):
+    def test_windows_hold_the_stored_values_and_convert_scales_them(self, tmp_path,
+                                                                    monkeypatch):
+        monkeypatch.setattr(dwio, "_STREAM", 10)  # 24 voxels: windows of 10, 10 and 4
         path = str(tmp_path / "u16.nii")
         stored = np.arange(2 * 3 * 4 * 5, dtype=np.uint16).reshape(2, 3, 4, 5) * 541
         dwio.write_nifti(path, stored, dtype=np.uint16)
         _restore_header(path, -1.5, 0.25, ">")
         matrix = _channel_matrix(stored)
         with dwio.NiftiRows(path) as vol:
-            window = vol.stage([4, 0], 3, np.empty((2, 17), dtype=vol.dtype))
-            assert window.dtype == np.dtype(">u2") and window.flags.c_contiguous
-            np.testing.assert_array_equal(window, matrix[[4, 0], 3:20])
-            # a column slice of the window converts on its own
-            out = vol.convert(window[:, 5:9], np.empty((2, 4)))
-            np.testing.assert_array_equal(out, _scaled(matrix[[4, 0], 8:12], -1.5, 0.25))
-            again = vol.stage([4, 0], 8, np.empty((2, 4), dtype=vol.dtype))
-            np.testing.assert_array_equal(vol.convert(again, np.empty((2, 4))), out)
-            for rows, buffer in (([0], np.empty((1, 5), dtype=vol.dtype)),  # past the 24 columns
-                                 ([0], np.empty((1, 2), dtype="<u2")),  # not the stored dtype
-                                 ([4, 0], np.empty((1, 2), dtype=vol.dtype))):  # one row short
-                with pytest.raises(ValueError, match=f"^{re.escape(path)}: rows "):
-                    vol.stage(rows, 20, buffer)
+            for lo, window in vol.windows([4, 0]):
+                assert window.dtype == np.dtype(">u2")
+                assert all(row.flags.c_contiguous for row in window)
+                np.testing.assert_array_equal(window, matrix[[4, 0], lo : lo + 10])
+                # a column slice of the window converts on its own
+                out = vol.convert(window[:, 1:3], np.empty((2, 2)))
+                np.testing.assert_array_equal(
+                    out, _scaled(matrix[[4, 0], lo + 1 : lo + 3], -1.5, 0.25))
+            assert (lo, window.shape) == (20, (2, 4))
 
     @pytest.mark.parametrize("byteorder", "<>", ids=["little", "big"])
     def test_as_stored_float64_has_every_nan_quiet_and_every_other_bit_kept(self, tmp_path,
@@ -905,15 +919,17 @@ class TestNiftiRows:
         with pytest.raises(NiftiTruncatedError, match="header promises"):
             dwio.NiftiRows(path)
 
-    def test_file_cut_after_open_raises_truncated(self, tmp_path):
+    def test_file_cut_after_open_raises_truncated(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dwio, "_STREAM", 5000)  # 16,384 voxels: four windows
         path = str(tmp_path / "cut.nii")
         dwio.write_nifti(path, np.ones((32, 32, 16, 2)))  # rows of 64 KiB: past any read buffer
         with dwio.NiftiRows(path) as vol:
-            os.truncate(path, 352 + 4 * vol.voxels + 8)
-            out = np.empty((2, vol.voxels), dtype=vol.dtype)
-            vol.stage([0], 0, out[:1])  # still on disk
+            os.truncate(path, 352 + 4 * vol.voxels + 4 * 6000)  # row 1 ends in window 1
+            assert [lo for lo, _ in vol.windows([0])] == [0, 5000, 10000, 15000]  # on disk
+            windows = vol.windows([0, 1])
+            assert next(windows)[0] == 0
             with pytest.raises(NiftiTruncatedError, match="ends early"):
-                vol.stage([0, 1], 0, out)
+                next(windows)
 
     @pytest.mark.parametrize("name", ["vol.nii", "vol.nii.gz"])
     def test_read_nifti_holds_no_stored_copy(self, tmp_path, name):
@@ -930,18 +946,16 @@ class TestNiftiRows:
         assert peak <= data.nbytes + 2 * dwio._IO_CHUNK, (peak, data.nbytes)
 
     # an 8-voxel, 2-volume file of 0..15: row 0 is 0..7, row 1 is 8..15
-    @pytest.mark.parametrize(
-        "rows, lo, width",
-        [([0], 6, 4), ([-1], 0, 2), ([2], 0, 2), ([0], -1, 2)],
-        ids=["past-the-last-column", "negative-row", "row-C", "negative-lo"],
-    )
-    def test_read_outside_the_payload_raises_naming_the_file(self, tmp_path, rows, lo, width):
+    @pytest.mark.parametrize("rows", [[-1], [2]], ids=["negative-row", "row-C"])
+    def test_read_outside_the_payload_raises_naming_the_file(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(dwio, "_STREAM", 3)  # windows of 3, 3 and 2 voxels
         path = str(tmp_path / "small.nii")
         dwio.write_nifti(path, np.arange(16.0).reshape(2, 2, 2, 2, order="F"))
         with dwio.NiftiRows(path) as vol:
             with pytest.raises(ValueError, match=f"^{re.escape(path)}: rows "):
-                vol.stage(rows, lo, np.empty((len(rows), width), dtype=vol.dtype))
-            stored = vol.stage([1, 0], 6, np.empty((2, 2), dtype=vol.dtype))
+                next(vol.windows(rows))
+            *_, (lo, stored) = vol.windows([1, 0])
+            assert lo == 6
             np.testing.assert_array_equal(vol.convert(stored, np.empty((2, 2))),
                                           [[14.0, 15.0], [6.0, 7.0]])
 

@@ -333,6 +333,11 @@ class TestNormalizeB0:
         vol, _ = normalize_b0(raw, bvals, shells=[2000.0])
         assert vol.data.shape[1] == 1
 
+    def test_nan_shell_rejected(self):
+        raw = np.ones((1, 1, 1, 3)) * 100.0
+        with pytest.raises(ValueError, match="no shell near b=nan; available shells: 1000"):
+            normalize_b0(raw, [0.0, 1000.0, 1000.0], shells=[float("nan")])
+
     def test_two_requests_for_one_shell_rejected(self):
         raw = np.ones((1, 1, 1, 3)) * 100.0
         bvals = [0.0, 1000.0, 1000.0]

@@ -11,7 +11,9 @@ from sphdwi import (
     ShBasisSpec,
     ShVolume,
     ShapeError,
+    basis_degrees,
     build_lsc_geometry,
+    eval_basis,
     high_degree_energy_fraction,
     laplace_beltrami_diag,
     load_kernel_json,
@@ -448,6 +450,88 @@ class TestOperatorProperties:
         )
         out = lsc_forward(zero, kernel, geom).data
         assert np.array_equal(out, np.broadcast_to(offset[None, :, None, None, None], out.shape))
+
+
+def _ring_constant_kernel(ring_weights, sizes, bias):
+    """The LscKernel whose entries are w0 at the origin and w_r at every point of ring r."""
+    w = np.asarray(ring_weights)
+    weights = np.concatenate([w[..., :1]] + [np.repeat(w[..., r : r + 1], n, axis=-1)
+                                             for r, n in enumerate(sizes, start=1)], axis=-1)
+    return LscKernel(weights=weights, bias=bias)
+
+
+def _funk_hecke_matrix(ring_weights, sizes, geom):
+    """The closed form of lsc_operator's matrix for a ring-constant kernel.
+
+    A ring of N_r > order_in points at angle r * alpha sums a degree-l
+    harmonic to N_r P_l(cos r alpha) times its value at the origin (the
+    Funk-Hecke theorem; Driscoll and Healy, 1994), so block [o, s] is
+    M_refit @ B_origins @ diag(g_l) with g_l = w0 + sum_r w_r N_r P_l(cos r alpha).
+    """
+    legendre = np.array([[np.polynomial.legendre.legval(np.cos(r * geom.alpha), [0] * l + [1])
+                          for l in basis_degrees(geom.order_in)]
+                         for r in range(1, len(sizes) + 1)])  # P_l(cos r alpha), (rings, R_in)
+    w = np.asarray(ring_weights)
+    gains = w[..., :1] + np.einsum("osr,r,rj->osj", w[..., 1:], np.asarray(sizes), legendre)
+    refit = geom.refit.fit_matrix @ eval_basis(geom.origins, geom.order_in)
+    return np.block([[refit * g for g in row] for row in gains])
+
+
+class TestFunkHeckeOracle:
+    """lsc_operator against a closed form that runs none of its resample, reduce or refit steps."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        orders=st.sampled_from([(4, 4), (8, 8), (6, 4), (8, 6), (4, 8), (0, 2)]),
+        extra=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+        alpha=st.floats(0.05, 0.7),
+        lb_lambda=st.sampled_from([0.0, 0.006, 0.05]),
+        shells=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ring_constant_kernel_matches_the_closed_form(self, orders, extra, alpha,
+                                                          lb_lambda, shells, seed):
+        order_in, order_out = orders
+        sizes = tuple(order_in + e for e in extra)  # every ring has more points than order_in
+        rng = np.random.default_rng(seed)
+        ring_weights = rng.normal(size=(shells[1], shells[0], 1 + len(sizes)))
+        bias = rng.normal(size=shells[1])
+        geom = build_lsc_geometry(unit_sphere_directions(90), sizes, alpha, order_in, order_out,
+                                  lb_lambda)
+        matrix, offset = lsc_operator(_ring_constant_kernel(ring_weights, sizes, bias), geom)
+        want = _funk_hecke_matrix(ring_weights, sizes, geom)
+        assert matrix.shape == want.shape
+        assert np.max(np.abs(matrix - want)) <= 1e-12 * np.max(np.abs(want))
+        want = np.kron(bias, geom.refit.fit_matrix @ np.ones(geom.m))
+        assert np.max(np.abs(offset - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_weights_that_vary_within_a_ring_do_not_commute_with_a_rotation(self):
+        # rotating the gradient table by Q maps a ring-constant kernel's matrix A
+        # to E^T A E, E the SH rotation matrix of Q; a kernel whose weights vary
+        # within a ring sees the tangent frame of each origin, which does not rotate
+        axis, angle = np.array([1.0, 2.0, 2.0]) / 3.0, 0.7
+        cross = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]],
+                          [-axis[1], axis[0], 0.0]])
+        rotation = np.eye(3) + np.sin(angle) * cross + (1.0 - np.cos(angle)) * cross @ cross
+        dense = unit_sphere_directions(90)
+        # Y(Q x) = Y(x) E, solved on a direction set that determines every order-4 harmonic
+        spin = np.linalg.lstsq(eval_basis(dense, 4), eval_basis(dense @ rotation.T, 4),
+                               rcond=None)[0]
+        origins = unit_sphere_directions(60)
+        sizes, alpha = (6,), np.pi / 5
+        varying = np.random.default_rng(21).normal(size=(1, 1, 7))
+        deviation = {}
+        for name, weights in (("ring-constant", make_moving_average_kernel(sizes).weights),
+                              ("varying", varying)):
+            kernel = LscKernel(weights=weights, bias=np.zeros(1))
+            plain, rotated = (
+                lsc_operator(kernel, build_lsc_geometry(g, sizes, alpha, 4, 4, 0.006))[0]
+                for g in (origins, origins @ rotation.T)
+            )
+            deviation[name] = (np.linalg.norm(rotated - spin.T @ plain @ spin)
+                               / np.linalg.norm(plain))
+        assert deviation["ring-constant"] < 1e-12, deviation
+        assert deviation["varying"] > 0.1, deviation
 
 
 class TestKernelJson:

@@ -149,18 +149,43 @@ class TestFileEmission:
             assert info.value.filename == prefix
         assert list(tmp_path.iterdir()) == []
 
-    def test_refused_rename_of_the_truth_file_leaves_no_partial_file(self, tmp_path,
-                                                                      monkeypatch):
-        # the other three outputs have writers of their own in test_dwio's ATOMIC_WRITERS
+    @staticmethod
+    def _refuse_rename(monkeypatch, suffix):
+        """Make os.replace refuse a target that ends in ``suffix``, outside a .sphdwi- directory."""
         real = os.replace
 
         def replace(src, dst):
-            if str(dst).endswith("_truth.npy"):
+            if str(dst).endswith(suffix) and ".sphdwi-" not in str(dst):
                 raise OSError("rename refused")
             real(src, dst)
 
         monkeypatch.setattr(os, "replace", replace)
+
+    def test_refused_rename_of_the_truth_file_leaves_no_partial_file(self, tmp_path,
+                                                                      monkeypatch):
+        # the set is renamed into place last to first, so the truth file goes first
+        self._refuse_rename(monkeypatch, "_truth.npy")
         with pytest.raises(OSError, match="rename refused"):
             make_phantom(PhantomSpec(grid=(2, 2, 2), seed=1), make_scheme(30),
                          str(tmp_path / "ph"))
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ph.bvals", "ph.bvecs", "ph.nii.gz"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_rename_leaves_the_previous_set_as_it_was(self, tmp_path, monkeypatch):
+        prefix = str(tmp_path / "ph")
+        make_phantom(PhantomSpec(grid=(2, 2, 2), seed=1), make_scheme(30), prefix)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert len(before) == 4
+        self._refuse_rename(monkeypatch, "_truth.npy")
+        with pytest.raises(OSError, match="rename refused"):
+            make_phantom(PhantomSpec(grid=(2, 2, 2), seed=2), make_scheme(60), prefix)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_refused_rename_names_the_files_already_renamed(self, tmp_path, monkeypatch):
+        prefix = str(tmp_path / "ph")
+        self._refuse_rename(monkeypatch, ".nii.gz")  # the volume, renamed last
+        with pytest.raises(OSError) as info:
+            make_phantom(PhantomSpec(grid=(2, 2, 2), seed=1), make_scheme(30), prefix)
+        renamed = [prefix + end for end in ("_truth.npy", ".bvecs", ".bvals")]
+        assert str(info.value) == f"{prefix}.nii.gz: rename refused; renamed before it: {renamed}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ph.bvals", "ph.bvecs",
+                                                              "ph_truth.npy"]
