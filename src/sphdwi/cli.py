@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import dwio, fitting, lsc, phantom
-from .errors import GradientParseError, ShapeError, SphdwiError
+from .errors import GradientParseError, IllPosedFitError, ShapeError, SphdwiError
 from .fitting import make_fit_operator
 # Not called here; perfbench/spans.py patches these names on this module.
 from .fitting import normalize_b0, sh_to_signal, signal_to_sh  # noqa: F401
@@ -138,10 +138,12 @@ def _sh_layout(path: str, nvol: int, order: int | None = None, shells: int | Non
 # splits an API volume (dwio._STREAM is a multiple of fitting._BLOCK), so the
 # bits are the API's. A command's buffers take (rows_in * stored itemsize +
 # rows_out * 4) * dwio._STREAM + (rows_in + rows_out) * fitting._BLOCK * 8
-# bytes. A .nii.gz input is inflated once into, and read from, an unnamed
-# spill file in the --out directory; a .nii.gz output's rows go to a second
-# spill file, deflated after the last window. So a .nii.gz needs about one
-# uncompressed payload of free disk in the --out directory.
+# bytes, and no buffer grows with the voxel count. A .nii.gz input is
+# inflated once into, and read from, an unnamed spill file in the --out
+# directory; a .nii.gz output's rows go to a second spill file, deflated
+# after the last window. So a .nii.gz needs about one uncompressed payload of
+# free disk in the --out directory. signal2sh's mean b0 goes, between its two
+# passes, to a third spill file there (_B0Spill): V * 8 bytes of free disk.
 
 
 @contextmanager
@@ -177,15 +179,16 @@ def _check_finite(x: np.ndarray, vol, rows, lo: int) -> None:
     )
 
 
-def _stream(vol, path: str, matrix, offset=None, rows=None, b0=None, measure=None) -> None:
+def _stream(vol, path: str, matrix, offset=None, rows=None, normalize=None,
+            measure=None) -> None:
     """Write to ``path`` the float32 volume that the stage ``matrix`` makes of ``vol``.
 
     The blocks of :func:`_blocks` hold the ``rows`` of the open
     :class:`sphdwi.dwio.NiftiRows` ``vol`` (all rows by default) as
-    float64. Each is b0-normalized in place when ``b0`` is the (excluded,
-    denominator) pair of :func:`sphdwi.fitting._b0_denominator`, then
-    checked by :func:`_check_finite`. ``matrix`` (shared by every channel
-    group, or one per group) and ``offset`` are applied by
+    float64. ``normalize(x, lo)``, when given, b0-normalizes each block
+    ``x`` of voxel columns from ``lo`` in place (:meth:`_B0Spill.normalize`);
+    each block is then checked by :func:`_check_finite`. ``matrix`` (shared
+    by every channel group, or one per group) and ``offset`` are applied by
     :func:`sphdwi.fitting._apply_affine` into one reused block buffer, so
     there are len(rows) / C_in * C_out output channels; ``measure(x, y)``
     sees each block and its result. Each result goes to
@@ -200,9 +203,8 @@ def _stream(vol, path: str, matrix, offset=None, rows=None, b0=None, measure=Non
     with dwio.write_nifti_rows(path, (*vol.shape[:3], channels), affine=vol.affine) as write:
         for lo, x in _blocks(vol, rows):
             hi = lo + x.shape[1]
-            if b0 is not None:
-                excluded, denom = b0
-                fitting._normalize_block(x, denom[lo:hi], excluded[lo:hi], out=x)
+            if normalize is not None:
+                normalize(x, lo)
             _check_finite(x, vol, rows, lo)
             y = buf[: channels * (hi - lo)].reshape(channels, hi - lo)
             fitting._apply_affine(matrix, x.reshape(1, len(rows), hi - lo, 1, 1), offset,
@@ -227,34 +229,95 @@ def _blocks(vol, rows):
             yield start + col, vol.convert(part, buf[: part.size].reshape(part.shape))
 
 
-def _mean_b0(vol, b0_idx) -> np.ndarray:
-    """The per-voxel mean of the ``b0_idx`` rows of ``vol``, read block by block.
+class _B0Spill:
+    """signal2sh's per-voxel mean b0, kept on disk between its two passes.
+
+    The means go to an unnamed :func:`sphdwi.dwio._spill` file in ``where``
+    (the --out directory), V x 8 bytes, so memory holds no per-voxel
+    array. :meth:`write` appends a block of means and folds them into
+    ``eps``, the volume's b0 threshold; :meth:`normalize` reads a block's
+    means back into one fitting._BLOCK-sized buffer and applies the b0
+    rule of :func:`sphdwi.fitting._b0_denominator` to it, counting the
+    excluded voxels in ``excluded``. A failed spill write or read, or a
+    short read, raises OSError naming ``where``: no block is divided by
+    stale means.
+    """
+
+    def __init__(self, where: str) -> None:
+        self.where = where
+        self.eps = -np.inf
+        self.excluded = 0
+        self._mean = np.empty(fitting._BLOCK)
+        with self._failing("create"):
+            self._fh = dwio._spill(where)
+
+    @contextmanager
+    def _failing(self, action: str):
+        try:
+            yield
+        except OSError as exc:
+            raise OSError(f"cannot {action} the mean b0 spill file in {self.where} "
+                          f"({exc.strerror or exc})") from exc
+
+    def write(self, mean: np.ndarray) -> None:
+        """Append the next block of means; :func:`sphdwi.fitting._b0_threshold` checks them."""
+        self.eps = fitting._b0_threshold(mean, self.eps)
+        with self._failing("write"):
+            self._fh.write(mean)
+
+    def normalize(self, x: np.ndarray, lo: int) -> None:
+        """Divide the block ``x`` of voxel columns from ``lo`` by its mean b0, in place."""
+        mean = self._mean[: x.shape[1]]
+        with self._failing("read"):
+            self._fh.seek(lo * mean.itemsize)
+            got = self._fh.readinto(mean)
+        if got != mean.nbytes:
+            raise OSError(f"the mean b0 spill file in {self.where} reads back short: "
+                          f"{got} of {mean.nbytes} bytes at voxel {lo}")
+        excluded, denom = fitting._b0_denominator(mean, self.eps)
+        self.excluded += int(np.count_nonzero(excluded))
+        fitting._normalize_block(x, denom, excluded, out=x)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+
+def _mean_b0(vol, b0_idx, spill: _B0Spill) -> None:
+    """Write the per-voxel mean of the ``b0_idx`` rows of ``vol`` to ``spill``, block by block.
 
     Each voxel's sum runs over its rows in acquisition order, so the bits
-    are those of :func:`sphdwi.fitting._b0_mean` over the whole volume.
+    are those of :func:`sphdwi.fitting._b0_mean` over the whole volume,
+    and so is the threshold that ``spill.write`` folds the blocks into.
+    A non-finite b0 is refused there, before any output is opened.
     """
-    mean = np.empty(vol.voxels)
-    for lo, b0 in _blocks(vol, b0_idx):
-        mean[lo : lo + b0.shape[1]] = fitting._b0_mean(b0)
-    return mean
+    for _, b0 in _blocks(vol, b0_idx):
+        spill.write(fitting._b0_mean(b0))
 
 
 def _cmd_signal2sh(args) -> int:
     scheme = dwio.read_bvals_bvecs(args.bvals, args.bvecs)
     # the shells and operators need only the table and the flags: a bad one exits before any read
     shells = fitting._plan_shells(scheme.b0_indices, scheme.shells, args.shell)
-    ops = [
-        make_fit_operator(scheme.directions[s.indices], args.order, args.lb_lambda)
-        for s in shells
-    ]
+    ops = []
+    for shell in shells:
+        try:
+            ops.append(make_fit_operator(scheme.directions[shell.indices], args.order,
+                                         args.lb_lambda))
+        except IllPosedFitError as exc:
+            raise IllPosedFitError(f"shell b={shell.bvalue:g}: {exc}") from None
     _info(f"R={ops[0].basis_spec.coeff_count} cond={max(o.cond for o in ops):.3e}")
     with _read_channels(args.dwi, args.out) as vol:
         fitting._check_volume_count(vol.channels, scheme.b0_indices, scheme.shells)
-        excluded, denom = fitting._b0_denominator(_mean_b0(vol, scheme.b0_indices))
-        _stream(vol, args.out, np.stack([o.fit_matrix for o in ops]),
-                rows=np.concatenate([s.indices for s in shells]), b0=(excluded, denom))
+        where = os.path.dirname(os.path.abspath(args.out))
+        with _B0Spill(where) as b0:
+            _mean_b0(vol, scheme.b0_indices, b0)
+            _stream(vol, args.out, np.stack([o.fit_matrix for o in ops]),
+                    rows=np.concatenate([s.indices for s in shells]), normalize=b0.normalize)
     # after the output is in place, so a failed run prints only its error
-    _info(f"b0: {np.count_nonzero(excluded)} of {vol.voxels} voxels excluded "
+    _info(f"b0: {b0.excluded} of {vol.voxels} voxels excluded "
           "(mean b0 at or below 1e-6 of its maximum)")
     return 0
 

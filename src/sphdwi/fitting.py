@@ -310,20 +310,34 @@ def _b0_mean(b0: np.ndarray) -> np.ndarray:
         return total / b0.shape[0]
 
 
-def _b0_denominator(mean_b0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The b0 rule: (excluded, denominator) from the per-voxel mean b0 of :func:`_b0_mean`.
+def _b0_threshold(mean_b0: np.ndarray, eps: float = -np.inf) -> float:
+    """The b0 rule's threshold: 1e-6 times the largest per-voxel mean b0 of :func:`_b0_mean`.
 
-    Voxels whose mean falls at or below 1e-6 times the largest mean are
-    excluded (True) and get a denominator of 1; the others are divided by
-    their mean. A non-finite b0 raises :class:`ShapeError`, as it would
-    make the threshold itself infinite or undefined; that check
-    (:func:`_all_finite`) allocates nothing the size of ``mean_b0``.
+    ``mean_b0`` may be one part of a volume's means, given with ``eps``,
+    the threshold of the parts before it. Multiplying by 1e-6 is monotone
+    in floating point, so the largest threshold of the parts is the
+    volume's, bit for bit, however its voxels are split. A non-finite mean
+    raises :class:`ShapeError`, as it would make the threshold itself
+    infinite or undefined; that check (:func:`_all_finite`) allocates
+    nothing the size of ``mean_b0``.
     """
     if not _all_finite(mean_b0):
         raise ShapeError("b0 volumes contain non-finite values")
-    eps = 1e-6 * float(mean_b0.max()) if mean_b0.size else 0.0
+    return max(eps, 1e-6 * float(mean_b0.max())) if mean_b0.size else eps
+
+
+def _b0_denominator(mean_b0: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The b0 rule: (excluded, denominator) of per-voxel means under the threshold ``eps``.
+
+    ``mean_b0`` holds all or part of a volume's means, and ``eps`` is the
+    volume's :func:`_b0_threshold`. Voxels whose mean falls at or below it
+    are excluded (True) and get a denominator of 1; the others are divided
+    by their mean. The denominator is ``mean_b0`` itself, overwritten in
+    place, so only the mask is allocated.
+    """
     excluded = mean_b0 <= eps
-    return excluded, np.where(excluded, 1.0, mean_b0)
+    mean_b0[excluded] = 1.0
+    return excluded, mean_b0
 
 
 def _normalize_block(
@@ -369,7 +383,8 @@ def normalize_b0(
         b0_idx, table = dwio.detect_shells(bvals_or_scheme)
     _check_volume_count(arr.shape[3], b0_idx, table)
     shell_table = _plan_shells(b0_idx, table, shells)
-    excluded, denom = _b0_denominator(_b0_mean(np.moveaxis(arr[..., b0_idx], 3, 0)))
+    mean = _b0_mean(np.moveaxis(arr[..., b0_idx], 3, 0))
+    excluded, denom = _b0_denominator(mean, _b0_threshold(mean))
     keep = np.concatenate([s.indices for s in shell_table])
     data = np.empty((1, keep.size, *arr.shape[:3]))
     _normalize_block(np.moveaxis(arr[..., keep], 3, 0), denom, excluded, out=data[0])

@@ -127,6 +127,35 @@ class TestSignal2Sh:
         args[args.index("--order") + 1] = "8"  # R=45 > 30 dirs at lambda 0
         assert main(args) == 3
 
+    def test_ill_posed_fit_names_its_shell(self, tmp_path, capsys):
+        # b=1000 has 30 directions and b=2000 60, so at order 8 and lambda 0
+        # only b=1000 has fewer than R = 45; b=3000's 60 directions are 30
+        # distinct ones twice, so its system is rank deficient, and it is the
+        # second shell of the b=2000/b=3000 pair
+        d30, d60 = sphdwi.unit_sphere_directions(30), sphdwi.unit_sphere_directions(60)
+        bvals = np.array([0.0] + [1000.0] * 30 + [2000.0] * 60 + [3000.0] * 60)
+        dirs = np.vstack([np.zeros((1, 3)), d30, d60, d30, d30])
+        dwi = str(tmp_path / "dwi.nii")
+        dwio.write_nifti(dwi, np.full((2, 2, 2, bvals.size), 100.0))
+        files = {"nifti": dwi, "bvals": str(tmp_path / "g.bvals"),
+                 "bvecs": str(tmp_path / "g.bvecs")}
+        dwio.write_bvals_bvecs(bvals, dirs, files["bvals"], files["bvecs"])
+        out = tmp_path / "sh.nii"
+
+        def fit(*shells):
+            extra = [arg for b in shells for arg in ("--shell", b)]
+            args = fit_args(files, str(out), extra=extra)
+            args[args.index("--order") + 1] = "8"
+            return main(args), capsys.readouterr().err
+
+        assert fit("1000") == (3, "sphdwi: shell b=1000: unregularized fit needs at least "
+                                  "R = 45 directions, got N = 30 (cond = inf)\n")
+        assert not out.exists()
+        code, err = fit("2000", "3000")
+        assert code == 3 and err.startswith("sphdwi: shell b=3000: fit system is numerically "
+                                            "rank deficient (N = 60, R = 45, cond = ")
+        assert fit("2000")[0] == 0  # the 60-direction shell alone fits
+
     def test_affine_propagates_to_output(self, phantom_files, tmp_path):
         affine = np.array(
             [
@@ -755,6 +784,34 @@ class TestStreamedCommandsMatchApi:
         signal = sh_to_signal(_load_sh(lsc_path, 4, 2), scheme.shell_directions(2000.0))
         _assert_payload_equals(sig_path, signal)
 
+    def test_b0_threshold_spans_every_window(self, tmp_path, capsys):
+        # the largest mean b0 (1e8) is in the last I/O window, and POISONED_VOXEL,
+        # in the first, has a mean of 50: above 1e-6 of the first window's
+        # largest mean (about 1e-3), at or below 1e-6 of the volume's (100)
+        b0_volumes = np.flatnonzero(np.array(TWO_SHELL_BVALS) == 0.0)
+        acq = two_shell_acquisition(tmp_path / "in", stored=np.float32, slope=1.0, inter=0.0,
+                                    poison=[(v, 50.0) for v in b0_volumes])
+        data, affine, _ = dwio.read_nifti(acq["dwi"])
+        data[(-2, -1, -1, b0_volumes)] = 1e8
+        dwio.write_nifti(acq["dwi"], data, affine=affine, dtype=np.float32)
+        mean = data[..., b0_volumes].mean(axis=3).reshape(-1, order="F")
+        first = np.ravel_multi_index(POISONED_VOXEL, data.shape[:3], order="F")
+        assert first < dwio._STREAM <= data[..., 0].size - 2
+        assert 1e-6 * mean[: dwio._STREAM].max() < mean[first] <= 1e-6 * mean.max()
+
+        sh_path = str(tmp_path / "sh.nii")
+        assert main(["signal2sh", "--dwi", acq["dwi"], *_grad(acq), "--order", "4",
+                     "--out", sh_path]) == 0
+        scheme = dwio.read_bvals_bvecs(acq["bvals"], acq["bvecs"])
+        vol, excluded = normalize_b0(data, scheme)
+        assert excluded[POISONED_VOXEL] and excluded[EXCLUDED_VOXEL] and excluded.sum() == 2
+        ops = [make_fit_operator(vol.scheme.shell_directions(s.bvalue), 4, 0.006)
+               for s in vol.scheme.shells]
+        _assert_payload_equals(sh_path, signal_to_sh(vol, ops))
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"b0: 2 of {data[..., 0].size} voxels excluded "
+            "(mean b0 at or below 1e-6 of its maximum)")
+
     def test_uint16_input_writes_the_bytes_of_its_float32_copy(self, tmp_path):
         # datatype 512 with a scaling; the excluded voxel stores 2, which scales to b0 = 0
         acq = two_shell_acquisition(tmp_path / "u16", stored=np.uint16, slope=2.0, inter=-4.0)
@@ -877,6 +934,35 @@ class TestStreamedFiles:
         one_chunk = peak((32, 32, 16))  # 16,384 voxels
         four_chunks = peak((64, 64, 16))
         assert four_chunks < 1.5 * one_chunk, (one_chunk, four_chunks)
+
+    @pytest.mark.parametrize("ext", [".nii", ".nii.gz"], ids=["nii", "gz"])
+    def test_signal2sh_memory_does_not_grow_with_the_volume(self, tmp_path, monkeypatch, ext):
+        # 2,048-column windows, so the buffers (about 0.8 MB here) do not hide
+        # a per-voxel array: 9 bytes a voxel would add 0.4 MB from one grid to the next
+        self._small_pieces(monkeypatch, ext)
+        monkeypatch.setattr(dwio, "_STREAM", 2 * fitting._BLOCK)
+        dirs = sphdwi.unit_sphere_directions(30)
+        grad = [str(tmp_path / "g.bvals"), str(tmp_path / "g.bvecs")]
+        dwio.write_bvals_bvecs(np.array([0.0] + [1000.0] * 30),
+                               np.vstack([[0.0, 0.0, 0.0], dirs]), *grad)
+        rng = np.random.default_rng(6)
+
+        def peak(grid):
+            dwi = str(tmp_path / f"dwi{ext}")
+            dwio.write_nifti(dwi, rng.uniform(100.0, 200.0, size=(*grid, 31)))
+            args = ["signal2sh", "--dwi", dwi, "--bvals", grad[0], "--bvecs", grad[1],
+                    "--out", str(tmp_path / f"sh{ext}")]
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak((32, 32, 16))  # first use: imports and caches
+        small = peak((32, 32, 16))  # 16,384 voxels
+        large = peak((64, 64, 16))
+        assert large < 1.1 * small, (small, large)
 
     @pytest.mark.parametrize("ext", [".nii", ".nii.gz"], ids=["nii", "gz"])
     def test_signal2sh_memory_does_not_grow_with_the_b0_count(self, tmp_path, monkeypatch, ext):
@@ -1458,6 +1544,41 @@ class TestAtomicOutput:
         err = capsys.readouterr().err
         assert f"{phantom_files['nifti']}: cannot inflate into a temporary file in {out_dir}" in err
         assert os.strerror(errno.ENOSPC) in err and ".sphdwi-" not in err
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("ext", [".nii", ".nii.gz"])
+    def test_failed_b0_spill_exits_4_naming_the_out_directory(self, tmp_path, capsys,
+                                                              request, ext):
+        # two blocks of plain .nii input: the b0 spill is the only spill until
+        # the output, and its second block meets the full disk
+        acq = two_shell_acquisition(tmp_path / "in", grid=(16, 16, 8))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        request.getfixturevalue("full_disk")  # from here on, the disk is full
+        assert main(["signal2sh", "--dwi", acq["dwi"], *_grad(acq), "--shell", "1000",
+                     "--out", str(out_dir / f"sh{ext}")]) == 4
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"sphdwi: cannot write the mean b0 spill file in {out_dir} "
+            f"({os.strerror(errno.ENOSPC)})")
+        assert list(out_dir.iterdir()) == []
+
+    def test_short_b0_spill_exits_4_without_output(self, tmp_path, capsys, monkeypatch):
+        acq = two_shell_acquisition(tmp_path / "in", grid=(16, 16, 8))
+        real = cli._mean_b0
+
+        def lose_the_last_mean(vol, b0_idx, spill):
+            real(vol, b0_idx, spill)
+            spill._fh.truncate(spill._fh.tell() - 8)
+
+        monkeypatch.setattr(cli, "_mean_b0", lose_the_last_mean)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["signal2sh", "--dwi", acq["dwi"], *_grad(acq), "--shell", "1000",
+                     "--out", str(out_dir / "sh.nii")]) == 4
+        # the output's temporary file was open, so the message names the output as well
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"sphdwi: {out_dir / 'sh.nii'}: the mean b0 spill file in {out_dir} reads back "
+            "short: 8184 of 8192 bytes at voxel 1024")
         assert list(out_dir.iterdir()) == []
 
     def test_csv_mode_follows_umask(self, tmp_path):

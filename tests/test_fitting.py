@@ -24,7 +24,13 @@ from sphdwi import (
     signal_to_sh,
     unit_sphere_directions,
 )
-from sphdwi.fitting import _FINITE_PIECE, _all_finite, _apply_affine
+from sphdwi.fitting import (
+    _FINITE_PIECE,
+    _all_finite,
+    _apply_affine,
+    _b0_denominator,
+    _b0_threshold,
+)
 
 from conftest import fibonacci_sphere, random_unit_vectors
 
@@ -438,6 +444,32 @@ class TestNormalizeB0:
             with pytest.raises(ShapeError, match=f"^{message} contains? non-finite values$"):
                 normalize_b0(raw, [0.0, 1000.0, 1000.0])
 
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    def test_b0_rule_over_parts_is_the_rule_over_the_whole(self, rng, sign):
+        # the CLI folds the threshold over blocks of means and applies the rule
+        # block by block; a start of 0 would change an all-negative threshold
+        mean = sign * rng.uniform(0.5, 2.0, size=5000) * 10.0 ** rng.uniform(-9, 9, size=5000)
+        mean[[7, 4321]] = 1e-6 * mean.max()  # at the threshold: excluded
+        eps = _b0_threshold(mean)
+        assert eps == 1e-6 * mean.max()
+        bounds = [0, 1, 1024, 1030, 4096, 5000]
+        folded = -np.inf
+        for lo, hi in zip(bounds, bounds[1:]):
+            folded = _b0_threshold(mean[lo:hi], folded)
+        assert folded == eps
+        excluded, denom = _b0_denominator(mean.copy(), eps)
+        parts = [_b0_denominator(mean[lo:hi].copy(), eps) for lo, hi in zip(bounds, bounds[1:])]
+        np.testing.assert_array_equal(np.concatenate([p[0] for p in parts]), excluded)
+        np.testing.assert_array_equal(np.concatenate([p[1] for p in parts]).view(np.uint64),
+                                      denom.view(np.uint64))
+        np.testing.assert_array_equal(denom, np.where(mean <= eps, 1.0, mean))
+        assert excluded[[7, 4321]].all()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_b0_threshold_refuses_a_non_finite_part(self, bad):
+        with pytest.raises(ShapeError, match="^b0 volumes contain non-finite values$"):
+            _b0_threshold(np.array([1.0, bad]), 1.0)
 
 def _random_rotation(rng):
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))
