@@ -4,20 +4,27 @@ The naive path re-forms and solves the regularized normal equations from
 scratch for every voxel (no factorization reuse); it doubles as the
 correctness oracle for the batched path. Timings are medians over repeats
 with one untimed warm-up per configuration, whose result is kept as the
-reference output, and BLAS pinned to one thread for fairness when
-threadpoolctl is installed (``BenchReport.blas_pinned`` says whether it
-was). Two measurement-hygiene rules keep the speedup-vs-volume
-curve about the algorithm instead of the machine: the CPU data caches are
-scrubbed before every timed run (small volumes must not be timed cache-hot),
-and batched runs write into a reused output buffer (fresh multi-hundred-MB
-allocations would otherwise spend most of their time in kernel page zeroing,
-a cost that vanishes in any pipeline that transforms more than one volume).
+reference output. BLAS is pinned to one thread for fairness: the batched
+path's GEMMs must not get more cores than the naive path's small per-voxel
+solves can use. Every OpenBLAS mapped into the process (numpy's, and
+scipy's once scipy is imported) is found through /proc/self/maps and set
+through its own exported thread-count functions via ctypes, then given its
+earlier count back. Where no such library is found (MKL, Accelerate, not
+Linux) BLAS runs unpinned, and ``BenchReport.blas_pinned`` says so. Two
+measurement-hygiene rules keep the speedup-vs-volume curve about the
+algorithm instead of the machine: the CPU data caches are scrubbed before
+every timed run (small volumes must not be timed cache-hot), and batched
+runs write into a reused output buffer (fresh multi-hundred-MB allocations
+would otherwise spend most of their time in kernel page zeroing, a cost
+that vanishes in any pipeline that transforms more than one volume).
 CSV columns are fixed: direction,order,voxels,method,seconds,max_dev.
 """
 
 from __future__ import annotations
 
+import ctypes
 import io
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -59,7 +66,7 @@ class BenchRow:
 @dataclass
 class BenchReport:
     rows: list[BenchRow]
-    blas_pinned: bool  # False when threadpoolctl was missing and BLAS ran unpinned
+    blas_pinned: bool  # False when no OpenBLAS thread control was found and BLAS ran unpinned
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -81,16 +88,63 @@ class BenchReport:
         )
 
 
+# (get, set) thread-count symbol pairs, in the order tried on each library: the
+# scipy-openblas wheels numpy and scipy bundle (ILP64, then LP64), then upstream
+# OpenBLAS builds (ILP64 with the 64_ suffix, then plain)
+_OPENBLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
+)
+
+
+def _openblas_thread_controls() -> list:
+    """(get, set) thread-count functions of every OpenBLAS mapped into this process.
+
+    The libraries are the files in /proc/self/maps with "openblas" in their
+    path; each one that exports a pair of :data:`_OPENBLAS_THREAD_SYMBOLS`
+    contributes its first such pair. Nothing is loaded that is not mapped
+    already (RTLD_NOLOAD). The list is empty where there is no such map
+    (not Linux) or no such library (MKL, Accelerate).
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            # address, perms, offset, device, inode and, for a mapped file, its path
+            fields = [line.rstrip("\n").split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    controls = []
+    for path in sorted({f[5] for f in fields if len(f) == 6 and "openblas" in f[5].lower()}):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:  # not a library that can be opened, or no longer mapped
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
 @contextmanager
 def _single_thread_blas():
-    """Pin BLAS to one thread; yields whether it could (needs threadpoolctl)."""
+    """Pin every OpenBLAS in the process to one thread; yields whether there was one.
+
+    Each library found by :func:`_openblas_thread_controls` gets its earlier
+    thread count back on exit, also when the body raises.
+    """
+    controls = _openblas_thread_controls()
+    earlier = [get() for get, _ in controls]
     try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        yield False
-        return
-    with threadpool_limits(limits=1):
-        yield True
+        for _, set_threads in controls:
+            set_threads(1)
+        yield bool(controls)
+    finally:
+        for (_, set_threads), count in zip(controls, earlier):
+            set_threads(count)
 
 
 def _naive_fit(basis, penalty, lam, signals) -> np.ndarray:

@@ -383,7 +383,9 @@ def _cmd_lsc(args) -> int:
         raise ShapeError(
             f"kernel expects {kernel.shells_in} input shells, selection has {n_shells}"
         )
-    if args.order_out is not None:  # checked, like --lambda, before any input read
+    # the ring angle, --order-out and --lambda are checked before any input read
+    lsc._check_ring_angle(alpha, len(sizes))
+    if args.order_out is not None:
         ShBasisSpec(args.order_out)
     fitting._check_weight(args.lb_lambda)
     with _read_channels(args.sh, args.out) as vol:
@@ -422,7 +424,7 @@ def _cmd_bench(args) -> int:
         n_dirs=args.dirs,
     )
     if not report.blas_pinned:
-        _info("BLAS not pinned to one thread: threadpoolctl not installed")
+        _info("BLAS not pinned to one thread: no OpenBLAS thread control found")
     csv_text = report.to_csv()
     if args.out:
         with dwio._atomic_output(args.out) as tmp, open(tmp, "w") as fh:

@@ -565,6 +565,19 @@ def read_nifti(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
         return data.reshape(-1).reshape(vol.shape, order="F"), vol.affine, vol.header
 
 
+def _check_nifti_shape(shape) -> None:
+    """Raise ValueError for a shape NIfTI-1 cannot store: it takes 1 to 7 axes of 1 to 32,767."""
+    if not 1 <= len(shape) <= 7:
+        raise ValueError(f"cannot store a {len(shape)}-dimensional array in NIfTI-1")
+    for axis, length in enumerate(shape):
+        if length < 1:  # _read_header, like other readers, refuses such a file
+            raise ValueError(f"axis {axis} has length {length}; NIfTI-1 stores no empty axis")
+        if length > _DIM_MAX:
+            raise ValueError(
+                f"axis {axis} has length {length}; NIfTI-1 stores at most {_DIM_MAX} per axis"
+            )
+
+
 def _nifti_header(shape, affine, dtype) -> bytes:
     """The 352 bytes before the payload of a volume that sphdwi writes.
 
@@ -575,15 +588,7 @@ def _nifti_header(shape, affine, dtype) -> bytes:
     axes of 1 to 32,767) or an affine that is not 4 x 4, and
     :class:`NiftiDatatypeError` for an unsupported dtype.
     """
-    if not 1 <= len(shape) <= 7:
-        raise ValueError(f"cannot store a {len(shape)}-dimensional array in NIfTI-1")
-    for axis, length in enumerate(shape):
-        if length < 1:  # _read_header, like other readers, refuses such a file
-            raise ValueError(f"axis {axis} has length {length}; NIfTI-1 stores no empty axis")
-        if length > _DIM_MAX:
-            raise ValueError(
-                f"axis {axis} has length {length}; NIfTI-1 stores at most {_DIM_MAX} per axis"
-            )
+    _check_nifti_shape(shape)
     dtype = np.dtype(dtype)
     if dtype not in _CODE_FOR_DTYPE:
         raise NiftiDatatypeError(f"unsupported on-disk dtype {dtype}")

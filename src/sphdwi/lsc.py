@@ -97,6 +97,18 @@ def _kernel_sizes(kernel_sizes) -> tuple[int, ...]:
     return tuple(int(s) for s in sizes)
 
 
+def _check_ring_angle(alpha: float, rings: int) -> None:
+    """Raise ValueError unless ``rings`` rings spaced ``alpha`` apart stay inside the hemisphere.
+
+    Written so that a NaN ``alpha`` fails it as well.
+    """
+    if not (0.0 < alpha and alpha * rings < np.pi / 2.0):
+        raise ValueError(
+            f"rings must stay inside the hemisphere: need 0 < alpha and "
+            f"alpha * {rings} < pi/2, got alpha = {alpha}"
+        )
+
+
 def build_lsc_geometry(
     gradients,
     kernel_sizes,
@@ -113,11 +125,7 @@ def build_lsc_geometry(
     """
     origins = as_unit_directions(gradients)
     sizes = _kernel_sizes(kernel_sizes)
-    if alpha <= 0.0 or alpha * len(sizes) >= np.pi / 2.0:
-        raise ValueError(
-            f"rings must stay inside the hemisphere: need 0 < alpha and "
-            f"alpha * {len(sizes)} < pi/2, got alpha = {alpha}"
-        )
+    _check_ring_angle(alpha, len(sizes))
     rings = [
         np.stack([ring_directions(u, r * alpha, npts) for u in origins])
         for r, npts in enumerate(sizes, start=1)

@@ -165,10 +165,13 @@ def make_phantom(spec: PhantomSpec, scheme: dwio.GradientScheme, out_prefix: str
     existing set as it was; a refused rename raises an OSError naming the
     files already renamed. A prefix whose base name is empty, ``.`` or
     ``..`` (``""`` or ``sub/``) names no file: it raises FileNotFoundError
-    before anything is generated. A missing parent directory is created.
+    before anything is generated, and so does a grid whose volume NIfTI-1
+    cannot store (an axis over 32,767) with ValueError. A missing parent
+    directory is created.
     """
     if os.path.basename(out_prefix) in ("", os.curdir, os.pardir):
         raise FileNotFoundError(errno.ENOENT, "the output prefix names no file", out_prefix)
+    dwio._check_nifti_shape((*spec.grid, scheme.n))
     result = generate_phantom(spec, scheme)
     prefix = Path(out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)

@@ -16,6 +16,28 @@ def rng():
     return np.random.default_rng(20240814)
 
 
+@pytest.fixture
+def two_blas_threads():
+    """The (get, set) controls of every OpenBLAS in the process, each set to two threads.
+
+    Importing scipy.linalg first maps scipy's own OpenBLAS beside numpy's.
+    Two threads, not the machine's default, so that a pin to one differs
+    from it on any machine; each library's earlier count is set back
+    afterwards.
+    """
+    import scipy.linalg  # noqa: F401
+
+    from sphdwi import bench
+
+    controls = bench._openblas_thread_controls()
+    earlier = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(2)
+    yield controls
+    for (_, set_threads), count in zip(controls, earlier):
+        set_threads(count)
+
+
 class _FullDisk(io.FileIO):
     """A file that refuses writes once 100 bytes are in it, as a full disk would."""
 

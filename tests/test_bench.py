@@ -1,4 +1,3 @@
-import sys
 from collections import Counter
 
 import numpy as np
@@ -129,13 +128,16 @@ class TestRunBench:
         assert calls["eval"] == expected
         assert all(r.max_dev <= 1e-12 for r in report.rows)
 
-    def test_blas_pinning_reported_when_threadpoolctl_missing(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import now fails
+    def test_blas_pinning_reported_when_no_openblas_found(self, monkeypatch):
+        monkeypatch.setattr(bench, "_openblas_thread_controls", lambda: [])  # MKL, say
         with bench._single_thread_blas() as pinned:
             assert pinned is False
         report = run_bench([2], voxel_count=60, repeats=3, seed=0)
         assert report.blas_pinned is False
         assert report.to_csv().splitlines()[0] == CSV_HEADER
+
+    def test_blas_pinned_here(self):
+        assert run_bench([2], voxel_count=60, repeats=3, seed=0).blas_pinned is True
 
     def test_batched_result_unlike_the_api_raises(self, monkeypatch):
         real = bench.signal_to_sh
@@ -152,3 +154,20 @@ class TestRunBench:
         report = run_bench([2, 4, 6, 8], voxel_count=120, repeats=3, seed=2)
         assert len(report.rows) == 16
         assert {r.method for r in report.rows} == {"batched", "naive"}
+
+
+class TestSingleThreadBlas:
+    def test_every_openblas_pinned_then_restored(self, two_blas_threads):
+        # numpy's and scipy's wheels each bundle their own OpenBLAS
+        assert len(two_blas_threads) >= 2
+        with bench._single_thread_blas() as pinned:
+            assert pinned is True
+            assert [get() for get, _ in two_blas_threads] == [1] * len(two_blas_threads)
+        assert [get() for get, _ in two_blas_threads] == [2] * len(two_blas_threads)
+
+    def test_restored_when_the_body_raises(self, two_blas_threads):
+        with pytest.raises(KeyError):
+            with bench._single_thread_blas():
+                assert [get() for get, _ in two_blas_threads] == [1] * len(two_blas_threads)
+                raise KeyError("body failed")
+        assert [get() for get, _ in two_blas_threads] == [2] * len(two_blas_threads)

@@ -2,6 +2,7 @@ import errno
 import gzip
 import json
 import os
+import resource
 import stat
 import subprocess
 import sys
@@ -1406,11 +1407,12 @@ class TestBenchCommand:
         assert len(text) == 5
 
     def test_unpinned_blas_reported_once_on_stderr(self, capsys, monkeypatch):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import now fails
+        monkeypatch.setattr(sphdwi.bench, "_openblas_thread_controls", lambda: [])  # MKL, say
         code = main(["bench", "--orders", "2,4", "--voxels", "50", "--repeats", "3"])
         assert code == 0
         captured = capsys.readouterr()
-        assert captured.err.count("BLAS not pinned to one thread: threadpoolctl not installed") == 1
+        assert captured.err.count(
+            "BLAS not pinned to one thread: no OpenBLAS thread control found") == 1
         assert captured.out.splitlines()[0] == "direction,order,voxels,method,seconds,max_dev"
 
     def test_bad_orders_exit_2(self):
@@ -1686,6 +1688,26 @@ class TestUsageErrors:
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_kernel_rings_past_the_hemisphere_exit_2_before_the_input_is_opened(
+            self, phantom_files, tmp_path, monkeypatch, capsys):
+        # three rings 0.6 apart reach 1.8 > pi/2; the JSON itself is valid
+        kernel_path = str(tmp_path / "kernel.json")
+        lsc_mod.save_kernel_json(kernel_path, make_moving_average_kernel([5, 5, 5]), [5, 5, 5], 0.6)
+        out = str(tmp_path / "out.nii.gz")
+        args = [arg for arg in lsc_args(phantom_files, phantom_files["nifti"], out)
+                if arg not in ("--moving-average", f"5,{PI_OVER_5}")]
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("the input was opened")
+
+        monkeypatch.setattr(dwio, "NiftiRows", no_read)
+        assert main([*args, "--kernel", kernel_path]) == 2
+        assert not os.path.exists(out)
+        assert capsys.readouterr().err == (
+            "sphdwi: rings must stay inside the hemisphere: need 0 < alpha and "
+            "alpha * 3 < pi/2, got alpha = 0.6\n"
+        )
+
     @pytest.mark.parametrize(
         "command, flags, message",
         [
@@ -1697,10 +1719,14 @@ class TestUsageErrors:
             ("lsc", ["--order-out", "3"], "SH order must be even and >= 0, got 3"),
             ("lsc", ["--lambda", "-1"],
              "regularization weight must be finite and >= 0, got -1.0"),
+            *[("lsc", ["--moving-average", f"5,{alpha}"],
+               "rings must stay inside the hemisphere: need 0 < alpha and alpha * 1 < pi/2, "
+               f"got alpha = {float(alpha)}") for alpha in ("2.0", "-1", "nan")],
             ("sh2signal", ["--order", "3"], "SH order must be even and >= 0, got 3"),
         ],
         ids=["signal2sh-order", "signal2sh-lambda", "signal2sh-no-b0", "lsc-order-out",
-             "lsc-lambda", "sh2signal-order"],
+             "lsc-lambda", "lsc-wide-ring", "lsc-negative-ring", "lsc-nan-ring",
+             "sh2signal-order"],
     )
     def test_bad_flag_exits_2_before_the_input_is_opened(self, command, flags, message,
                                                          phantom_files, tmp_path, monkeypatch,
@@ -1791,7 +1817,7 @@ class TestModuleEntryPoint:
     """``python -m sphdwi`` runs cli.entry, which exits with main()'s code."""
 
     @staticmethod
-    def run(*args, cwd):
+    def run(*args, cwd, **popen):
         src = os.path.dirname(os.path.dirname(os.path.abspath(sphdwi.__file__)))
         return subprocess.run(
             [sys.executable, "-m", "sphdwi", *args],
@@ -1799,6 +1825,7 @@ class TestModuleEntryPoint:
             cwd=cwd,
             capture_output=True,
             text=True,
+            **popen,
         )
 
     def test_help_exits_0(self, tmp_path):
@@ -1806,8 +1833,15 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert "usage: sphdwi" in proc.stdout
 
-    def test_bad_axis_phantom_exits_2(self, tmp_path):
-        proc = self.run("phantom", "--grid", "40000,1,1", "--out-prefix", "big", cwd=tmp_path)
+    @pytest.mark.parametrize("grid", ["40000,1,1", "40000,40000,1"])
+    def test_bad_axis_phantom_exits_2(self, tmp_path, grid):
+        # 40000 x 40000 voxels would be 370 GiB: refused before it is generated, so a
+        # 3 GB address-space cap costs nothing, and keeps a regression from filling memory
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        proc = self.run("phantom", "--grid", grid, "--out-prefix", "big", cwd=tmp_path,
+                        preexec_fn=cap)
         assert proc.returncode == 2
         assert "axis 0 has length 40000" in proc.stderr
         assert "Traceback" not in proc.stderr

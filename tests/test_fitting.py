@@ -24,7 +24,9 @@ from sphdwi import (
     signal_to_sh,
     unit_sphere_directions,
 )
+from sphdwi import bench
 from sphdwi.fitting import (
+    _BLOCK,
     _FINITE_PIECE,
     _all_finite,
     _apply_affine,
@@ -602,6 +604,19 @@ class TestApplyAffine:
     def test_channels_not_a_multiple_of_c_in_raise(self, channels):
         with pytest.raises(ShapeError, match=f"volume has {channels} channels"):
             _apply_affine(np.ones((2, 3)), np.ones((1, channels, 2, 1, 1)))
+
+    @pytest.mark.parametrize("per_group", [False, True], ids=["shared", "stack"])
+    def test_bits_do_not_depend_on_the_blas_thread_count(self, rng, two_blas_threads, per_group):
+        # fit-sized products (45 x 60 by 1,024 columns), which OpenBLAS splits over its
+        # threads, on a full block and a tail block of two subjects' three channel groups
+        groups, cout, cin = 3, 45, 60
+        matrix = rng.normal(size=(groups, cout, cin) if per_group else (cout, cin))
+        data = rng.normal(size=(2, groups * cin, _BLOCK + 300, 1, 1))
+        threaded = _apply_affine(matrix, data)
+        with bench._single_thread_blas() as pinned:
+            assert pinned is True
+            single = _apply_affine(matrix, data)
+        np.testing.assert_array_equal(single, threaded)
 
     def test_stack_of_another_group_count_raises(self):
         # two matrices for three channel groups: no matrix would fill the third
