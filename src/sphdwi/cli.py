@@ -41,8 +41,31 @@ def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+class _Once(argparse.Action):
+    """Store an option's value, and refuse the option when it is given again.
+
+    argparse would keep the last of several values without a word; a
+    repeat is a usage error (exit 2) naming the option instead.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = namespace.__dict__.setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and its subcommands', whose single-value options are :class:`_Once`."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _Once)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sphdwi",
         description="Spherical-harmonic transforms and local spherical convolution "
         "for diffusion-MRI volumes.",
@@ -138,12 +161,14 @@ def _sh_layout(path: str, nvol: int, order: int | None = None, shells: int | Non
 # splits an API volume (dwio._STREAM is a multiple of fitting._BLOCK), so the
 # bits are the API's. A command's buffers take (rows_in * stored itemsize +
 # rows_out * 4) * dwio._STREAM + (rows_in + rows_out) * fitting._BLOCK * 8
-# bytes, and no buffer grows with the voxel count. A .nii.gz input is
-# inflated once into, and read from, an unnamed spill file in the --out
-# directory; a .nii.gz output's rows go to a second spill file, deflated
-# after the last window. So a .nii.gz needs about one uncompressed payload of
-# free disk in the --out directory. signal2sh's mean b0 goes, between its two
-# passes, to a third spill file there (_B0Spill): V * 8 bytes of free disk.
+# bytes, and no buffer grows with the voxel count. signal2sh reads its b0
+# rows twice, one row of a window at a time (_b0_means): once for the
+# volume's b0 threshold, then beside the shells' windows for each block's
+# mean b0. A .nii.gz input is inflated once into, and read from, an unnamed
+# spill file in the --out directory; a .nii.gz output's rows go to a second
+# spill file, deflated after the last window. So a .nii.gz needs about one
+# uncompressed payload of free disk in the --out directory, and a .nii to
+# .nii command none beyond its output.
 
 
 @contextmanager
@@ -185,10 +210,11 @@ def _stream(vol, path: str, matrix, offset=None, rows=None, normalize=None,
 
     The blocks of :func:`_blocks` hold the ``rows`` of the open
     :class:`sphdwi.dwio.NiftiRows` ``vol`` (all rows by default) as
-    float64. ``normalize(x, lo)``, when given, b0-normalizes each block
-    ``x`` of voxel columns from ``lo`` in place (:meth:`_B0Spill.normalize`);
-    each block is then checked by :func:`_check_finite`. ``matrix`` (shared
-    by every channel group, or one per group) and ``offset`` are applied by
+    float64. ``normalize(x)``, when given, b0-normalizes each block ``x``
+    in place, in file order (signal2sh's step takes the next mean of
+    :func:`_b0_means`); each block is then checked by
+    :func:`_check_finite`. ``matrix`` (shared by every channel group, or
+    one per group) and ``offset`` are applied by
     :func:`sphdwi.fitting._apply_affine` into one reused block buffer, so
     there are len(rows) / C_in * C_out output channels; ``measure(x, y)``
     sees each block and its result. Each result goes to
@@ -204,7 +230,7 @@ def _stream(vol, path: str, matrix, offset=None, rows=None, normalize=None,
         for lo, x in _blocks(vol, rows):
             hi = lo + x.shape[1]
             if normalize is not None:
-                normalize(x, lo)
+                normalize(x)
             _check_finite(x, vol, rows, lo)
             y = buf[: channels * (hi - lo)].reshape(channels, hi - lo)
             fitting._apply_affine(matrix, x.reshape(1, len(rows), hi - lo, 1, 1), offset,
@@ -229,72 +255,27 @@ def _blocks(vol, rows):
             yield start + col, vol.convert(part, buf[: part.size].reshape(part.shape))
 
 
-class _B0Spill:
-    """signal2sh's per-voxel mean b0, kept on disk between its two passes.
+def _b0_means(vol, b0_idx):
+    """Yield the per-voxel mean of the ``b0_idx`` rows of ``vol``, block by block.
 
-    The means go to an unnamed :func:`sphdwi.dwio._spill` file in ``where``
-    (the --out directory), V x 8 bytes, so memory holds no per-voxel
-    array. :meth:`write` appends a block of means and folds them into
-    ``eps``, the volume's b0 threshold; :meth:`normalize` reads a block's
-    means back into one fitting._BLOCK-sized buffer and applies the b0
-    rule of :func:`sphdwi.fitting._b0_denominator` to it, counting the
-    excluded voxels in ``excluded``. A failed spill write or read, or a
-    short read, raises OSError naming ``where``: no block is divided by
-    stale means.
+    The blocks are those of :func:`_blocks`, in file order. For each
+    window of dwio._STREAM voxel columns, the b0 rows are read one
+    at a time (:meth:`sphdwi.dwio.NiftiRows.read_row`) into one row buffer
+    of the stored dtype, converted into one float64 row buffer and summed
+    in acquisition order by :func:`sphdwi.fitting._b0_mean`, so the bits
+    are those of the whole-volume mean; the window's means are then yielded
+    fitting._BLOCK columns at a time. Memory holds three rows of one window
+    whatever the b0 count, and each run of the generator reads the b0 rows
+    from the input again.
     """
-
-    def __init__(self, where: str) -> None:
-        self.where = where
-        self.eps = -np.inf
-        self.excluded = 0
-        self._mean = np.empty(fitting._BLOCK)
-        with self._failing("create"):
-            self._fh = dwio._spill(where)
-
-    @contextmanager
-    def _failing(self, action: str):
-        try:
-            yield
-        except OSError as exc:
-            raise OSError(f"cannot {action} the mean b0 spill file in {self.where} "
-                          f"({exc.strerror or exc})") from exc
-
-    def write(self, mean: np.ndarray) -> None:
-        """Append the next block of means; :func:`sphdwi.fitting._b0_threshold` checks them."""
-        self.eps = fitting._b0_threshold(mean, self.eps)
-        with self._failing("write"):
-            self._fh.write(mean)
-
-    def normalize(self, x: np.ndarray, lo: int) -> None:
-        """Divide the block ``x`` of voxel columns from ``lo`` by its mean b0, in place."""
-        mean = self._mean[: x.shape[1]]
-        with self._failing("read"):
-            self._fh.seek(lo * mean.itemsize)
-            got = self._fh.readinto(mean)
-        if got != mean.nbytes:
-            raise OSError(f"the mean b0 spill file in {self.where} reads back short: "
-                          f"{got} of {mean.nbytes} bytes at voxel {lo}")
-        excluded, denom = fitting._b0_denominator(mean, self.eps)
-        self.excluded += int(np.count_nonzero(excluded))
-        fitting._normalize_block(x, denom, excluded, out=x)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._fh.close()
-
-
-def _mean_b0(vol, b0_idx, spill: _B0Spill) -> None:
-    """Write the per-voxel mean of the ``b0_idx`` rows of ``vol`` to ``spill``, block by block.
-
-    Each voxel's sum runs over its rows in acquisition order, so the bits
-    are those of :func:`sphdwi.fitting._b0_mean` over the whole volume,
-    and so is the threshold that ``spill.write`` folds the blocks into.
-    A non-finite b0 is refused there, before any output is opened.
-    """
-    for _, b0 in _blocks(vol, b0_idx):
-        spill.write(fitting._b0_mean(b0))
+    stored = np.empty(min(vol.voxels, dwio._STREAM), dtype=vol.dtype)
+    row = np.empty(stored.shape)
+    for lo in range(0, vol.voxels, dwio._STREAM):
+        width = min(dwio._STREAM, vol.voxels - lo)
+        mean = fitting._b0_mean(vol.convert(vol.read_row(b0, lo, stored[:width]), row[:width])
+                                for b0 in b0_idx)
+        for col in range(0, width, fitting._BLOCK):
+            yield mean[col : col + fitting._BLOCK]
 
 
 def _cmd_signal2sh(args) -> int:
@@ -311,13 +292,25 @@ def _cmd_signal2sh(args) -> int:
     _info(f"R={ops[0].basis_spec.coeff_count} cond={max(o.cond for o in ops):.3e}")
     with _read_channels(args.dwi, args.out) as vol:
         fitting._check_volume_count(vol.channels, scheme.b0_indices, scheme.shells)
-        where = os.path.dirname(os.path.abspath(args.out))
-        with _B0Spill(where) as b0:
-            _mean_b0(vol, scheme.b0_indices, b0)
-            _stream(vol, args.out, np.stack([o.fit_matrix for o in ops]),
-                    rows=np.concatenate([s.indices for s in shells]), normalize=b0.normalize)
+        # pass 1: the volume's b0 threshold; a non-finite b0 is refused here,
+        # before any output is opened
+        eps = -np.inf
+        for mean in _b0_means(vol, scheme.b0_indices):
+            eps = fitting._b0_threshold(mean, eps)
+        # pass 2: each block of the shells is divided by its mean b0
+        means = _b0_means(vol, scheme.b0_indices)
+        excluded = 0
+
+        def normalize(x):
+            nonlocal excluded
+            mask, denom = fitting._b0_denominator(next(means), eps)
+            excluded += int(np.count_nonzero(mask))
+            fitting._normalize_block(x, denom, mask, out=x)
+
+        _stream(vol, args.out, np.stack([o.fit_matrix for o in ops]),
+                rows=np.concatenate([s.indices for s in shells]), normalize=normalize)
     # after the output is in place, so a failed run prints only its error
-    _info(f"b0: {b0.excluded} of {vol.voxels} voxels excluded "
+    _info(f"b0: {excluded} of {vol.voxels} voxels excluded "
           "(mean b0 at or below 1e-6 of its maximum)")
     return 0
 
@@ -407,6 +400,10 @@ def _cmd_lsc(args) -> int:
         f"mean l>=2 energy fraction: {energy[0] / (shells_in * vol.voxels):.4f} "
         f"-> {energy[1] / (kernel.shells_out * vol.voxels):.4f}"
     )
+    for ring, points in enumerate(sizes, start=1):
+        if points <= order_in:
+            _info(f"warning: ring {ring} has {points} points, no more than the input "
+                  f"order {order_in}, so it undersamples the degrees it averages")
     return 0
 
 

@@ -450,9 +450,10 @@ class NiftiRows:
     columns): row c at voxel columns lo:lo + width is one contiguous segment
     of the file. Reading takes two steps: :meth:`windows` reads the chosen
     rows in windows of _STREAM voxel columns of the stored dtype, as
-    :func:`write_nifti_rows` writes them, and :meth:`convert` turns all or
-    part of a window into float64, scaled, in a buffer the caller owns; so
-    memory does not grow with the volume.
+    :func:`write_nifti_rows` writes them, each row by :meth:`read_row`
+    (which also reads a single row segment), and :meth:`convert` turns all
+    or part of a window into float64, scaled, in a buffer the caller owns;
+    so memory does not grow with the volume.
 
     An uncompressed file is read where it is, a .nii.gz from its
     :func:`_inflate` spill file in ``spill_dir``. Attributes: ``shape``,
@@ -488,9 +489,8 @@ class NiftiRows:
         ``stored`` is a (len(rows), width) view of one buffer of the stored
         dtype, local to this generator and valid until the next window: row
         i holds payload row ``rows[i]`` at voxel columns lo:lo + width, by
-        one positioned ``readinto``. A row outside 0..C-1 raises ValueError
-        naming the file before anything is read; a short or failed read
-        raises :class:`NiftiTruncatedError`.
+        :meth:`read_row`. A row outside 0..C-1 raises ValueError naming the
+        file before anything is read.
         """
         rows = np.asarray(rows)
         if rows.size and not 0 <= rows.min() <= rows.max() < self.channels:
@@ -498,21 +498,32 @@ class NiftiRows:
         window = np.empty((len(rows), min(self.voxels, _STREAM)), dtype=self.dtype)
         for lo in range(0, self.voxels, _STREAM):
             stored = window[:, : self.voxels - lo]
-            try:
-                for row, dest in zip(rows, stored):
-                    self._fh.seek(self._offset + (int(row) * self.voxels + lo) * dest.itemsize)
-                    if self._fh.readinto(dest) != dest.nbytes:
-                        raise NiftiTruncatedError(f"{self.path}: voxel data ends early")
-            except (OSError, ValueError) as exc:
-                raise NiftiTruncatedError(f"{self.path}: unreadable voxel data ({exc})") from exc
+            for row, dest in zip(rows, stored):
+                self.read_row(row, lo, dest)
             yield lo, stored
+
+    def read_row(self, row, lo: int, dest: np.ndarray) -> np.ndarray:
+        """Fill ``dest`` with payload row ``row`` at voxel columns lo:lo + len(dest), as stored.
+
+        ``dest`` is a contiguous 1-D array of the stored dtype; it is filled
+        by one positioned ``readinto`` and returned. A short or failed read
+        raises :class:`NiftiTruncatedError`.
+        """
+        try:
+            self._fh.seek(self._offset + (int(row) * self.voxels + lo) * dest.itemsize)
+            if self._fh.readinto(dest) != dest.nbytes:
+                raise NiftiTruncatedError(f"{self.path}: voxel data ends early")
+        except (OSError, ValueError) as exc:
+            raise NiftiTruncatedError(f"{self.path}: unreadable voxel data ({exc})") from exc
+        return dest
 
     def convert(self, stored: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` with the stored values ``stored`` as float64, scaled, and return it.
 
-        ``stored`` is all or part of a window of :meth:`windows`; ``out`` has
-        its shape. The rule is ``x * scl_slope + scl_inter`` when the slope
-        is finite and nonzero (a non-finite intercept counts as 0);
+        ``stored`` is all or part of a window of :meth:`windows`, or a row
+        of :meth:`read_row`; ``out`` has its shape. The rule is
+        ``x * scl_slope + scl_inter`` when the slope is finite and nonzero
+        (a non-finite intercept counts as 0);
         otherwise the values are multiplied by 1.0, which keeps every bit
         (-0.0 included) except a signalling NaN's, which becomes quiet with
         its sign kept. So no path hands on a signalling NaN, whose first use

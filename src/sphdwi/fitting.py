@@ -296,18 +296,23 @@ def _check_volume_count(nvol: int, b0_idx, shell_table) -> None:
         raise ShapeError(f"gradient table describes {indexed} volumes, data has {nvol}")
 
 
-def _b0_mean(b0: np.ndarray) -> np.ndarray:
-    """The per-voxel mean of b0 samples (volumes, voxels...).
+def _b0_mean(rows) -> np.ndarray:
+    """The per-voxel mean of b0 samples given as rows, one per b0 volume (voxels...).
 
-    The rows are summed one after another, so the bits depend neither on
-    the memory layout of ``b0`` nor on how its voxels are split into parts.
-    A signalling NaN gives NaN, with no numpy warning.
+    ``rows`` is any iterable of equal-shaped arrays: a (volumes, voxels...)
+    array, or a generator that refills one buffer for each row. The rows
+    are summed one after another, in the order given, so the bits depend
+    neither on their memory layout nor on how the voxels are split into
+    parts. A signalling NaN gives NaN, with no numpy warning.
     """
+    rows = iter(rows)
     with np.errstate(invalid="ignore"):
-        total = np.array(b0[0], dtype=np.float64)
-        for row in b0[1:]:
+        total = np.array(next(rows), dtype=np.float64)
+        count = 1
+        for count, row in enumerate(rows, start=2):
             total += row
-        return total / b0.shape[0]
+        total /= count
+    return total
 
 
 def _b0_threshold(mean_b0: np.ndarray, eps: float = -np.inf) -> float:

@@ -586,6 +586,39 @@ class TestLsc:
         assert code == 2
 
 
+class TestUndersampledRingWarning:
+    WARNING = ("warning: ring {ring} has {points} points, no more than the input order "
+               "{order}, so it undersamples the degrees it averages")
+
+    @pytest.mark.parametrize("sizes, order, warned", [
+        ([5], 8, [(1, 5)]),  # the brain workloads' ring
+        ([5], 4, []),
+        ([9], 8, []),
+        ([9, 5], 8, [(2, 5)]),
+    ], ids=["5-points-order-8", "5-points-order-4", "9-points-order-8", "second-ring"])
+    def test_warns_after_the_energy_line(self, phantom_files, tmp_path, capsys, sizes, order,
+                                         warned):
+        sh_path = str(tmp_path / "sh.nii")
+        r = ShBasisSpec(order).coeff_count
+        dwio.write_nifti(sh_path, np.random.default_rng(3).normal(size=(2, 2, 2, r)))
+        out = tmp_path / "lsc.nii"
+        args = lsc_args(phantom_files, sh_path, str(out))
+        args[args.index("--lambda") + 1] = "0.006"  # 30 origins are too few for order 8 alone
+        if len(sizes) == 1:
+            args[args.index("--moving-average") + 1] = f"{sizes[0]},{PI_OVER_5}"
+        else:
+            kernel_path = str(tmp_path / "kernel.json")
+            lsc_mod.save_kernel_json(kernel_path, make_moving_average_kernel(sizes), sizes, 0.6)
+            args[args.index("--moving-average"):args.index("--moving-average") + 2] = [
+                "--kernel", kernel_path]
+        assert main(args) == 0
+        assert out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("mean l>=2 energy fraction: ")
+        assert lines[1:] == [self.WARNING.format(ring=ring, points=points, order=order)
+                             for ring, points in warned]
+
+
 class TestMultiShellPipeline:
     def test_two_shell_fit_and_lsc(self, tmp_path):
         """Two shells flow through signal2sh and a 2-in/2-out kernel as blocks."""
@@ -827,6 +860,35 @@ class TestStreamedCommandsMatchApi:
                          "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+# one b0 volume, then the two 30-direction shells
+ONE_B0_BVALS = [0.0] + ([1000.0] * 10 + [2000.0] * 10) * 3
+
+
+class TestSignal2ShReadsB0InPlace:
+    @pytest.mark.parametrize("bvals", [ONE_B0_BVALS, TWO_SHELL_BVALS], ids=["one-b0", "three-b0"])
+    def test_plain_files_need_no_spill_file(self, tmp_path, monkeypatch, capsys, bvals):
+        # a scaled int16 input of two I/O windows ending in a partial block:
+        # both passes read the b0 rows from the input itself
+        acq = two_shell_acquisition(tmp_path / "in", bvals=bvals)
+
+        def no_spill(dirname):
+            raise AssertionError(f"a spill file was made in {dirname}")
+
+        monkeypatch.setattr(dwio, "_spill", no_spill)
+        sh_path = str(tmp_path / "sh.nii")
+        assert main(["signal2sh", "--dwi", acq["dwi"], *_grad(acq), "--order", "4",
+                     "--out", sh_path]) == 0
+        scheme = dwio.read_bvals_bvecs(acq["bvals"], acq["bvecs"])
+        data, _, _ = dwio.read_nifti(acq["dwi"])
+        vol, excluded = normalize_b0(data, scheme)
+        ops = [make_fit_operator(vol.scheme.shell_directions(s.bvalue), 4, 0.006)
+               for s in vol.scheme.shells]
+        _assert_payload_equals(sh_path, signal_to_sh(vol, ops))
+        assert excluded.sum() == 1 and capsys.readouterr().err.splitlines()[-1] == (
+            f"b0: 1 of {data[..., 0].size} voxels excluded "
+            "(mean b0 at or below 1e-6 of its maximum)")
 
 
 class TestStagesBuiltOnce:
@@ -1548,41 +1610,6 @@ class TestAtomicOutput:
         assert os.strerror(errno.ENOSPC) in err and ".sphdwi-" not in err
         assert list(out_dir.iterdir()) == []
 
-    @pytest.mark.parametrize("ext", [".nii", ".nii.gz"])
-    def test_failed_b0_spill_exits_4_naming_the_out_directory(self, tmp_path, capsys,
-                                                              request, ext):
-        # two blocks of plain .nii input: the b0 spill is the only spill until
-        # the output, and its second block meets the full disk
-        acq = two_shell_acquisition(tmp_path / "in", grid=(16, 16, 8))
-        out_dir = tmp_path / "out"
-        out_dir.mkdir()
-        request.getfixturevalue("full_disk")  # from here on, the disk is full
-        assert main(["signal2sh", "--dwi", acq["dwi"], *_grad(acq), "--shell", "1000",
-                     "--out", str(out_dir / f"sh{ext}")]) == 4
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            f"sphdwi: cannot write the mean b0 spill file in {out_dir} "
-            f"({os.strerror(errno.ENOSPC)})")
-        assert list(out_dir.iterdir()) == []
-
-    def test_short_b0_spill_exits_4_without_output(self, tmp_path, capsys, monkeypatch):
-        acq = two_shell_acquisition(tmp_path / "in", grid=(16, 16, 8))
-        real = cli._mean_b0
-
-        def lose_the_last_mean(vol, b0_idx, spill):
-            real(vol, b0_idx, spill)
-            spill._fh.truncate(spill._fh.tell() - 8)
-
-        monkeypatch.setattr(cli, "_mean_b0", lose_the_last_mean)
-        out_dir = tmp_path / "out"
-        out_dir.mkdir()
-        assert main(["signal2sh", "--dwi", acq["dwi"], *_grad(acq), "--shell", "1000",
-                     "--out", str(out_dir / "sh.nii")]) == 4
-        # the output's temporary file was open, so the message names the output as well
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            f"sphdwi: {out_dir / 'sh.nii'}: the mean b0 spill file in {out_dir} reads back "
-            "short: 8184 of 8192 bytes at voxel 1024")
-        assert list(out_dir.iterdir()) == []
-
     def test_csv_mode_follows_umask(self, tmp_path):
         out = tmp_path / "bench.csv"
         old = os.umask(0o027)
@@ -1739,10 +1766,16 @@ class TestUsageErrors:
         no_b0 = str(tmp_path / "no_b0")
         dwio.write_bvals_bvecs(scheme.bvals[keep], scheme.directions[keep],
                                no_b0 + ".bvals", no_b0 + ".bvecs")
-        flags = [flag.format(no_b0=no_b0) for flag in flags]
         args = {"signal2sh": fit_args(phantom_files, out),
                 "lsc": lsc_args(phantom_files, gz, out),
                 "sh2signal": eval_args(phantom_files, gz, out)}[command]
+        # each flag replaces the value the helper's argv holds, or is added: a repeat exits 2
+        for flag, value in zip(flags[::2], flags[1::2]):
+            value = value.format(no_b0=no_b0)
+            if flag in args:
+                args[args.index(flag) + 1] = value
+            else:
+                args += [flag, value]
         opened = []
         real = dwio.NiftiRows
 
@@ -1751,10 +1784,50 @@ class TestUsageErrors:
             return real(path, *args, **kwargs)
 
         monkeypatch.setattr(dwio, "NiftiRows", counting)
-        assert main([*args, *flags]) == 2  # a repeated flag's last value is the one used
+        assert main(args) == 2
         assert opened == []
         assert not os.path.exists(out)
         assert capsys.readouterr().err == f"sphdwi: {message}\n"
+
+    # every single-value flag of the five commands, with a value it parses
+    SINGLE_VALUE_FLAGS = {
+        "signal2sh": {"--dwi": "dwi.nii", "--bvals": "g.bvals", "--bvecs": "g.bvecs",
+                      "--order": "4", "--lambda": "0", "--out": "sh.nii"},
+        "sh2signal": {"--sh": "sh.nii", "--dirs": "dirs.txt", "--bvals": "g.bvals",
+                      "--bvecs": "g.bvecs", "--order": "4", "--out": "signal.nii"},
+        "lsc": {"--sh": "sh.nii", "--bvals": "g.bvals", "--bvecs": "g.bvecs",
+                "--kernel": "kernel.json", "--moving-average": f"5,{PI_OVER_5}",
+                "--order-out": "4", "--lambda": "0", "--out": "lsc.nii"},
+        "bench": {"--orders": "2", "--voxels": "50", "--repeats": "3", "--seed": "0",
+                  "--dirs": "30", "--lambda": "0", "--out": "bench.csv"},
+        "phantom": {"--kind": "constant", "--grid": "2,2,2", "--dirs": "30", "--bvalue": "1000",
+                    "--n-b0": "1", "--order": "4", "--seed": "0", "--value": "1",
+                    "--noise": "0", "--out-prefix": "ph"},
+    }
+
+    def test_every_single_value_flag_is_listed(self):
+        subparsers = next(action for action in cli.build_parser()._actions
+                          if action.choices is not None)
+        for command, parser in subparsers.choices.items():
+            flags = {action.option_strings[0]: isinstance(action, cli._Once)
+                     for action in parser._actions}
+            assert {flag for flag, once in flags.items() if once} == set(
+                self.SINGLE_VALUE_FLAGS[command]), command
+            # the help flag, and --shell, which is repeatable by its own rules
+            assert {flag for flag, once in flags.items() if not once} <= {"-h", "--shell"}
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in SINGLE_VALUE_FLAGS.items() for flag in flags])
+    def test_repeated_single_value_flag_exits_2_naming_it(self, command, flag, tmp_path,
+                                                          monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # a run would write here
+        values = self.SINGLE_VALUE_FLAGS[command]
+        args = [command, *(token for item in values.items() for token in item)]
+        # the flag again, with the value it already has: a repeat is refused whatever its value
+        assert main([*args, flag, values[flag]]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"sphdwi {command}: error: argument {flag}: given more than once")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["signal2sh", "lsc", "sh2signal"])
     def test_nan_shell_exits_2_writing_nothing(self, command, phantom_files, tmp_path, capsys):

@@ -931,6 +931,25 @@ class TestNiftiRows:
             with pytest.raises(NiftiTruncatedError, match="ends early"):
                 next(windows)
 
+    def test_read_row_fills_one_row_segment_as_stored(self, tmp_path):
+        path = str(tmp_path / "u16.nii")
+        stored = np.arange(2 * 3 * 4 * 5, dtype=np.uint16).reshape(2, 3, 4, 5) * 541
+        dwio.write_nifti(path, stored, dtype=np.uint16)
+        _restore_header(path, -1.5, 0.25, ">")
+        matrix = _channel_matrix(stored)
+        with dwio.NiftiRows(path) as vol:
+            dest = np.empty(7, dtype=vol.dtype)
+            assert vol.read_row(3, 5, dest) is dest
+            np.testing.assert_array_equal(dest, matrix[3, 5:12])
+        cut = str(tmp_path / "cut.nii")
+        dwio.write_nifti(cut, np.ones((32, 32, 16, 2)))  # rows of 64 KiB: past any read buffer
+        with dwio.NiftiRows(cut) as vol:
+            os.truncate(cut, 352 + 4 * vol.voxels + 4 * 6000)  # row 1 ends at voxel 6,000
+            dest = np.empty(2000, dtype=vol.dtype)
+            np.testing.assert_array_equal(vol.read_row(1, 4000, dest), 1.0)
+            with pytest.raises(NiftiTruncatedError, match="ends early"):
+                vol.read_row(1, 5000, dest)
+
     @pytest.mark.parametrize("name", ["vol.nii", "vol.nii.gz"])
     def test_read_nifti_holds_no_stored_copy(self, tmp_path, name):
         # 10.5 MB stored as float32: more than the bound's 2 x 4 MiB of slack
