@@ -88,9 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dirs", help="text file with one 'x y z' direction per row")
     p.add_argument("--bvals")
     p.add_argument("--bvecs")
-    p.add_argument("--shell", type=float, action="append",
-                   help="take target directions from this shell of --bvals/--bvecs; "
-                   "give it once (a repeat exits 2)")
+    p.add_argument("--shell", type=float,
+                   help="take target directions from this shell of --bvals/--bvecs")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--out", required=True)
 
@@ -130,12 +129,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sh_layout(path: str, nvol: int, order: int | None = None, shells: int | None = None):
-    """(order, shells) of an SH volume of ``nvol`` = shells * R volumes.
+def _sh_intent(order: int, shells: int) -> tuple:
+    """The intent fields (name, p1, p2) that tag an SH file of ``shells`` shells of ``order``."""
+    return b"sphdwi-sh", order, shells
 
-    Give the order (the shell count follows) or the shell count (the order
+
+def _sh_layout(vol, order: int | None = None, shells: int | None = None):
+    """(order, shells) of the SH volume ``vol``, an open NIfTI of shells * R volumes.
+
+    A file that signal2sh or lsc wrote is tagged with both (see
+    :func:`_sh_intent`), and a given ``order`` or ``shells`` that disagrees
+    with its tag raises ShapeError naming both values. Of an untagged file,
+    give the order (the shell count follows) or the shell count (the order
     follows).
     """
+    path, nvol, hdr = vol.path, vol.channels, vol.header
+    if hdr["intent_name"].item() == b"sphdwi-sh":
+        tag_order, tag_shells = float(hdr["intent_p1"]), float(hdr["intent_p2"])
+        if (tag_order not in _ORDER_FOR_R.values() or not tag_shells.is_integer()
+                or coeff_count(int(tag_order)) * tag_shells != nvol):
+            raise ShapeError(f"{path}: its SH tag (order {tag_order:g}, {tag_shells:g} "
+                             f"shell(s)) does not fit its {nvol} volumes")
+        tag_order, tag_shells = int(tag_order), int(tag_shells)
+        if order is not None and order != tag_order:
+            raise ShapeError(f"{path}: --order {order} disagrees with the file's SH order "
+                             f"{tag_order}")
+        if shells is not None and shells != tag_shells:
+            raise ShapeError(f"{path}: the kernel and the shell selection take {shells} "
+                             f"shell(s); the file holds {tag_shells}")
+        return tag_order, tag_shells
     if order is not None:
         r = coeff_count(order)
         if nvol % r != 0:
@@ -205,7 +227,7 @@ def _check_finite(x: np.ndarray, vol, rows, lo: int) -> None:
 
 
 def _stream(vol, path: str, matrix, offset=None, rows=None, normalize=None,
-            measure=None) -> None:
+            measure=None, intent=None) -> None:
     """Write to ``path`` the float32 volume that the stage ``matrix`` makes of ``vol``.
 
     The blocks of :func:`_blocks` hold the ``rows`` of the open
@@ -219,14 +241,16 @@ def _stream(vol, path: str, matrix, offset=None, rows=None, normalize=None,
     there are len(rows) / C_in * C_out output channels; ``measure(x, y)``
     sees each block and its result. Each result goes to
     :func:`sphdwi.dwio.write_nifti_rows`, whose fit rules and shape checks
-    apply. Every voxel's bits are the 5-D API's, memory stays a few MiB
-    whatever the volume size (see the comment above _read_channels), and a
-    failure leaves no output file.
+    apply, with ``intent`` in the output's header (see :func:`_sh_intent`).
+    Every voxel's bits are the 5-D API's, memory stays a few MiB whatever
+    the volume size (see the comment above _read_channels), and a failure
+    leaves no output file.
     """
     rows = np.arange(vol.channels) if rows is None else rows
     channels = len(rows) // matrix.shape[-1] * matrix.shape[-2]
     buf = np.empty(channels * min(vol.voxels, fitting._BLOCK))
-    with dwio.write_nifti_rows(path, (*vol.shape[:3], channels), affine=vol.affine) as write:
+    with dwio.write_nifti_rows(path, (*vol.shape[:3], channels), affine=vol.affine,
+                               intent=intent) as write:
         for lo, x in _blocks(vol, rows):
             hi = lo + x.shape[1]
             if normalize is not None:
@@ -303,12 +327,11 @@ def _cmd_signal2sh(args) -> int:
 
         def normalize(x):
             nonlocal excluded
-            mask, denom = fitting._b0_denominator(next(means), eps)
-            excluded += int(np.count_nonzero(mask))
-            fitting._normalize_block(x, denom, mask, out=x)
+            excluded += int(np.count_nonzero(fitting._normalize_b0(x, next(means), eps, out=x)))
 
         _stream(vol, args.out, np.stack([o.fit_matrix for o in ops]),
-                rows=np.concatenate([s.indices for s in shells]), normalize=normalize)
+                rows=np.concatenate([s.indices for s in shells]), normalize=normalize,
+                intent=_sh_intent(args.order, len(shells)))
     # after the output is in place, so a failed run prints only its error
     _info(f"b0: {excluded} of {vol.voxels} voxels excluded "
           "(mean b0 at or below 1e-6 of its maximum)")
@@ -336,15 +359,13 @@ def _cmd_sh2signal(args) -> int:
     elif args.bvecs is None:
         raise ShapeError(either)
     else:
-        if args.bvals is None or not args.shell:
+        if args.bvals is None or args.shell is None:
             raise ShapeError("--bvecs needs --bvals and one --shell")
-        if len(args.shell) > 1:
-            raise ShapeError(f"sh2signal takes one --shell, got {len(args.shell)}")
         scheme = dwio.read_bvals_bvecs(args.bvals, args.bvecs)
-        dirs = scheme.shell_directions(args.shell[0])
+        dirs = scheme.shell_directions(args.shell)
     basis = eval_basis(dirs, args.order)
     with _read_channels(args.sh, args.out) as vol:
-        _sh_layout(args.sh, vol.channels, order=args.order)  # the volume count fits --order
+        _sh_layout(vol, order=args.order)  # the file's layout fits --order
         _stream(vol, args.out, basis)
     return 0
 
@@ -382,7 +403,7 @@ def _cmd_lsc(args) -> int:
         ShBasisSpec(args.order_out)
     fitting._check_weight(args.lb_lambda)
     with _read_channels(args.sh, args.out) as vol:
-        order_in, shells_in = _sh_layout(args.sh, vol.channels, shells=kernel.shells_in)
+        order_in, shells_in = _sh_layout(vol, shells=kernel.shells_in)
         order_out = args.order_out if args.order_out is not None else order_in
         geom = lsc.build_lsc_geometry(origins, sizes, alpha, order_in, order_out, args.lb_lambda)
         matrix, offset = lsc.lsc_operator(kernel, geom)
@@ -395,7 +416,8 @@ def _cmd_lsc(args) -> int:
                 coeffs = data.reshape(shells, -1, x.shape[1])
                 energy[side] += np.sum(high_degree_energy_fraction(coeffs, order, axis=1))
 
-        _stream(vol, args.out, matrix, offset, measure=measure)
+        _stream(vol, args.out, matrix, offset, measure=measure,
+                intent=_sh_intent(order_out, kernel.shells_out))
     _info(
         f"mean l>=2 energy fraction: {energy[0] / (shells_in * vol.voxels):.4f} "
         f"-> {energy[1] / (kernel.shells_out * vol.voxels):.4f}"

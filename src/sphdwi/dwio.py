@@ -589,15 +589,17 @@ def _check_nifti_shape(shape) -> None:
             )
 
 
-def _nifti_header(shape, affine, dtype) -> bytes:
+def _nifti_header(shape, affine, dtype, intent=None) -> bytes:
     """The 352 bytes before the payload of a volume that sphdwi writes.
 
     The NIfTI-1 header of an array of ``shape`` stored as ``dtype`` with
     ``affine`` in its sform rows (identity when None), and the 4 zero
-    extension bytes up to vox_offset 352. Raises ValueError, before
-    anything is written, for a shape NIfTI-1 cannot store (it takes 1 to 7
-    axes of 1 to 32,767) or an affine that is not 4 x 4, and
-    :class:`NiftiDatatypeError` for an unsupported dtype.
+    extension bytes up to vox_offset 352. ``intent``, when given, is
+    (intent_name, intent_p1, intent_p2), and intent_code stays 0: the CLI
+    tags its SH files with (b"sphdwi-sh", order, shell count). Raises
+    ValueError, before anything is written, for a shape NIfTI-1 cannot
+    store (it takes 1 to 7 axes of 1 to 32,767) or an affine that is not
+    4 x 4, and :class:`NiftiDatatypeError` for an unsupported dtype.
     """
     _check_nifti_shape(shape)
     dtype = np.dtype(dtype)
@@ -631,14 +633,17 @@ def _nifti_header(shape, affine, dtype) -> bytes:
     hdr["srow_y"] = affine[1, :]
     hdr["srow_z"] = affine[2, :]
     hdr["magic"] = b"n+1"
+    if intent is not None:
+        hdr["intent_name"], hdr["intent_p1"], hdr["intent_p2"] = intent
     return hdr.tobytes() + b"\x00" * 4
 
 
-def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
-    """Write a single-file NIfTI-1 volume (gzip when path ends in .gz).
+def write_nifti(path: str, data, affine=None, dtype=np.float32, intent=None) -> None:
+    """Write a single-file NIfTI-1 volume (gzip when path ends in .gz, in any case).
 
     ``data`` is stored in X, Y, Z[, volume] order with the given on-disk
-    dtype (float32 by default); the affine lands in the sform rows. The
+    dtype (float32 by default); the affine lands in the sform rows and
+    ``intent`` in the intent fields (see :func:`_nifti_header`). The
     array goes to :func:`write_nifti_rows` one z slab at a time, as a
     (C, X * Y) block, so this holds no copy of the whole array: a slab of
     a Fortran-order array is a view, any other is one slab copy. The
@@ -646,20 +651,21 @@ def write_nifti(path: str, data, affine=None, dtype=np.float32) -> None:
     only once it is whole.
     """
     arr = np.asarray(data)
-    with write_nifti_rows(path, arr.shape, affine, dtype) as write:
+    with write_nifti_rows(path, arr.shape, affine, dtype, intent) as write:
         arr = arr.reshape(arr.shape + (1,) * (3 - arr.ndim))
         for z in range(arr.shape[2]):
             write(arr[:, :, z].reshape(arr.shape[0] * arr.shape[1], -1, order="F").T)
 
 
 @contextmanager
-def write_nifti_rows(path: str, shape, affine=None, dtype=np.float32):
-    """Write a NIfTI-1 volume of ``shape`` in blocks (gzip when path ends in .gz).
+def write_nifti_rows(path: str, shape, affine=None, dtype=np.float32, intent=None):
+    """Write a NIfTI-1 volume of ``shape`` in blocks (gzip when path ends in .gz, in any case).
 
     This is the one code that writes NIfTI files, and the one that turns
     values into stored ones. The payload is the (C, V) matrix of
     :class:`NiftiRows`, stored as ``dtype`` (float32 by default), and
-    ``affine`` lands in the sform rows. This yields ``write(block)``,
+    ``affine`` lands in the sform rows and ``intent`` in the intent fields
+    (see :func:`_nifti_header`). This yields ``write(block)``,
     which takes the next ``width`` voxel columns as a (C, width) float or
     integer ``block``: blocks are written in order, from column 0, each
     with one row per channel. A block that is not 2-D, has another row
@@ -688,13 +694,13 @@ def write_nifti_rows(path: str, shape, affine=None, dtype=np.float32):
     file appears at ``path`` only when the ``with`` block ends without an
     error.
     """
-    header = _nifti_header(shape, affine, dtype)
+    header = _nifti_header(shape, affine, dtype, intent)
     dtype = np.dtype(dtype)
     voxels = int(np.prod(shape[:3]))
     channels = int(np.prod(shape[3:]))
     window = np.empty((channels, min(voxels, _STREAM)), dtype=dtype)
     lo = 0  # the next voxel column to write
-    gz = path.endswith(".gz")
+    gz = path.lower().endswith(".gz")
     with (
         _atomic_output(path) as tmp,
         open(tmp, "wb") as fh,

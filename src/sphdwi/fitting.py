@@ -331,32 +331,24 @@ def _b0_threshold(mean_b0: np.ndarray, eps: float = -np.inf) -> float:
     return max(eps, 1e-6 * float(mean_b0.max())) if mean_b0.size else eps
 
 
-def _b0_denominator(mean_b0: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """The b0 rule: (excluded, denominator) of per-voxel means under the threshold ``eps``.
+def _normalize_b0(x: np.ndarray, mean_b0: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
+    """The b0 rule: out = x / mean_b0, with the voxels excluded by ``eps`` set to 0.
 
-    ``mean_b0`` holds all or part of a volume's means, and ``eps`` is the
-    volume's :func:`_b0_threshold`. Voxels whose mean falls at or below it
-    are excluded (True) and get a denominator of 1; the others are divided
-    by their mean. The denominator is ``mean_b0`` itself, overwritten in
-    place, so only the mask is allocated.
+    ``x`` and ``out`` are (samples, voxels...) and ``mean_b0`` (voxels...)
+    holds all or part of a volume's means, and ``eps`` is the volume's
+    :func:`_b0_threshold`. Voxels whose mean falls at or below it are
+    excluded: their mean is overwritten in place by a denominator of 1 and
+    their output zeroed. Returns the exclusion mask (True = excluded), the
+    only array allocated. A quotient that overflows becomes inf, and a
+    signalling NaN a NaN, without a numpy warning: each caller's finite
+    check that follows reports it (the CLI's names the volume and voxel).
     """
     excluded = mean_b0 <= eps
     mean_b0[excluded] = 1.0
-    return excluded, mean_b0
-
-
-def _normalize_block(
-    x: np.ndarray, denom: np.ndarray, excluded: np.ndarray, out: np.ndarray
-) -> None:
-    """out = x / denom with the excluded voxels set to 0; x and out are (samples, voxels...).
-
-    A quotient that overflows becomes inf, and a signalling NaN a NaN,
-    without a numpy warning: each caller's finite check that follows
-    reports it (the CLI's names the volume and voxel).
-    """
     with np.errstate(over="ignore", invalid="ignore"):
-        np.divide(x, denom, out=out)
+        np.divide(x, mean_b0, out=out)
     out[:, excluded] = 0.0
+    return excluded
 
 
 def normalize_b0(
@@ -389,10 +381,10 @@ def normalize_b0(
     _check_volume_count(arr.shape[3], b0_idx, table)
     shell_table = _plan_shells(b0_idx, table, shells)
     mean = _b0_mean(np.moveaxis(arr[..., b0_idx], 3, 0))
-    excluded, denom = _b0_denominator(mean, _b0_threshold(mean))
+    eps = _b0_threshold(mean)
     keep = np.concatenate([s.indices for s in shell_table])
     data = np.empty((1, keep.size, *arr.shape[:3]))
-    _normalize_block(np.moveaxis(arr[..., keep], 3, 0), denom, excluded, out=data[0])
+    excluded = _normalize_b0(np.moveaxis(arr[..., keep], 3, 0), mean, eps, out=data[0])
 
     sub = None
     if scheme is not None:

@@ -6,11 +6,14 @@ import resource
 import stat
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sphdwi
 from sphdwi import (
@@ -226,6 +229,16 @@ class TestSh2Signal:
              str(tmp_path / "x.nii")]
         )
         assert code == 2
+        assert capsys.readouterr().err.endswith(
+            "--order 6 disagrees with the file's SH order 4\n")
+        # an untagged file is checked against the R = 28 of order 6
+        plain = str(tmp_path / "plain.nii")
+        _untag(sh_path, plain)
+        code = main(
+            ["sh2signal", "--sh", plain, "--dirs", dirs_path, "--order", "6", "--out",
+             str(tmp_path / "x.nii")]
+        )
+        assert code == 2
         assert "28" in capsys.readouterr().err
 
     def test_ragged_dirs_file_exits_2_naming_widths(self, phantom_files, tmp_path, capsys):
@@ -313,7 +326,8 @@ class TestSh2Signal:
             ]
         )
         assert code == 2
-        assert "got 2" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "sphdwi sh2signal: error: argument --shell: given more than once")
         assert not out.exists()
 
     def test_round_trip_through_files(self, phantom_files, tmp_path):
@@ -673,6 +687,172 @@ class TestMultiShellPipeline:
         assert code == 0
         out_data, _, _ = dwio.read_nifti(out_path)
         assert out_data.shape[3] == 30
+
+
+@pytest.fixture
+def three_shell_files(tmp_path):
+    """A 4x4x3 grid with one b0 and three shells of 30 directions, and the directions file."""
+    dirs = sphdwi.unit_sphere_directions(30)
+    bvals = np.concatenate([[0.0], np.repeat([1000.0, 2000.0, 3000.0], 30)])
+    dwio.write_bvals_bvecs(bvals, np.vstack([[0.0, 0.0, 1.0], dirs, dirs, dirs]),
+                           str(tmp_path / "g.bvals"), str(tmp_path / "g.bvecs"))
+    raw = np.random.default_rng(33).uniform(0.2, 1.0, size=(4, 4, 3, 91))
+    raw[..., 0] = 1.0
+    dwio.write_nifti(str(tmp_path / "dwi.nii"), raw)
+    np.savetxt(tmp_path / "d.txt", dirs)
+    return {"dwi": str(tmp_path / "dwi.nii"), "bvals": str(tmp_path / "g.bvals"),
+            "bvecs": str(tmp_path / "g.bvecs"), "dirs": str(tmp_path / "d.txt")}
+
+
+def _intent(path):
+    hdr = dwio.read_nifti(path)[2]
+    return hdr["intent_name"].item(), float(hdr["intent_p1"]), float(hdr["intent_p2"])
+
+
+def _untag(src, dest):
+    """Copy the SH file ``src`` to the plain ``dest`` with its intent fields zeroed."""
+    blob = open(src, "rb").read()
+    blob = bytearray(gzip.decompress(blob) if src.endswith(".gz") else blob)
+    hdr = np.frombuffer(bytes(blob[:348]), dtype=dwio.HEADER_DTYPE).copy()
+    hdr["intent_name"], hdr["intent_p1"], hdr["intent_p2"] = b"", 0.0, 0.0
+    blob[:348] = hdr.tobytes()
+    open(dest, "wb").write(bytes(blob))
+
+
+class TestShTags:
+    """signal2sh and lsc tag the SH files they write with their order and shell count."""
+
+    # each exited 0 with a wrong layout when the file stored neither
+    MISMATCHES = {
+        "lsc-one-shell": (["lsc", "--shell", "1000", "--moving-average", f"5,{PI_OVER_5}"],
+                          "the kernel and the shell selection take 1 shell(s); "
+                          "the file holds 3"),
+        "order-8": (["sh2signal", "--shell", "1000", "--order", "8"],
+                    "--order 8 disagrees with the file's SH order 4"),
+        "order-0": (["sh2signal", "--dirs", None, "--order", "0"],
+                    "--order 0 disagrees with the file's SH order 4"),
+    }
+
+    def _args(self, files, sh, out, command):
+        args, message = command
+        args = [files["dirs"] if token is None else token for token in args]
+        grad = [] if "--dirs" in args else ["--bvals", files["bvals"], "--bvecs", files["bvecs"]]
+        return [args[0], "--sh", sh, *grad, *args[1:], "--out", str(out)], message
+
+    @pytest.mark.parametrize("case", MISMATCHES, ids=list(MISMATCHES))
+    def test_a_flag_that_disagrees_with_the_tag_exits_2(self, three_shell_files, tmp_path,
+                                                        capsys, case):
+        sh = str(tmp_path / "sh.nii")
+        assert main(["signal2sh", "--dwi", three_shell_files["dwi"], "--bvals",
+                     three_shell_files["bvals"], "--bvecs", three_shell_files["bvecs"],
+                     "--order", "4", "--out", sh]) == 0
+        assert _intent(sh) == (b"sphdwi-sh", 4.0, 3.0)
+        out = tmp_path / "out.nii"
+        args, message = self._args(three_shell_files, sh, out, self.MISMATCHES[case])
+        capsys.readouterr()
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"sphdwi: {sh}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", MISMATCHES, ids=list(MISMATCHES))
+    def test_an_untagged_file_keeps_the_volume_count_rule(self, three_shell_files, tmp_path,
+                                                          case):
+        sh = str(tmp_path / "sh.nii")
+        assert main(["signal2sh", "--dwi", three_shell_files["dwi"], "--bvals",
+                     three_shell_files["bvals"], "--bvecs", three_shell_files["bvecs"],
+                     "--order", "4", "--out", sh]) == 0
+        plain = str(tmp_path / "plain.nii")
+        _untag(sh, plain)
+        out = tmp_path / "out.nii"
+        args, _ = self._args(three_shell_files, plain, out, self.MISMATCHES[case])
+        # 45 volumes read as order 8 of 1 shell, or order 0 of 45 shells
+        assert main(args) == 0
+        channels = {"lsc-one-shell": 45, "order-8": 30, "order-0": 45 * 30}[case]
+        assert dwio.read_nifti(str(out))[0].shape == (4, 4, 3, channels)
+
+    @pytest.mark.parametrize("ext", [".nii", ".nii.gz"])
+    def test_tagged_chain_matches_the_untagged_chain(self, three_shell_files, tmp_path, ext):
+        grad = ["--bvals", three_shell_files["bvals"], "--bvecs", three_shell_files["bvecs"]]
+        sh, smooth, signal = (str(tmp_path / f"{n}{ext}") for n in ("sh", "lsc", "signal"))
+        assert main(["signal2sh", "--dwi", three_shell_files["dwi"], *grad, "--order", "4",
+                     "--out", sh]) == 0
+        assert main(["lsc", "--sh", sh, *grad, "--moving-average", f"5,{PI_OVER_5}",
+                     "--order-out", "2", "--out", smooth]) == 0
+        assert main(["sh2signal", "--sh", smooth, *grad, "--shell", "2000", "--order", "2",
+                     "--out", signal]) == 0
+        assert _intent(sh) == (b"sphdwi-sh", 4.0, 3.0)
+        assert _intent(smooth) == (b"sphdwi-sh", 2.0, 3.0)
+        assert _intent(signal) == (b"", 0.0, 0.0)
+        assert dwio.read_nifti(signal)[0].shape == (4, 4, 3, 90)
+
+        # the same chain from an untagged copy of sh: the same payloads, and
+        # headers that differ only in the intent fields
+        plain_sh, plain_lsc, plain_signal = (str(tmp_path / f"plain_{n}.nii")
+                                             for n in ("sh", "lsc", "signal"))
+        _untag(sh, plain_sh)
+        assert main(["lsc", "--sh", plain_sh, *grad, "--moving-average", f"5,{PI_OVER_5}",
+                     "--order-out", "2", "--out", plain_lsc]) == 0
+        _untag(plain_lsc, plain_lsc)
+        assert main(["sh2signal", "--sh", plain_lsc, *grad, "--shell", "2000", "--order", "2",
+                     "--out", plain_signal]) == 0
+        for tagged, plain in ((sh, plain_sh), (smooth, plain_lsc), (signal, plain_signal)):
+            blob = open(tagged, "rb").read()
+            if ext == ".nii.gz":
+                blob = gzip.decompress(blob)
+            untagged = open(plain, "rb").read()
+            assert blob[352:] == untagged[352:]
+            hdr, want = (np.frombuffer(b[:348], dtype=dwio.HEADER_DTYPE)[0]
+                         for b in (blob, untagged))
+            differ = {name for name in dwio.HEADER_DTYPE.names
+                      if hdr[name].tobytes() != want[name].tobytes()}
+            assert differ <= {"intent_name", "intent_p1", "intent_p2"}
+
+    def test_an_upper_case_gz_out_is_one_gzip_member(self, three_shell_files, tmp_path):
+        sh = str(tmp_path / "sh.nii")
+        assert main(["signal2sh", "--dwi", three_shell_files["dwi"], "--bvals",
+                     three_shell_files["bvals"], "--bvecs", three_shell_files["bvecs"],
+                     "--order", "4", "--out", sh]) == 0
+        outs = [tmp_path / "signal.nii", tmp_path / "signal.nii.GZ"]
+        for out in outs:
+            assert main(["sh2signal", "--sh", sh, "--dirs", three_shell_files["dirs"],
+                         "--order", "4", "--out", str(out)]) == 0
+        with gzip.open(outs[1], "rb") as fh:
+            assert fh.read() == outs[0].read_bytes()
+        inflate = zlib.decompressobj(31)  # one member, with its CRC32 and size checked
+        assert inflate.decompress(outs[1].read_bytes()) == outs[0].read_bytes()
+        assert inflate.eof and inflate.unused_data == b""
+
+    @settings(max_examples=30, deadline=None)
+    @given(order=st.sampled_from(range(0, 17, 2)), shells=st.integers(1, 4),
+           other=st.sampled_from(range(0, 17, 2)))
+    def test_a_tag_gives_the_layout_and_refuses_other_flags(self, order, shells, other):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "sh.nii")
+            r = ShBasisSpec(order).coeff_count
+            dwio.write_nifti(path, np.zeros((1, 1, 1, r * shells)),
+                             intent=cli._sh_intent(order, shells))
+            with dwio.NiftiRows(path) as vol:
+                assert cli._sh_layout(vol) == (order, shells)
+                assert cli._sh_layout(vol, order=order) == (order, shells)
+                assert cli._sh_layout(vol, shells=shells) == (order, shells)
+                if other != order:
+                    with pytest.raises(ShapeError, match=f"--order {other} disagrees with "
+                                       f"the file's SH order {order}$"):
+                        cli._sh_layout(vol, order=other)
+                with pytest.raises(ShapeError, match=f"take {shells + 1} shell\\(s\\); "
+                                   f"the file holds {shells}$"):
+                    cli._sh_layout(vol, shells=shells + 1)
+
+    def test_a_tag_that_does_not_fit_the_volume_count_exits_2(self, three_shell_files,
+                                                              tmp_path, capsys):
+        sh = str(tmp_path / "sh.nii")
+        dwio.write_nifti(sh, np.zeros((4, 4, 3, 45)), intent=(b"sphdwi-sh", 4, 2))
+        out = tmp_path / "out.nii"
+        assert main(["sh2signal", "--sh", sh, "--dirs", three_shell_files["dirs"],
+                     "--order", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"sphdwi: {sh}: its SH tag (order 4, 2 shell(s)) does not fit its 45 volumes\n")
+        assert not out.exists()
 
 
 # 3 b0 volumes interleaved among two 30-direction shells
@@ -1794,7 +1974,8 @@ class TestUsageErrors:
         "signal2sh": {"--dwi": "dwi.nii", "--bvals": "g.bvals", "--bvecs": "g.bvecs",
                       "--order": "4", "--lambda": "0", "--out": "sh.nii"},
         "sh2signal": {"--sh": "sh.nii", "--dirs": "dirs.txt", "--bvals": "g.bvals",
-                      "--bvecs": "g.bvecs", "--order": "4", "--out": "signal.nii"},
+                      "--bvecs": "g.bvecs", "--shell": "1000", "--order": "4",
+                      "--out": "signal.nii"},
         "lsc": {"--sh": "sh.nii", "--bvals": "g.bvals", "--bvecs": "g.bvecs",
                 "--kernel": "kernel.json", "--moving-average": f"5,{PI_OVER_5}",
                 "--order-out": "4", "--lambda": "0", "--out": "lsc.nii"},
@@ -1813,7 +1994,7 @@ class TestUsageErrors:
                      for action in parser._actions}
             assert {flag for flag, once in flags.items() if once} == set(
                 self.SINGLE_VALUE_FLAGS[command]), command
-            # the help flag, and --shell, which is repeatable by its own rules
+            # the help flag, and the --shell of signal2sh and lsc, repeatable by its own rules
             assert {flag for flag, once in flags.items() if not once} <= {"-h", "--shell"}
 
     @pytest.mark.parametrize("command, flag", [

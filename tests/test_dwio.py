@@ -511,6 +511,30 @@ class TestReproducibleGzip:
         assert inflate.eof and inflate.unused_data == b""
         assert body == (tmp_path / "vol.nii").read_bytes()
 
+    @pytest.mark.parametrize("suffix", [".GZ", ".Gz", ".gZ"])
+    def test_gz_suffix_in_any_case_writes_one_member(self, tmp_path, suffix):
+        vol = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+        dwio.write_nifti(str(tmp_path / "vol.nii"), vol)
+        dwio.write_nifti(str(tmp_path / f"vol.nii{suffix}"), vol)
+        blob = (tmp_path / f"vol.nii{suffix}").read_bytes()
+        # the stored name drops the last three characters, as for .gz
+        assert blob[:18] == bytes.fromhex("1f8b0808" "00000000" "00ff") + b"vol.nii\x00"
+        assert _one_member(blob) == (tmp_path / "vol.nii").read_bytes()
+
+    def test_intent_fields_are_stored_and_read_back(self, tmp_path):
+        vol = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+        dwio.write_nifti(str(tmp_path / "plain.nii"), vol)
+        dwio.write_nifti(str(tmp_path / "tagged.nii"), vol, intent=(b"sphdwi-sh", 4, 3))
+        header = dwio.read_nifti(str(tmp_path / "tagged.nii"))[2]
+        assert header["intent_name"].item() == b"sphdwi-sh"
+        assert (float(header["intent_p1"]), float(header["intent_p2"])) == (4.0, 3.0)
+        assert int(header["intent_code"]) == 0
+        plain, tagged = ((tmp_path / n).read_bytes() for n in ("plain.nii", "tagged.nii"))
+        # intent_p1 and intent_p2 (bytes 56-63) and intent_name (328-343)
+        changed = {i for i, (a, b) in enumerate(zip(plain, tagged)) if a != b}
+        assert changed and changed <= set(range(56, 64)) | set(range(328, 344))
+        assert len(plain) == len(tagged)
+
     def test_non_latin1_name_is_left_out(self, tmp_path):
         vol = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
         path = tmp_path / "脑.nii.gz"

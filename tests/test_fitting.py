@@ -30,8 +30,8 @@ from sphdwi.fitting import (
     _FINITE_PIECE,
     _all_finite,
     _apply_affine,
-    _b0_denominator,
     _b0_threshold,
+    _normalize_b0,
 )
 
 from conftest import fibonacci_sphere, random_unit_vectors
@@ -460,13 +460,55 @@ class TestNormalizeB0:
         for lo, hi in zip(bounds, bounds[1:]):
             folded = _b0_threshold(mean[lo:hi], folded)
         assert folded == eps
-        excluded, denom = _b0_denominator(mean.copy(), eps)
-        parts = [_b0_denominator(mean[lo:hi].copy(), eps) for lo, hi in zip(bounds, bounds[1:])]
-        np.testing.assert_array_equal(np.concatenate([p[0] for p in parts]), excluded)
-        np.testing.assert_array_equal(np.concatenate([p[1] for p in parts]).view(np.uint64),
-                                      denom.view(np.uint64))
+        x = rng.normal(size=(3, 5000))
+        whole, denom = np.empty_like(x), mean.copy()
+        excluded = _normalize_b0(x, denom, eps, out=whole)
+        split, masks = np.empty_like(x), []
+        for lo, hi in zip(bounds, bounds[1:]):
+            masks.append(_normalize_b0(x[:, lo:hi], mean[lo:hi].copy(), eps,
+                                       out=split[:, lo:hi]))
+        np.testing.assert_array_equal(np.concatenate(masks), excluded)
+        np.testing.assert_array_equal(split.view(np.uint64), whole.view(np.uint64))
         np.testing.assert_array_equal(denom, np.where(mean <= eps, 1.0, mean))
         assert excluded[[7, 4321]].all()
+
+    def test_b0_step_has_the_bits_of_the_two_step_rule(self, rng):
+        # the rule as two helpers applied it, the mask and denominator first
+        def two_step(x, mean_b0, eps):
+            excluded = mean_b0 <= eps
+            mean_b0[excluded] = 1.0
+            out = np.empty_like(x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.divide(x, mean_b0, out=out)
+            out[:, excluded] = 0.0
+            return excluded, out
+
+        mean = rng.uniform(0.5, 2.0, size=(6, 7))
+        mean[0, :3] = [0.0, -1.0, 1e-9]  # at or below the threshold: excluded
+        mean[1, 1] = 1e-300  # excluded, where 1.0 / 1e-300 would overflow
+        x = rng.normal(size=(4, 6, 7))
+        x[:, 2, 2] = -0.0  # stays -0.0 when kept
+        x[:, 0, 1] = -0.0  # excluded: +0.0
+        x[1, 3, 4] = np.nan  # kept: NaN, with no numpy warning
+        x[2, 0, 0] = np.nan  # excluded: 0
+        x[3, 4, 4] = 1e308  # kept: overflows to inf, with no numpy warning
+        mean[4, 4] = 1e-3
+        eps = _b0_threshold(mean)
+        want_mask, want = two_step(x, mean.copy(), eps)
+        got, denom = np.empty_like(x), mean.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask = _normalize_b0(x, denom, eps, out=got)
+        np.testing.assert_array_equal(mask, want_mask)
+        assert mask[0, :3].all() and mask[1, 1] and mask.sum() == 4
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(denom, np.where(mask, 1.0, mean))
+        assert np.signbit(got[:, 2, 2]).all() and not np.signbit(got[:, 0, 1]).any()
+        assert np.isnan(got[1, 3, 4]) and got[2, 0, 0] == 0.0 and np.isinf(got[3, 4, 4])
+        # in place, as signal2sh's blocks run it
+        inplace = x.copy()
+        _normalize_b0(inplace, mean.copy(), eps, out=inplace)
+        np.testing.assert_array_equal(inplace.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_b0_threshold_refuses_a_non_finite_part(self, bad):
