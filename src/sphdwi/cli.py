@@ -144,10 +144,11 @@ def _sh_layout(vol, order: int | None = None, shells: int | None = None):
     follows).
     """
     path, nvol, hdr = vol.path, vol.channels, vol.header
-    if hdr["intent_name"].item() == b"sphdwi-sh":
+    if hdr["intent_name"].item() == _sh_intent(0, 0)[0]:  # the tag's name
         tag_order, tag_shells = float(hdr["intent_p1"]), float(hdr["intent_p2"])
-        if (tag_order not in _ORDER_FOR_R.values() or not tag_shells.is_integer()
-                or coeff_count(int(tag_order)) * tag_shells != nvol):
+        if (not tag_order.is_integer() or tag_order < 0 or tag_order % 2 != 0
+                or not tag_shells.is_integer()
+                or coeff_count(int(tag_order)) * int(tag_shells) != nvol):
             raise ShapeError(f"{path}: its SH tag (order {tag_order:g}, {tag_shells:g} "
                              f"shell(s)) does not fit its {nvol} volumes")
         tag_order, tag_shells = int(tag_order), int(tag_shells)

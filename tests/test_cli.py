@@ -9,7 +9,6 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
-import zlib
 
 import numpy as np
 import pytest
@@ -807,24 +806,25 @@ class TestShTags:
                       if hdr[name].tobytes() != want[name].tobytes()}
             assert differ <= {"intent_name", "intent_p1", "intent_p2"}
 
-    def test_an_upper_case_gz_out_is_one_gzip_member(self, three_shell_files, tmp_path):
-        sh = str(tmp_path / "sh.nii")
-        assert main(["signal2sh", "--dwi", three_shell_files["dwi"], "--bvals",
-                     three_shell_files["bvals"], "--bvecs", three_shell_files["bvecs"],
-                     "--order", "4", "--out", sh]) == 0
-        outs = [tmp_path / "signal.nii", tmp_path / "signal.nii.GZ"]
-        for out in outs:
-            assert main(["sh2signal", "--sh", sh, "--dirs", three_shell_files["dirs"],
-                         "--order", "4", "--out", str(out)]) == 0
-        with gzip.open(outs[1], "rb") as fh:
-            assert fh.read() == outs[0].read_bytes()
-        inflate = zlib.decompressobj(31)  # one member, with its CRC32 and size checked
-        assert inflate.decompress(outs[1].read_bytes()) == outs[0].read_bytes()
-        assert inflate.eof and inflate.unused_data == b""
+    def test_a_tag_past_order_16_gives_the_layout(self, three_shell_files, tmp_path):
+        # nothing caps the SH order, and the Laplace-Beltrami term fits order
+        # 18 (190 coefficients) to one 30-direction shell
+        grad = ["--bvals", three_shell_files["bvals"], "--bvecs", three_shell_files["bvecs"]]
+        sh, plain = str(tmp_path / "sh.nii"), str(tmp_path / "plain.nii")
+        assert main(["signal2sh", "--dwi", three_shell_files["dwi"], *grad, "--order", "18",
+                     "--out", sh]) == 0
+        assert _intent(sh) == (b"sphdwi-sh", 18.0, 3.0)
+        _untag(sh, plain)
+        outs = [tmp_path / "tagged.nii", tmp_path / "untagged.nii"]
+        for src, out in zip((sh, plain), outs):
+            assert main(["sh2signal", "--sh", src, "--dirs", three_shell_files["dirs"],
+                         "--order", "18", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert dwio.read_nifti(str(outs[0]))[0].shape == (4, 4, 3, 3 * 30)
 
     @settings(max_examples=30, deadline=None)
-    @given(order=st.sampled_from(range(0, 17, 2)), shells=st.integers(1, 4),
-           other=st.sampled_from(range(0, 17, 2)))
+    @given(order=st.sampled_from(range(0, 41, 2)), shells=st.integers(1, 4),
+           other=st.sampled_from(range(0, 41, 2)))
     def test_a_tag_gives_the_layout_and_refuses_other_flags(self, order, shells, other):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "sh.nii")

@@ -500,26 +500,16 @@ class TestReproducibleGzip:
         assert blob[4:8] == b"\x00\x00\x00\x00"  # mtime 0
         assert blob[10 : blob.index(b"\x00", 10)] == b"vol.nii"
 
-    def test_one_complete_member_with_the_gzipfile_header(self, tmp_path):
-        vol = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
-        dwio.write_nifti(str(tmp_path / "vol.nii"), vol)
-        dwio.write_nifti(str(tmp_path / "vol.nii.gz"), vol)
-        blob = (tmp_path / "vol.nii.gz").read_bytes()
-        assert blob[:10] == bytes.fromhex("1f8b0808" "00000000" "00ff")
-        inflate = zlib.decompressobj(31)  # gzip framing: checks CRC32 and ISIZE
-        body = inflate.decompress(blob)
-        assert inflate.eof and inflate.unused_data == b""
-        assert body == (tmp_path / "vol.nii").read_bytes()
-
-    @pytest.mark.parametrize("suffix", [".GZ", ".Gz", ".gZ"])
-    def test_gz_suffix_in_any_case_writes_one_member(self, tmp_path, suffix):
+    @pytest.mark.parametrize("suffix", [".gz", ".GZ", ".Gz", ".gZ"])
+    def test_one_complete_member_with_the_gzipfile_header(self, tmp_path, suffix):
         vol = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
         dwio.write_nifti(str(tmp_path / "vol.nii"), vol)
         dwio.write_nifti(str(tmp_path / f"vol.nii{suffix}"), vol)
         blob = (tmp_path / f"vol.nii{suffix}").read_bytes()
-        # the stored name drops the last three characters, as for .gz
+        # the stored name drops the last three characters, in any case of the suffix
         assert blob[:18] == bytes.fromhex("1f8b0808" "00000000" "00ff") + b"vol.nii\x00"
         assert _one_member(blob) == (tmp_path / "vol.nii").read_bytes()
+        assert gzip.decompress(blob) == (tmp_path / "vol.nii").read_bytes()
 
     def test_intent_fields_are_stored_and_read_back(self, tmp_path):
         vol = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
